@@ -227,8 +227,9 @@ mod tests {
             authority: "test".into(),
         };
         let mut srng = DetRng::new(b"mount-server");
+        let token = docs.mac_store().epoch();
         docs.mac_store()
-            .establish(&body, grant, proof, Time(0), &mut |b| srng.fill(b))
+            .establish(token, &body, grant, proof, Time(0), &mut |b| srng.fill(b))
             .unwrap();
         assert_eq!(wiki.mac_store().len(), 1);
         assert_eq!(wiki.mac_store().evict_expired(Time(500)), 1);

@@ -150,7 +150,7 @@ pub fn mac_contention_rig(sessions: usize) -> MacContentionRig {
                 authority: "bench".into(),
             };
             let reply = store
-                .establish(&body, proven, proof, Time(0), &mut srng)
+                .establish(store.epoch(), &body, proven, proof, Time(0), &mut srng)
                 .expect("establishment");
             let session = ClientMacSession::from_grant(&reply, &dh, Validity::always())
                 .expect("grant");

@@ -112,7 +112,7 @@ fn establish_sessions(
                 authority: "bench".into(),
             };
             let reply = store
-                .establish(&body, proven, proof, Time(0), &mut srng)
+                .establish(store.epoch(), &body, proven, proof, Time(0), &mut srng)
                 .expect("establishment");
             let session = ClientMacSession::from_grant(&reply, &dh, Validity::always())
                 .expect("grant");

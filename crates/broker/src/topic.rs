@@ -23,7 +23,7 @@
 
 use snowflake_channel::{TcpTransport, Transport};
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
-use snowflake_core::{ChainMemo, Principal, Proof, Time, VerifyCtx};
+use snowflake_core::{ChainMemo, Epoch, Principal, Proof, ProvenanceMap, Time, VerifyCtx};
 use snowflake_crypto::HashVal;
 use snowflake_metrics::{request_histogram, LatencyHistogram, Registry, Sample};
 use snowflake_prover::Prover;
@@ -31,11 +31,10 @@ use snowflake_revocation::RevocationBus;
 use snowflake_runtime::{Accepted, ListenerHandle, ServerRuntime, SinkHandle, SubmitError, Surface};
 use snowflake_sexpr::Sexp;
 use snowflake_tags::path_vector::{self, ActionTable};
-use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How long the subscribe handshake may take before the worker gives up
@@ -118,7 +117,6 @@ pub struct BrokerStats {
 struct Subscription {
     topic: Vec<String>,
     subject: Principal,
-    cert_hashes: Vec<HashVal>,
     sink: Arc<dyn SubscriberSink>,
 }
 
@@ -140,7 +138,10 @@ pub struct TopicBroker {
     namespace: String,
     issuer: Principal,
     table: ActionTable,
-    subs: Mutex<HashMap<u64, Subscription>>,
+    /// Live subscriptions by id; each slot's provenance is the grant's
+    /// [`Proof::cert_hashes`], so a revocation hands back exactly the
+    /// streams to cut.
+    subs: ProvenanceMap<u64, Subscription>,
     next_id: AtomicU64,
     counters: Counters,
     emitter: EmitterSlot,
@@ -185,7 +186,7 @@ impl TopicBroker {
             namespace: namespace.to_string(),
             issuer,
             table,
-            subs: Mutex::new(HashMap::new()),
+            subs: ProvenanceMap::unbounded(),
             next_id: AtomicU64::new(1),
             counters: Counters {
                 subscribes: AtomicU64::new(0),
@@ -268,7 +269,7 @@ impl TopicBroker {
     /// Current counters.
     pub fn stats(&self) -> BrokerStats {
         BrokerStats {
-            subscribers: self.subs.lock().expect("broker subs poisoned").len() as u64,
+            subscribers: self.subs.len() as u64,
             subscribes: self.counters.subscribes.load(Ordering::SeqCst),
             denied_subscribes: self.counters.denied_subscribes.load(Ordering::SeqCst),
             publishes: self.counters.publishes.load(Ordering::SeqCst),
@@ -279,8 +280,90 @@ impl TopicBroker {
         }
     }
 
-    fn topic_string(&self, path: &[String]) -> String {
+    fn topic_string<S: std::borrow::Borrow<str>>(&self, path: &[S]) -> String {
         format!("{}:/{}", self.namespace, path.join("/"))
+    }
+
+    /// Counts and audits one refused subscribe.
+    fn deny(&self, subject: &Principal, path: &[&str], why: &SubscribeError) {
+        self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
+        self.audit(|| {
+            DecisionEvent::new(
+                (self.clock)(),
+                "broker-sub",
+                Decision::Deny,
+                &self.topic_string(path),
+                "subscribe",
+                &why.to_string(),
+            )
+            .with_subject(subject.clone())
+        });
+    }
+
+    /// The one subscribe decision: does the table have the topic, and does
+    /// `proof` authorize `subject` on it?  A refusal is counted and
+    /// audited here.  The token is read *before* authorizing, so
+    /// [`register`](Self::register) refuses a grant that a revocation push
+    /// has since overtaken.
+    fn decide(
+        &self,
+        subject: &Principal,
+        path: &[&str],
+        proof: &Proof,
+    ) -> Result<Epoch, SubscribeError> {
+        let token = self.subs.epoch();
+        let verdict = if self.table.permits(path, "subscribe") {
+            let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
+            VerifyCtx::at((self.clock)())
+                .with_chain_memo(Arc::clone(&self.memo))
+                .authorize(proof, subject, &self.issuer, &tag)
+                .map_err(|e| SubscribeError::Unauthorized(e.to_string()))
+        } else {
+            Err(SubscribeError::NoSuchTopic)
+        };
+        verdict.map(|()| token).inspect_err(|e| self.deny(subject, path, e))
+    }
+
+    /// Makes a decided grant live: parks `sink` under `id` with the
+    /// proof's provenance and audits the grant — unless a revocation
+    /// landed since [`decide`](Self::decide) read `token`, which refuses
+    /// (and audits) instead of parking a stream on a superseded verdict.
+    fn register(
+        &self,
+        token: Epoch,
+        id: u64,
+        subject: Principal,
+        path: &[&str],
+        proof: &Proof,
+        sink: Arc<dyn SubscriberSink>,
+    ) -> Result<u64, SubscribeError> {
+        let certs: Arc<[HashVal]> = proof.cert_hashes().into();
+        let sub = Subscription {
+            topic: path.iter().map(|s| s.to_string()).collect(),
+            subject: subject.clone(),
+            sink,
+        };
+        if !self.subs.insert(token, id, sub, Arc::clone(&certs), None, (self.clock)()) {
+            let raced = SubscribeError::Unauthorized(
+                "a revocation landed since the proof was verified; present it again".into(),
+            );
+            self.deny(&subject, path, &raced);
+            return Err(raced);
+        }
+        self.counters.subscribes.fetch_add(1, Ordering::SeqCst);
+        self.audit(|| {
+            DecisionEvent::new(
+                (self.clock)(),
+                "broker-sub",
+                Decision::Grant,
+                &self.topic_string(path),
+                "subscribe",
+                "subscription established; stream parked on reactor",
+            )
+            .with_subject(subject)
+            .with_certs(certs.to_vec())
+        });
+        Ok(id)
     }
 
     /// Grants or refuses one subscription given an explicit proof (the
@@ -295,57 +378,9 @@ impl TopicBroker {
         sink: Arc<dyn SubscriberSink>,
     ) -> Result<u64, SubscribeError> {
         let _timer = self.sub_latency.start_timer();
-        let verdict = (|| {
-            if !self.table.permits(path, "subscribe") {
-                return Err(SubscribeError::NoSuchTopic);
-            }
-            let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
-            let now = (self.clock)();
-            let ctx = VerifyCtx::at(now).with_chain_memo(Arc::clone(&self.memo));
-            ctx.authorize(proof, &subject, &self.issuer, &tag)
-                .map_err(|e| SubscribeError::Unauthorized(e.to_string()))
-        })();
-        let owned: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        if let Err(e) = &verdict {
-            self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-            self.audit(|| {
-                DecisionEvent::new(
-                    (self.clock)(),
-                    "broker-sub",
-                    Decision::Deny,
-                    &self.topic_string(&owned),
-                    "subscribe",
-                    &e.to_string(),
-                )
-                .with_subject(subject.clone())
-            });
-            return Err(verdict.unwrap_err());
-        }
-        let cert_hashes = proof.cert_hashes();
+        let token = self.decide(&subject, path, proof)?;
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.subs.lock().expect("broker subs poisoned").insert(
-            id,
-            Subscription {
-                topic: owned.clone(),
-                subject: subject.clone(),
-                cert_hashes: cert_hashes.clone(),
-                sink,
-            },
-        );
-        self.counters.subscribes.fetch_add(1, Ordering::SeqCst);
-        self.audit(|| {
-            DecisionEvent::new(
-                (self.clock)(),
-                "broker-sub",
-                Decision::Grant,
-                &self.topic_string(&owned),
-                "subscribe",
-                "subscription established; stream parked on reactor",
-            )
-            .with_subject(subject)
-            .with_certs(cert_hashes)
-        });
-        Ok(id)
+        self.register(token, id, subject, path, proof, sink)
     }
 
     /// Subscribes an in-process subject, letting the broker's own prover
@@ -362,33 +397,17 @@ impl TopicBroker {
         let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
         let now = (self.clock)();
         let Some(proof) = self.prover.find_proof(&subject, &self.issuer, &tag, now) else {
-            let owned: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-            self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-            self.audit(|| {
-                DecisionEvent::new(
-                    (self.clock)(),
-                    "broker-sub",
-                    Decision::Deny,
-                    &self.topic_string(&owned),
-                    "subscribe",
-                    "no delegation chain from issuer to subject",
-                )
-                .with_subject(subject.clone())
-            });
-            return Err(SubscribeError::Unauthorized(
-                "no delegation chain from issuer to subject".into(),
-            ));
+            let no_chain =
+                SubscribeError::Unauthorized("no delegation chain from issuer to subject".into());
+            self.deny(&subject, path, &no_chain);
+            return Err(no_chain);
         };
         self.subscribe_with_proof(subject, path, &proof, sink)
     }
 
     /// Drops a subscription (voluntary unsubscribe or sink death).
     pub fn unsubscribe(&self, id: u64) -> bool {
-        self.subs
-            .lock()
-            .expect("broker subs poisoned")
-            .remove(&id)
-            .is_some()
+        self.subs.remove(&id).is_some()
     }
 
     /// Publishes `data` to every subscriber of `path`.  The fan-out runs
@@ -430,13 +449,9 @@ impl TopicBroker {
     /// Delivers one already-encoded frame to every live subscriber of
     /// `path`, pruning (and auditing) subscriptions whose sink is gone.
     fn fan_out(&self, path: &[String], frame: &[u8]) {
-        let targets: Vec<(u64, Arc<dyn SubscriberSink>)> = {
-            let subs = self.subs.lock().expect("broker subs poisoned");
-            subs.iter()
-                .filter(|(_, s)| s.topic[..] == *path)
-                .map(|(id, s)| (*id, Arc::clone(&s.sink)))
-                .collect()
-        };
+        let targets: Vec<(u64, Arc<dyn SubscriberSink>)> = self
+            .subs
+            .collect(|id, s| (s.topic[..] == *path).then(|| (*id, Arc::clone(&s.sink))));
         let mut dead = Vec::new();
         for (id, sink) in targets {
             if sink.deliver(frame) {
@@ -452,12 +467,7 @@ impl TopicBroker {
 
     /// Removes a subscription whose sink died, recording why.
     fn prune(&self, id: u64, detail: &str) {
-        let removed = self
-            .subs
-            .lock()
-            .expect("broker subs poisoned")
-            .remove(&id);
-        if let Some(sub) = removed {
+        if let Some(sub) = self.subs.remove(&id) {
             self.counters.pruned.fetch_add(1, Ordering::SeqCst);
             self.audit(|| {
                 DecisionEvent::new(
@@ -544,35 +554,15 @@ impl TopicBroker {
             }
         };
         let refs: Vec<&str> = path.iter().map(String::as_str).collect();
-        // Authorize BEFORE the connection touches the reactor: an
+        // Decide BEFORE the connection touches the reactor: an
         // unauthorized peer never occupies a parked-sink slot.
-        let tag = path_vector::request_tag(&self.namespace, &refs, "subscribe");
-        let now = (self.clock)();
-        let ctx = VerifyCtx::at(now).with_chain_memo(Arc::clone(&self.memo));
-        let allowed = self.table.permits(&refs, "subscribe")
-            && ctx.authorize(&proof, &subject, &self.issuer, &tag).is_ok();
-        if !allowed {
-            // Re-run through the audited front door for the exact reason.
-            let err = if !self.table.permits(&refs, "subscribe") {
-                SubscribeError::NoSuchTopic
-            } else {
-                SubscribeError::Unauthorized("proof does not authorize subscribe".into())
-            };
-            self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-            self.audit(|| {
-                DecisionEvent::new(
-                    (self.clock)(),
-                    "broker-sub",
-                    Decision::Deny,
-                    &self.topic_string(&path),
-                    "subscribe",
-                    &err.to_string(),
-                )
-                .with_subject(subject.clone())
-            });
-            let _ = transport.send(&deny_sexp(&err.to_string()).canonical());
-            return;
-        }
+        let token = match self.decide(&subject, &refs, &proof) {
+            Ok(token) => token,
+            Err(e) => {
+                let _ = transport.send(&deny_sexp(&e.to_string()).canonical());
+                return;
+            }
+        };
         // Park the original fd write-only; the per-subscriber surface
         // audits the reactor's own sheds (stall cap) and prunes here.
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
@@ -583,7 +573,7 @@ impl TopicBroker {
             }
         });
         let sink = match reactor.adopt_sink(stream, push_surface) {
-            Ok(s) => s,
+            Ok(s) => Arc::new(s),
             Err(_) => {
                 let _ = transport.send(&deny_sexp("shutting down").canonical());
                 return;
@@ -595,29 +585,14 @@ impl TopicBroker {
         // interleave.
         let _ = transport.send(&Sexp::tagged("sub-ok", vec![]).canonical());
         drop(transport);
-        let cert_hashes = proof.cert_hashes();
-        self.subs.lock().expect("broker subs poisoned").insert(
-            id,
-            Subscription {
-                topic: path.clone(),
-                subject: subject.clone(),
-                cert_hashes: cert_hashes.clone(),
-                sink: Arc::new(sink),
-            },
-        );
-        self.counters.subscribes.fetch_add(1, Ordering::SeqCst);
-        self.audit(|| {
-            DecisionEvent::new(
-                (self.clock)(),
-                "broker-sub",
-                Decision::Grant,
-                &self.topic_string(&path),
-                "subscribe",
-                "subscription established; stream parked on reactor",
-            )
-            .with_subject(subject)
-            .with_certs(cert_hashes)
-        });
+        // A grant overtaken by a revocation is cut like any stream built
+        // on the dead certificate: the peer sees EOF after `sub-ok`.
+        if self
+            .register(token, id, subject, &refs, &proof, Arc::clone(&sink) as _)
+            .is_err()
+        {
+            sink.close();
+        }
         // The dup fd is gone; the reactor owns the original and the
         // worker is free.
     }
@@ -630,20 +605,10 @@ impl RevocationBus for TopicBroker {
         // Drop memoized chains first so no re-subscribe can ride a stale
         // verification while the stream cuts below are in flight.
         self.memo.evict_cert(cert_hash);
-        let cut: Vec<(u64, Subscription)> = {
-            let mut subs = self.subs.lock().expect("broker subs poisoned");
-            let ids: Vec<u64> = subs
-                .iter()
-                .filter(|(_, s)| s.cert_hashes.contains(cert_hash))
-                .map(|(id, _)| *id)
-                .collect();
-            ids.into_iter()
-                .filter_map(|id| subs.remove(&id).map(|s| (id, s)))
-                .collect()
-        };
-        // Close and audit outside the lock: `close` wakes the reactor
+        let cut = self.subs.evict_cert(cert_hash);
+        // Close and audit outside any lock: `close` wakes the reactor
         // and emitters may do real work.
-        for (_, sub) in &cut {
+        for (_, sub, certs) in &cut {
             sub.sink.close();
             self.counters.cut_streams.fetch_add(1, Ordering::SeqCst);
             self.audit(|| {
@@ -659,7 +624,7 @@ impl RevocationBus for TopicBroker {
                     ),
                 )
                 .with_subject(sub.subject.clone())
-                .with_certs(sub.cert_hashes.clone())
+                .with_certs(certs.to_vec())
             });
         }
         cut.len()

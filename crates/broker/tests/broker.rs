@@ -17,7 +17,8 @@ use snowflake_http::{HttpClient, HttpRequest, HttpServer};
 use snowflake_prover::Prover;
 use snowflake_revocation::RevocationBus;
 use snowflake_runtime::{PoolConfig, ServerRuntime};
-use snowflake_tags::path_vector::{grant_tag, ActionTable, PathPattern};
+use snowflake_crypto::HashVal;
+use snowflake_tags::path_vector::{grant_tag, request_tag, ActionTable, PathPattern};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -384,8 +385,8 @@ fn stalled_subscriber_is_shed_without_harming_healthy_ones() {
 
     // The healthy subscriber kept receiving throughout the flood.
     assert!(received.load(Ordering::SeqCst) > 0);
-    broker.publish(&topic, b"after-the-storm").unwrap();
     let before = received.load(Ordering::SeqCst);
+    broker.publish(&topic, b"after-the-storm").unwrap();
     wait_for(|| received.load(Ordering::SeqCst) > before);
 
     runtime.shutdown();
@@ -529,6 +530,230 @@ fn one_revocation_cuts_exactly_one_teams_streams() {
     // Team B's certificate still cuts cleanly afterwards.
     assert_eq!(broker.certificate_revoked(&cert_team_b), PER_TEAM);
     assert_eq!(broker.stats().subscribers, 0);
+
+    runtime.shutdown();
+}
+
+/// Armed with a broker and a certificate, [`racing_clock`] revokes that
+/// certificate the next time the broker reads the time — which the
+/// subscribe decision does after taking its token and before verifying,
+/// exactly where a revocation push can land in production.
+static RACE: Mutex<Option<(Arc<TopicBroker>, HashVal)>> = Mutex::new(None);
+
+fn racing_clock() -> Time {
+    let armed = RACE.lock().unwrap().take();
+    if let Some((broker, cert)) = armed {
+        broker.certificate_revoked(&cert);
+    }
+    test_now()
+}
+
+/// A subscribe whose verification a revocation push overtook is refused:
+/// no stream stays parked on the dead certificate, in process or over
+/// the wire, and the refusal is audited.  Presenting the proof again
+/// (a fresh token) is granted.
+#[test]
+fn subscribe_overtaken_by_revocation_is_refused() {
+    let issuer_kp = kp(b"broker-race-issuer");
+    let issuer = Principal::key(&issuer_kp.public);
+    let mut rng = DetRng::new(b"broker-race-prover");
+    let prover = Arc::new(Prover::with_rng(Box::new(move |b| rng.fill(b))));
+    prover.add_key(issuer_kp);
+    let alice = account("alice");
+    let grant = grant_tag(
+        OBJECT_NS,
+        &PathPattern::parse(&["rooms", "*", "events"]),
+        &["subscribe"],
+    );
+    let proof = prover
+        .delegate(&alice, &issuer, grant, Validity::always(), false)
+        .unwrap();
+    let cert = proof.cert_hashes()[0].clone();
+
+    let runtime = ServerRuntime::new(PoolConfig::new("broker-race", 2, 16));
+    let broker = TopicBroker::with_clock(
+        Arc::clone(&runtime),
+        prover,
+        OBJECT_NS,
+        issuer,
+        conference_table(),
+        racing_clock,
+    );
+    let audit = Arc::new(Collector::default());
+    broker.set_audit_emitter(Arc::clone(&audit) as Arc<dyn AuditEmitter>);
+    let topic = ["rooms", "r1", "events"];
+
+    // In process: the push lands between the token and the insert.
+    *RACE.lock().unwrap() = Some((Arc::clone(&broker), cert.clone()));
+    let sink = MemSink::new();
+    let refused = broker.subscribe_with_proof(
+        alice.clone(),
+        &topic,
+        &proof,
+        Arc::clone(&sink) as Arc<dyn SubscriberSink>,
+    );
+    assert!(
+        matches!(refused, Err(SubscribeError::Unauthorized(_))),
+        "a grant the revocation overtook must be refused: {refused:?}"
+    );
+    assert_eq!(broker.stats().subscribers, 0, "no stream parked");
+    assert_eq!(broker.certificate_revoked(&cert), 0, "nothing left on the dead cert");
+    let stats = broker.stats();
+    assert_eq!((stats.subscribes, stats.denied_subscribes), (0, 1));
+    let events = audit.events();
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].decision, Decision::Deny);
+    assert_eq!(events[0].surface, "broker-sub");
+    assert_eq!(events[0].subject, Some(alice.clone()));
+    assert!(events[0].detail.contains("revocation landed"), "{}", events[0].detail);
+
+    // Over the wire: `sub-ok` was already sent when the insert refuses,
+    // so the peer sees its stream cut — EOF, like any revoked stream.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    broker.attach_subscribe_listener(listener).unwrap();
+    *RACE.lock().unwrap() = Some((Arc::clone(&broker), cert.clone()));
+    let mut stream = subscribe_stream(addr, &topic, &alice, &proof)
+        .unwrap()
+        .expect("the decision itself passed");
+    assert!(read_publish(&mut stream).is_err(), "the overtaken stream is severed");
+    wait_for(|| broker.stats().denied_subscribes == 2);
+    wait_for(|| runtime.reactor_stats().open_sinks == 0);
+    assert_eq!(broker.stats().subscribers, 0);
+
+    // Unraced, the same proof is granted (the broker holds no CRL; only
+    // the push said the certificate was dead).
+    assert!(RACE.lock().unwrap().is_none());
+    broker
+        .subscribe_with_proof(alice, &topic, &proof, sink)
+        .expect("a fresh token inserts");
+    assert_eq!(broker.stats().subscribers, 1);
+
+    runtime.shutdown();
+}
+
+/// Flipped by the stress test's revoker *before* it pushes: from then on
+/// the clock reads past the team certificate's validity, so a subscribe
+/// that verifies afterwards is denied — the stand-in for "the CRL learns
+/// of a revocation before the push evicts".
+static TEAM_CERT_DEAD: AtomicBool = AtomicBool::new(false);
+
+fn stress_clock() -> Time {
+    if TEAM_CERT_DEAD.load(Ordering::SeqCst) {
+        Time(2_000_000)
+    } else {
+        test_now()
+    }
+}
+
+/// Three subscriber threads race one revoker.  Every subscription's
+/// chain runs through one team certificate; once the revocation has been
+/// pushed, not one live subscription may rest on it — each was either
+/// parked in time to be cut, or refused — while a bystander on another
+/// chain is untouched.
+#[test]
+fn subscribe_vs_revoke_stress_leaves_no_stream_on_the_dead_cert() {
+    let issuer_kp = kp(b"broker-stress-issuer");
+    let issuer = Principal::key(&issuer_kp.public);
+    let team_kp = kp(b"broker-stress-team");
+    let team = Principal::key(&team_kp.public);
+    let mut rng = DetRng::new(b"broker-stress-prover");
+    let prover = Arc::new(Prover::with_rng(Box::new(move |b| rng.fill(b))));
+    prover.add_key(issuer_kp);
+    prover.add_key(team_kp);
+    let grant = grant_tag(
+        OBJECT_NS,
+        &PathPattern::parse(&["rooms", "*", "events"]),
+        &["subscribe"],
+    );
+    let team_cert = prover
+        .delegate(&team, &issuer, grant.clone(), Validity::until(Time(1_500_000)), true)
+        .unwrap()
+        .cert_hashes()[0]
+        .clone();
+    let topic = ["rooms", "stress", "events"];
+    let members: Vec<_> = (0..3)
+        .map(|i| {
+            let member = account(&format!("stress-{i}"));
+            prover
+                .delegate(&member, &team, grant.clone(), Validity::always(), false)
+                .unwrap();
+            let tag = request_tag(OBJECT_NS, &topic, "subscribe");
+            let proof = prover.find_proof(&member, &issuer, &tag, test_now()).unwrap();
+            assert!(proof.cert_hashes().contains(&team_cert));
+            (member, proof)
+        })
+        .collect();
+    let bystander = account("bystander");
+    let bystander_proof = prover
+        .delegate(&bystander, &issuer, grant, Validity::always(), false)
+        .unwrap();
+
+    let runtime = ServerRuntime::new(PoolConfig::new("broker-stress", 2, 16));
+    let broker = TopicBroker::with_clock(
+        Arc::clone(&runtime),
+        prover,
+        OBJECT_NS,
+        issuer,
+        conference_table(),
+        stress_clock,
+    );
+    let bystander_sink = MemSink::new();
+    broker
+        .subscribe_with_proof(
+            bystander,
+            &topic,
+            &bystander_proof,
+            Arc::clone(&bystander_sink) as Arc<dyn SubscriberSink>,
+        )
+        .unwrap();
+
+    let granted = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(members.len() + 1);
+    let sinks: Vec<Arc<MemSink>> = std::thread::scope(|s| {
+        let workers: Vec<_> = members
+            .iter()
+            .map(|(member, proof)| {
+                let (broker, granted, done, start) = (&broker, &granted, &done, &start);
+                s.spawn(move || {
+                    let mut parked = Vec::new();
+                    start.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        let sink = MemSink::new();
+                        let as_dyn = Arc::clone(&sink) as Arc<dyn SubscriberSink>;
+                        if broker.subscribe_with_proof(member.clone(), &topic, proof, as_dyn).is_ok() {
+                            granted.fetch_add(1, Ordering::SeqCst);
+                            parked.push(sink);
+                        }
+                    }
+                    parked
+                })
+            })
+            .collect();
+        start.wait();
+        while granted.load(Ordering::SeqCst) < 300 {
+            std::thread::yield_now();
+        }
+        TEAM_CERT_DEAD.store(true, Ordering::SeqCst);
+        let cut = broker.certificate_revoked(&team_cert);
+        done.store(true, Ordering::SeqCst);
+        assert!(cut >= 300, "the parked streams were cut: {cut}");
+        workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+    });
+
+    assert_eq!(
+        broker.certificate_revoked(&team_cert),
+        0,
+        "a live subscription still rests on the revoked certificate"
+    );
+    assert_eq!(broker.stats().subscribers, 1, "only the bystander remains");
+    assert!(bystander_sink.is_open());
+    assert!(
+        sinks.iter().all(|s| !s.is_open()),
+        "every stream granted on the team certificate was severed"
+    );
+    assert_eq!(sinks.len() as u64, broker.stats().cut_streams);
 
     runtime.shutdown();
 }

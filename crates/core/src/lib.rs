@@ -26,6 +26,9 @@
 //!   a reusable lemma.
 //! * [`VerifyCtx`] — the verifier's local trusted state: current time,
 //!   channel bindings it has itself witnessed, and revocation data.
+//! * [`ProvenanceMap`] — the one revocation-guarded store every warm
+//!   conclusion (memoized chain, session, cached proof, subscription)
+//!   lives in, so it dies with the certificate chain that backed it.
 //!
 //! # Example: delegation across an administrative boundary
 //!
@@ -64,6 +67,7 @@ pub mod durable;
 mod memo;
 mod principal;
 mod proof;
+mod provenance;
 mod revocation;
 pub mod sequence;
 pub mod sync;
@@ -76,6 +80,7 @@ pub use durable::{CrashPoint, Durable, RecoveryReport};
 pub use memo::{ChainMemo, MemoStats};
 pub use principal::{ChannelId, Principal};
 pub use proof::{Proof, ProofError};
+pub use provenance::{Epoch, ProvenanceMap};
 pub use revocation::{Crl, Revalidation, RevocationPolicy};
 pub use sequence::Sequence;
 pub use statement::{Delegation, Time, Validity};

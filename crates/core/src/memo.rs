@@ -29,44 +29,24 @@
 //!    time-dependent checks are artifact-currency windows), so a hit
 //!    inside the interval answers exactly what a cold verify would.
 //!
-//! Revocation *push* is the asynchronous hazard: [`ChainMemo::evict_cert`]
-//! drops every entry whose provenance contains the dead certificate (the
-//! memo rides the same `RevocationBus` as every other warm cache), and a
-//! monotone push epoch ([`ChainMemo::push_epoch`]) lets `verify_cached`
-//! discard an insert that raced a push — the same guard discipline the
-//! servlet and RMI proof caches use.
+//! Revocation *push* is the asynchronous hazard: the entries live in a
+//! [`ProvenanceMap`], so [`ChainMemo::evict_cert`] drops every entry whose
+//! provenance contains the dead certificate (the memo rides the same
+//! `RevocationBus` as every other warm store) and an insert that raced a
+//! push is refused by the map's epoch guard.
 
+use crate::provenance::{Epoch, ProvenanceMap};
 use crate::statement::Time;
 use snowflake_crypto::HashVal;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-const SHARDS: usize = 16;
+use std::sync::Arc;
 
 /// Memo key: the proof's canonical hash plus the context fingerprint it
 /// was verified under.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 struct MemoKey {
     proof: HashVal,
     fingerprint: HashVal,
-}
-
-struct MemoEntry {
-    verified_at: Time,
-    /// Conservative minimum of consulted artifact validity ends; `None`
-    /// when every consulted artifact (and the chain) is open-ended.
-    valid_until: Option<Time>,
-    /// Revocation provenance (`Proof::cert_hashes`) for push eviction.
-    certs: Vec<HashVal>,
-}
-
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<MemoKey, MemoEntry>,
-    /// Insertion order for FIFO eviction; may contain keys already
-    /// removed by push eviction (skipped when popped).
-    order: VecDeque<MemoKey>,
 }
 
 /// Counter snapshot — the memo's answer quality is provable from these
@@ -90,13 +70,12 @@ pub struct MemoStats {
 
 /// A bounded, sharded memo of successfully verified proof chains.
 pub struct ChainMemo {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_cap: usize,
-    push_epoch: AtomicU64,
+    /// `(proof, fingerprint)` → `verified_at`; the slot's `not_after` is
+    /// the conservative minimum of consulted artifact validity ends.
+    entries: ProvenanceMap<MemoKey, Time>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
-    evictions: AtomicU64,
     revocation_evictions: AtomicU64,
 }
 
@@ -104,128 +83,62 @@ impl ChainMemo {
     /// A memo bounded to roughly `capacity` entries across 16 shards.
     pub fn new(capacity: usize) -> ChainMemo {
         ChainMemo {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_cap: capacity.div_ceil(SHARDS).max(1),
-            push_epoch: AtomicU64::new(0),
+            entries: ProvenanceMap::bounded(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             revocation_evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &MemoKey) -> &Mutex<Shard> {
-        let b = key.proof.bytes.first().copied().unwrap_or(0) as usize;
-        &self.shards[b % self.shards.len()]
-    }
-
     /// Is a successful verification of `proof` under `fingerprint`
-    /// recorded and valid at `now`?  An entry outside its validity
-    /// interval is dropped (counted as an eviction) and misses.
+    /// recorded and valid at `now`?  An entry past its validity interval
+    /// is dropped (counted as an eviction) and misses.
     pub fn lookup(&self, proof: &HashVal, fingerprint: &HashVal, now: Time) -> bool {
         let key = MemoKey {
             proof: proof.clone(),
             fingerprint: fingerprint.clone(),
         };
-        let mut shard = self.shard(&key).lock().unwrap();
-        let live = match shard.entries.get(&key) {
-            Some(en) => {
-                now >= en.verified_at && en.valid_until.map_or(true, |until| now <= until)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        };
-        if live {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.entries.remove(&key);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let live = self.entries.get(&key, now, |verified_at, _| now >= *verified_at) == Some(true);
+        let counter = if live { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         live
     }
 
-    /// Records a successful verification.
-    ///
-    /// `push_epoch_at_verify` must be the [`ChainMemo::push_epoch`] value
-    /// read *before* the verification ran; if a revocation push landed in
-    /// between, the record is discarded — the push could not have evicted
-    /// an entry that was not yet inserted.
+    /// The token [`record`](Self::record) needs, read *before* the
+    /// verification runs.
+    pub fn epoch(&self) -> Epoch {
+        self.entries.epoch()
+    }
+
+    /// Records a successful verification, unless a revocation push landed
+    /// since `token` was read — the push could not have evicted an entry
+    /// that was not yet inserted.
     pub fn record(
         &self,
+        token: Epoch,
         proof: &HashVal,
         fingerprint: &HashVal,
         verified_at: Time,
         valid_until: Option<Time>,
         certs: Vec<HashVal>,
-        push_epoch_at_verify: u64,
     ) {
         let key = MemoKey {
             proof: proof.clone(),
             fingerprint: fingerprint.clone(),
         };
-        let mut shard = self.shard(&key).lock().unwrap();
-        // Checked *under* the shard lock.  [`ChainMemo::evict_cert`] bumps
-        // the epoch before locking any shard, so holding the lock leaves
-        // exactly two orderings: the eviction's scan of this shard already
-        // ran (then its prior bump is visible here and the stale insert is
-        // discarded), or it has not run yet (then it will see — and judge —
-        // whatever we insert).  A pre-lock check would leave a third:
-        // check passes, the full eviction runs, *then* the stale insert
-        // lands and serves pre-revocation hits until expiry.
-        if self.push_epoch.load(Ordering::SeqCst) != push_epoch_at_verify {
-            return;
+        if self.entries.insert(token, key, verified_at, certs.into(), valid_until, verified_at) {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
         }
-        while shard.entries.len() >= self.per_shard_cap {
-            match shard.order.pop_front() {
-                Some(old) => {
-                    if shard.entries.remove(&old).is_some() {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
-            }
-        }
-        if shard
-            .entries
-            .insert(
-                key.clone(),
-                MemoEntry {
-                    verified_at,
-                    valid_until,
-                    certs,
-                },
-            )
-            .is_none()
-        {
-            shard.order.push_back(key);
-        }
-        self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops every entry whose provenance contains `cert_hash`; returns
-    /// how many died.  Bumps the push epoch first so a verification
-    /// concurrently in flight cannot re-insert a pre-revocation answer.
+    /// how many died.
     pub fn evict_cert(&self, cert_hash: &HashVal) -> usize {
-        self.push_epoch.fetch_add(1, Ordering::SeqCst);
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            let before = shard.entries.len();
-            shard.entries.retain(|_, en| !en.certs.contains(cert_hash));
-            dropped += before - shard.entries.len();
-        }
+        let dropped = self.entries.evict_cert(cert_hash).len();
         self.revocation_evictions
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
-    }
-
-    /// The monotone revocation-push epoch (see [`ChainMemo::record`]).
-    pub fn push_epoch(&self) -> u64 {
-        self.push_epoch.load(Ordering::SeqCst)
     }
 
     /// Counter snapshot.
@@ -234,7 +147,7 @@ impl ChainMemo {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.entries.dropped(),
             revocation_evictions: self.revocation_evictions.load(Ordering::Relaxed),
             entries: self.len() as u64,
         }
@@ -245,7 +158,7 @@ impl ChainMemo {
     /// [`stats`](Self::stats) reads.  One collector per surface label;
     /// re-registering a surface replaces its callback.
     pub fn register_metrics(
-        self: &std::sync::Arc<Self>,
+        self: &Arc<Self>,
         registry: &snowflake_metrics::Registry,
         surface: &str,
     ) {
@@ -254,11 +167,11 @@ impl ChainMemo {
             "sf_chain_memo_hits_total",
             "Verified-chain memo lookups answered without big-int work",
         );
-        let memo = std::sync::Arc::downgrade(self);
+        let memo = Arc::downgrade(self);
         let surface = surface.to_string();
         registry.register_collector(
             &format!("memo:{surface}"),
-            std::sync::Arc::new(move |out: &mut Vec<Sample>| {
+            Arc::new(move |out: &mut Vec<Sample>| {
                 let Some(memo) = memo.upgrade() else { return };
                 let s = memo.stats();
                 let labels: &[(&str, &str)] = &[("surface", &surface)];
@@ -278,10 +191,7 @@ impl ChainMemo {
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().entries.len())
-            .sum()
+        self.entries.len()
     }
 
     /// `true` when no entries are resident.
@@ -301,21 +211,21 @@ mod tests {
     #[test]
     fn hit_requires_same_key_and_interval() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
-        memo.record(&h("p"), &h("fp"), Time(10), Some(Time(100)), vec![h("c")], epoch);
+        let epoch = memo.epoch();
+        memo.record(epoch, &h("p"), &h("fp"), Time(10), Some(Time(100)), vec![h("c")]);
         assert!(memo.lookup(&h("p"), &h("fp"), Time(50)));
         assert!(!memo.lookup(&h("p"), &h("other-fp"), Time(50)));
         assert!(!memo.lookup(&h("other-p"), &h("fp"), Time(50)));
         // Before verified_at: miss (clock ran backwards across contexts).
-        memo.record(&h("p2"), &h("fp"), Time(10), Some(Time(100)), vec![], epoch);
+        memo.record(epoch, &h("p2"), &h("fp"), Time(10), Some(Time(100)), vec![]);
         assert!(!memo.lookup(&h("p2"), &h("fp"), Time(5)));
     }
 
     #[test]
     fn expiry_drops_the_entry() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
-        memo.record(&h("p"), &h("fp"), Time(10), Some(Time(100)), vec![], epoch);
+        let epoch = memo.epoch();
+        memo.record(epoch, &h("p"), &h("fp"), Time(10), Some(Time(100)), vec![]);
         assert!(!memo.lookup(&h("p"), &h("fp"), Time(200)));
         assert_eq!(memo.len(), 0, "expired entry is evicted, not retained");
         assert_eq!(memo.stats().evictions, 1);
@@ -324,9 +234,9 @@ mod tests {
     #[test]
     fn push_eviction_by_cert_hash() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
-        memo.record(&h("p1"), &h("fp"), Time(1), None, vec![h("a"), h("b")], epoch);
-        memo.record(&h("p2"), &h("fp"), Time(1), None, vec![h("c")], epoch);
+        let epoch = memo.epoch();
+        memo.record(epoch, &h("p1"), &h("fp"), Time(1), None, vec![h("a"), h("b")]);
+        memo.record(epoch, &h("p2"), &h("fp"), Time(1), None, vec![h("c")]);
         assert_eq!(memo.evict_cert(&h("b")), 1);
         assert!(!memo.lookup(&h("p1"), &h("fp"), Time(2)));
         assert!(memo.lookup(&h("p2"), &h("fp"), Time(2)));
@@ -336,18 +246,18 @@ mod tests {
     #[test]
     fn racing_push_discards_insert() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
+        let epoch = memo.epoch();
         memo.evict_cert(&h("unrelated")); // push lands mid-verification
-        memo.record(&h("p"), &h("fp"), Time(1), None, vec![h("a")], epoch);
+        memo.record(epoch, &h("p"), &h("fp"), Time(1), None, vec![h("a")]);
         assert!(!memo.lookup(&h("p"), &h("fp"), Time(2)), "stale insert discarded");
     }
 
     #[test]
     fn capacity_is_bounded_fifo() {
         let memo = ChainMemo::new(16); // 1 per shard
-        let epoch = memo.push_epoch();
+        let epoch = memo.epoch();
         for i in 0..64 {
-            memo.record(&h(&format!("p{i}")), &h("fp"), Time(1), None, vec![], epoch);
+            memo.record(epoch, &h(&format!("p{i}")), &h("fp"), Time(1), None, vec![]);
         }
         assert!(memo.len() <= 16, "len {} exceeds bound", memo.len());
         assert!(memo.stats().evictions > 0);

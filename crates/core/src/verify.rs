@@ -288,15 +288,15 @@ impl VerifyCtx {
         if memo.lookup(&proof_hash, &fingerprint, self.now) {
             return Ok(());
         }
-        let epoch = memo.push_epoch();
+        let token = memo.epoch();
         proof.verify(self)?;
         memo.record(
+            token,
             &proof_hash,
             &fingerprint,
             self.now,
             valid_until,
             proof.cert_hashes(),
-            epoch,
         );
         Ok(())
     }

@@ -41,7 +41,7 @@ pub mod stream;
 
 pub use auth::{request_hash, request_principal, WWW_AUTH_SNOWFLAKE};
 pub use client::{HttpClient, SnowflakeProxy};
-pub use mac::{MacSessionStore, DEFAULT_MAC_SHARDS, MAC_SESSION_PATH};
+pub use mac::{MacSessionStore, MAC_SESSION_PATH};
 pub use message::{HttpRequest, HttpResponse};
 pub use metrics::{serve_metrics, MetricsEndpoint, METRICS_CONTENT_TYPE, METRICS_PATH};
 pub use server::{Handler, HttpServer, ProtectedServlet, SnowflakeService};

@@ -16,129 +16,81 @@
 //! *verified establishment proof*, so the MAC principal holds exactly the
 //! authority the client demonstrated, no more.
 
-use snowflake_core::sync::LockExt;
-use std::sync::Mutex;
 use snowflake_bigint::Ubig;
-use snowflake_core::{Delegation, HashVal, Principal, Proof, Tag, Time, Validity};
+use snowflake_core::{
+    Delegation, Epoch, HashVal, Principal, Proof, ProvenanceMap, Tag, Time, Validity,
+};
 use snowflake_crypto::chacha20::ChaCha20;
 use snowflake_crypto::hmac::{ct_eq, derive_key, hmac_sha256};
 use snowflake_crypto::{DhSecret, Group};
 use snowflake_sexpr::{b64_decode, b64_encode, Sexp};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The well-known path MAC sessions are established at.
 pub const MAC_SESSION_PATH: &str = "/.sf/mac-session";
 
-/// Default shard count: enough that concurrent verifies on disjoint
-/// sessions almost never collide on a lock, small enough to stay cheap.
-pub const DEFAULT_MAC_SHARDS: usize = 16;
-
 /// One live MAC session on the server.
-pub struct MacSession {
+struct MacSession {
     secret: [u8; 32],
     /// The authority this MAC principal carries (from the establishment
     /// proof's verified conclusion).  Behind an `Arc` so `verify` can take
     /// a reference out of the shard with a refcount bump and do every
     /// check outside the lock.
-    pub grant: Arc<Delegation>,
-    /// Hashes of the certificates the establishment proof chain depended
-    /// on — the session's revocation provenance.  A revocation push evicts
-    /// exactly the sessions whose provenance names the revoked certificate
-    /// ([`MacSessionStore::evict_by_cert`]).
-    pub certs: Arc<[HashVal]>,
+    grant: Arc<Delegation>,
     /// The establishment proof, retained for end-to-end audit trails.
-    pub establishment: Proof,
+    establishment: Proof,
 }
 
 /// Server-side store of MAC sessions, keyed by MAC id (`H(secret)`).
 ///
-/// Sessions are spread over N independently locked shards (the MAC id is
-/// already a cryptographic hash, so its leading bytes pick the shard
-/// uniformly).  `verify` copies the 32-byte secret out of the shard and
-/// computes the HMAC *outside* any lock, so one slow verify cannot stall
-/// establishment or verifies of other sessions.
+/// Sessions live in a [`ProvenanceMap`]: each slot's provenance is the
+/// certificate hashes the establishment chain depended on, so a
+/// revocation push evicts exactly the dependent sessions, and a session
+/// past its grant's validity end is dropped.  `verify` copies the 32-byte
+/// secret out of the shard and computes the HMAC *outside* any lock, so
+/// one slow verify cannot stall establishment or verifies of other
+/// sessions.
 pub struct MacSessionStore {
-    shards: Box<[Mutex<HashMap<HashVal, MacSession>>]>,
-    /// Bumped by [`MacSessionStore::evict_by_cert`] *before* it sweeps the
-    /// shards.  [`MacSessionStore::establish_at_epoch`] re-reads it under
-    /// the shard lock: an eviction racing an establishment either sees the
-    /// new session in its sweep, or forces the establishment to refuse —
-    /// a session verified against pre-revocation state can never slip in
-    /// behind the sweep.
-    invalidation_epoch: std::sync::atomic::AtomicU64,
+    sessions: ProvenanceMap<HashVal, MacSession>,
 }
 
 impl Default for MacSessionStore {
     fn default() -> MacSessionStore {
-        MacSessionStore::with_shards(DEFAULT_MAC_SHARDS)
+        MacSessionStore {
+            sessions: ProvenanceMap::unbounded(),
+        }
     }
 }
 
 impl MacSessionStore {
-    /// Creates an empty store with the default shard count.
+    /// Creates an empty store.
     pub fn new() -> MacSessionStore {
         MacSessionStore::default()
     }
 
-    /// Creates an empty store with `n` shards (`n ≥ 1`).
-    pub fn with_shards(n: usize) -> MacSessionStore {
-        let shards: Vec<Mutex<HashMap<HashVal, MacSession>>> =
-            (0..n.max(1)).map(|_| Mutex::new(HashMap::new())).collect();
-        MacSessionStore {
-            shards: shards.into_boxed_slice(),
-            invalidation_epoch: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// The current invalidation epoch.  Callers that verify an
-    /// establishment proof read this *before* verifying and pass it to
-    /// [`MacSessionStore::establish_at_epoch`], so a revocation landing
+    /// The token [`establish`](Self::establish) needs.  Callers read it
+    /// *before* verifying the establishment proof, so a revocation landing
     /// between verification and insertion refuses the session instead of
     /// resurrecting it.
-    pub fn invalidation_epoch(&self) -> u64 {
-        self.invalidation_epoch
-            .load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Number of shards the store spreads sessions over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, mac_id: &HashVal) -> &Mutex<HashMap<HashVal, MacSession>> {
-        // The id is itself a hash; fold its bytes for the shard index so
-        // every byte contributes regardless of digest length.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &mac_id.bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+    pub fn epoch(&self) -> Epoch {
+        self.sessions.epoch()
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.plock().len()).sum()
+        self.sessions.len()
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.plock().is_empty())
+        self.sessions.is_empty()
     }
 
     /// Removes every session whose validity window has closed before
     /// `now`, returning how many were reclaimed.  Long-running servers
     /// otherwise accumulate one dead entry per establishment forever.
     pub fn evict_expired(&self, now: Time) -> usize {
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut sessions = shard.plock();
-            let before = sessions.len();
-            sessions.retain(|_, s| !expired(&s.grant, now));
-            evicted += before - sessions.len();
-        }
-        evicted
+        self.sessions.evict_expired(now)
     }
 
     /// Removes every session whose establishment proof chain depended on
@@ -148,53 +100,26 @@ impl MacSessionStore {
     /// from a since-revoked delegation must stop authorizing immediately,
     /// without flushing unrelated sessions or restarting the server.
     pub fn evict_by_cert(&self, cert_hash: &HashVal) -> usize {
-        // Bump the epoch before sweeping: any establishment that read the
-        // old epoch and locks its shard after this sweep passed it will
-        // see the new value (the shard Mutex orders the two) and refuse.
-        self.invalidation_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut sessions = shard.plock();
-            let before = sessions.len();
-            sessions.retain(|_, s| !s.certs.contains(cert_hash));
-            evicted += before - sessions.len();
-        }
-        evicted
+        self.sessions.evict_cert(cert_hash).len()
     }
 
     /// Handles an establishment request body, returning the grant body.
     ///
-    /// `proof` must already be verified by the caller;
-    /// `proven` is its conclusion (the authority the MAC inherits).
-    /// Establishment also sweeps expired sessions from the shard the new
-    /// session lands in, so steady establishment traffic keeps the store
-    /// from leaking.
+    /// `establishment` must already be verified by the caller, under a
+    /// `token` read from [`epoch`](Self::epoch) before that verification;
+    /// `proven` is its conclusion (the authority the MAC inherits).  When
+    /// a revocation push has landed since, the proof was checked against
+    /// superseded state and the session is refused.  Establishment also
+    /// sweeps expired sessions from the shard the new session lands in,
+    /// so steady establishment traffic keeps the store from leaking.
     pub fn establish(
         &self,
+        token: Epoch,
         body: &[u8],
         proven: Delegation,
         establishment: Proof,
         now: Time,
         rand_bytes: &mut dyn FnMut(&mut [u8]),
-    ) -> Result<Vec<u8>, String> {
-        let epoch = self.invalidation_epoch();
-        self.establish_at_epoch(body, proven, establishment, now, rand_bytes, epoch)
-    }
-
-    /// Like [`MacSessionStore::establish`], refusing when the store's
-    /// invalidation epoch has moved past `verified_at_epoch` (read before
-    /// the caller verified the establishment proof): the proof was checked
-    /// against revocation state that a push has since superseded, so the
-    /// session must not be created from it.
-    pub fn establish_at_epoch(
-        &self,
-        body: &[u8],
-        proven: Delegation,
-        establishment: Proof,
-        now: Time,
-        rand_bytes: &mut dyn FnMut(&mut [u8]),
-        verified_at_epoch: u64,
     ) -> Result<Vec<u8>, String> {
         let req = Sexp::parse(body).map_err(|e| format!("bad mac-request: {e}"))?;
         if req.tag_name() != Some("mac-request") {
@@ -229,27 +154,23 @@ impl MacSessionStore {
             validity: proven.validity,
             delegable: false,
         });
-        {
-            let certs: Arc<[HashVal]> = establishment.cert_hashes().into();
-            let mut sessions = self.shard(&mac_id).plock();
-            // The shard Mutex orders this load against a racing
-            // `evict_by_cert`'s bump: either the sweep sees this session,
-            // or this check sees the sweep.
-            if self.invalidation_epoch() != verified_at_epoch {
-                return Err("a revocation landed since the establishment proof \
-                            was verified; re-verify and retry"
-                    .into());
-            }
-            sessions.retain(|_, s| !expired(&s.grant, now));
-            sessions.insert(
-                mac_id.clone(),
-                MacSession {
-                    secret,
-                    grant,
-                    certs,
-                    establishment,
-                },
-            );
+        let certs = establishment.cert_hashes().into();
+        let session = MacSession {
+            secret,
+            grant,
+            establishment,
+        };
+        if !self.sessions.insert(
+            token,
+            mac_id.clone(),
+            session,
+            certs,
+            proven.validity.not_after,
+            now,
+        ) {
+            return Err("a revocation landed since the establishment proof \
+                        was verified; re-verify and retry"
+                .into());
         }
 
         let reply = Sexp::tagged(
@@ -281,11 +202,10 @@ impl MacSessionStore {
         request_tag: &Tag,
         now: Time,
     ) -> Result<(Principal, Delegation), String> {
-        let (secret, grant) = {
-            let sessions = self.shard(mac_id).plock();
-            let session = sessions.get(mac_id).ok_or("unknown MAC session")?;
-            (session.secret, Arc::clone(&session.grant))
-        };
+        let (secret, grant) = self
+            .sessions
+            .get(mac_id, now, |s, _| (s.secret, Arc::clone(&s.grant)))
+            .ok_or("unknown MAC session")?;
         let expect = hmac_sha256(&secret, &request_hash.bytes);
         if !ct_eq(&expect, presented_mac) {
             return Err("MAC verification failed".into());
@@ -299,19 +219,12 @@ impl MacSessionStore {
         Ok((Principal::Mac(mac_id.clone()), (*grant).clone()))
     }
 
-    /// The audit trail for a session: the establishment proof.
-    pub fn audit(&self, mac_id: &HashVal) -> Option<String> {
-        self.shard(mac_id)
-            .plock()
-            .get(mac_id)
-            .map(|s| s.establishment.audit_trail())
+    /// The audit trail for a session live at `now`: the establishment
+    /// proof.
+    pub fn audit(&self, mac_id: &HashVal, now: Time) -> Option<String> {
+        self.sessions
+            .get(mac_id, now, |s, _| s.establishment.audit_trail())
     }
-}
-
-/// A session is dead once its validity window has closed; windows that
-/// merely have not opened yet are kept.
-fn expired(grant: &Delegation, now: Time) -> bool {
-    grant.validity.not_after.is_some_and(|t| t < now)
 }
 
 /// Client-side state of one MAC session.
@@ -440,7 +353,7 @@ mod tests {
         let mut srng = det("server");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store.establish(store.epoch(), &body, grant, proof, Time(0), &mut srng).unwrap();
         let session =
             ClientMacSession::from_grant(&reply, &dh, Validity::until(Time(1_000))).unwrap();
         assert_eq!(store.len(), 1);
@@ -460,7 +373,7 @@ mod tests {
         assert_eq!(speaker, Principal::Mac(session.mac_id.clone()));
         assert_eq!(grant.subject, speaker);
         // The audit trail is available.
-        assert!(store.audit(&session.mac_id).is_some());
+        assert!(store.audit(&session.mac_id, Time(500)).is_some());
     }
 
     #[test]
@@ -470,7 +383,7 @@ mod tests {
         let mut srng = det("s2");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store.establish(store.epoch(), &body, grant, proof, Time(0), &mut srng).unwrap();
         let session = ClientMacSession::from_grant(&reply, &dh, Validity::always()).unwrap();
 
         let h1 = HashVal::of(b"request one");
@@ -499,7 +412,7 @@ mod tests {
         let mut srng = det("s3");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven(); // grants only (web (method GET)), until t=1000
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store.establish(store.epoch(), &body, grant, proof, Time(0), &mut srng).unwrap();
         let session =
             ClientMacSession::from_grant(&reply, &dh, Validity::until(Time(1_000))).unwrap();
 
@@ -510,15 +423,16 @@ mod tests {
         assert!(store
             .verify(&session.mac_id, &mac, &h, &post, Time(500))
             .is_err());
-        // Expired.
-        let get = Tag::named("web", vec![Tag::named("method", vec![Tag::atom("GET")])]);
-        assert!(store
-            .verify(&session.mac_id, &mac, &h, &get, Time(2_000))
-            .is_err());
         // In-window, in-tag.
+        let get = Tag::named("web", vec![Tag::named("method", vec![Tag::atom("GET")])]);
         assert!(store
             .verify(&session.mac_id, &mac, &h, &get, Time(500))
             .is_ok());
+        // Expired (checked last: a read past the window drops the session).
+        assert!(store
+            .verify(&session.mac_id, &mac, &h, &get, Time(2_000))
+            .is_err());
+        assert!(store.is_empty());
     }
 
     fn proven_until(t: Time) -> (Delegation, Proof) {
@@ -550,7 +464,7 @@ mod tests {
             // Half the sessions die at t=100, half live until t=10_000.
             let (grant, proof) = proven_until(Time(if i % 2 == 0 { 100 } else { 10_000 }));
             store
-                .establish(&body, grant, proof, Time(0), &mut srng)
+                .establish(store.epoch(), &body, grant, proof, Time(0), &mut srng)
                 .unwrap();
         }
         assert_eq!(store.len(), 8);
@@ -569,30 +483,33 @@ mod tests {
     /// traffic bounds the store without anyone calling `evict_expired`.
     #[test]
     fn establish_sweeps_expired_sessions() {
-        // One shard so every establishment sweeps every session.
-        let store = MacSessionStore::with_shards(1);
+        let store = MacSessionStore::new();
         let mut srng = det("sweep-server");
         let mut crng = det("sweep-client-a");
         let (body, _dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven_until(Time(100));
         store
-            .establish(&body, grant, proof, Time(0), &mut srng)
+            .establish(store.epoch(), &body, grant, proof, Time(0), &mut srng)
             .unwrap();
         assert_eq!(store.len(), 1);
 
-        // A later establishment (past the first session's expiry) replaces
-        // rather than accumulates.
-        let mut crng = det("sweep-client-b");
-        let (body, _dh) = ClientMacSession::request_body(&mut crng);
-        let (grant, proof) = proven_until(Time(10_000));
-        store
-            .establish(&body, grant, proof, Time(500), &mut srng)
-            .unwrap();
-        assert_eq!(store.len(), 1, "the expired session was swept");
+        // Later establishments (past the first session's expiry) replace
+        // rather than accumulate: the dead session goes as soon as one of
+        // them lands in its shard.
+        let mut later = 0;
+        while store.len() > later {
+            assert!(later < 2_000, "the expired session was never swept");
+            let mut crng = det(&format!("sweep-client-b{later}"));
+            let (body, _dh) = ClientMacSession::request_body(&mut crng);
+            let (grant, proof) = proven_until(Time(10_000));
+            store
+                .establish(store.epoch(), &body, grant, proof, Time(500), &mut srng)
+                .unwrap();
+            later += 1;
+        }
     }
 
-    /// Sessions spread across shards, and verifies on disjoint sessions
-    /// run concurrently from many threads.
+    /// Verifies on disjoint sessions run concurrently from many threads.
     #[test]
     fn concurrent_verify_across_shards() {
         let store = std::sync::Arc::new(MacSessionStore::new());
@@ -603,19 +520,11 @@ mod tests {
             let (body, dh) = ClientMacSession::request_body(&mut crng);
             let (grant, proof) = proven_until(Time(1_000_000));
             let reply = store
-                .establish(&body, grant, proof, Time(0), &mut srng)
+                .establish(store.epoch(), &body, grant, proof, Time(0), &mut srng)
                 .unwrap();
             sessions
                 .push(ClientMacSession::from_grant(&reply, &dh, Validity::always()).unwrap());
         }
-        // With 32 random ids over 16 shards, more than one shard must be
-        // populated (the ids are hashes; all colliding would mean the
-        // shard function ignores them).
-        let populated = (0..store.shard_count())
-            .filter(|&i| !store.shards[i].plock().is_empty())
-            .count();
-        assert!(populated > 1, "sessions all landed in one shard");
-
         let threads: Vec<_> = sessions
             .chunks(8)
             .map(|chunk| {
@@ -648,23 +557,23 @@ mod tests {
         let mut srng = det("race-server");
 
         // Caller reads the epoch, verifies the proof… and a push lands.
-        let epoch = store.invalidation_epoch();
+        let epoch = store.epoch();
         store.evict_by_cert(&HashVal::of(b"some revoked cert"));
 
         let mut crng = det("race-client");
         let (body, _dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let refused = store.establish_at_epoch(&body, grant, proof, Time(0), &mut srng, epoch);
+        let refused = store.establish(epoch, &body, grant, proof, Time(0), &mut srng);
         assert!(refused.is_err(), "stale-epoch establishment must refuse");
         assert!(store.is_empty());
 
         // Re-verifying (reading the fresh epoch) succeeds.
-        let epoch = store.invalidation_epoch();
+        let epoch = store.epoch();
         let mut crng = det("race-client-2");
         let (body, _dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
         store
-            .establish_at_epoch(&body, grant, proof, Time(0), &mut srng, epoch)
+            .establish(epoch, &body, grant, proof, Time(0), &mut srng)
             .unwrap();
         assert_eq!(store.len(), 1);
     }
@@ -693,8 +602,7 @@ mod tests {
         let mut crng = det("cert-evict-client-a");
         let (body, _dh) = ClientMacSession::request_body(&mut crng);
         store
-            .establish(
-                &body,
+            .establish(store.epoch(), &body,
                 delegation,
                 Proof::signed_cert(cert),
                 Time(0),
@@ -706,7 +614,7 @@ mod tests {
         let (grant, proof) = proven();
         let mut crng = det("cert-evict-client-b");
         let (body, dh_b) = ClientMacSession::request_body(&mut crng);
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store.establish(store.epoch(), &body, grant, proof, Time(0), &mut srng).unwrap();
         let session_b = ClientMacSession::from_grant(&reply, &dh_b, Validity::always()).unwrap();
 
         assert_eq!(store.len(), 2);
@@ -735,7 +643,7 @@ mod tests {
         let mut srng = det("s4");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store.establish(store.epoch(), &body, grant, proof, Time(0), &mut srng).unwrap();
         // Flip a byte of the wrapped secret.
         let mut tampered = reply.clone();
         let pos = tampered.len() / 2;

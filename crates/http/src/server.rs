@@ -17,13 +17,14 @@ use crate::message::{HttpRequest, HttpResponse};
 use std::sync::Mutex;
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
 use snowflake_core::{
-    Certificate, ChainMemo, Delegation, HashAlg, HashVal, Principal, Proof, Tag, Time, Validity,
-    VerifyCtx,
+    Certificate, ChainMemo, Delegation, HashAlg, HashVal, Principal, Proof, ProvenanceMap, Tag,
+    Time, Validity, VerifyCtx,
 };
 use snowflake_crypto::KeyPair;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A route target.
@@ -350,34 +351,8 @@ pub trait SnowflakeService: Send + Sync {
 /// Upper bound (seconds) on a MAC session's lifetime at establishment.
 const MAX_MAC_SESSION_LIFE: u64 = 3_600;
 
-/// One verified identical-request entry: who spoke, until when the cached
-/// conclusion holds, and which certificates the verified proof depended on
-/// (so a revocation push can evict exactly the dependent entries).
-struct VerifiedEntry {
-    speaker: Principal,
-    expiry: Time,
-    certs: Arc<[HashVal]>,
-}
-
-/// The identical-request cache with an amortized expiry sweep: every entry
-/// carries an expiry, so reclaiming lazily when the map doubles past its
-/// last swept size keeps a long-running server from leaking one entry per
-/// distinct request (the same leak class the MAC store sweeps for).
-#[derive(Default)]
-struct VerifiedCache {
-    entries: HashMap<HashVal, VerifiedEntry>,
-    sweep_at: usize,
-}
-
-impl VerifiedCache {
-    fn insert(&mut self, hash: HashVal, entry: VerifiedEntry, now: Time) {
-        self.entries.insert(hash, entry);
-        if self.entries.len() >= self.sweep_at.max(64) {
-            self.entries.retain(|_, e| e.expiry >= now);
-            self.sweep_at = self.entries.len() * 2;
-        }
-    }
-}
+/// Bound on the identical-request cache (oldest entries go first).
+const IDENT_CACHE_CAPACITY: usize = 4096;
 
 /// Counters exposed for the Table 1 cost breakdown.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -392,6 +367,15 @@ pub struct ServletStats {
     pub challenges: u64,
 }
 
+/// The live counters behind [`ServletStats`] (relaxed: pure statistics).
+#[derive(Default)]
+struct StatCounters {
+    ident_hits: AtomicU64,
+    proof_verifications: AtomicU64,
+    mac_hits: AtomicU64,
+    challenges: AtomicU64,
+}
+
 /// The abstract protected servlet: wraps a [`SnowflakeService`] with the
 /// Snowflake Authorization protocol, MAC sessions, and the
 /// identical-request cache.
@@ -402,14 +386,11 @@ pub struct ProtectedServlet<S: SnowflakeService> {
     /// sharded store: a MAC session established against any of them then
     /// authorizes requests wherever its grant's tag reaches.
     macs: Arc<MacSessionStore>,
-    /// Verified identical requests: request hash → (speaker, expiry).
-    verified: Mutex<VerifiedCache>,
-    /// Bumped by `invalidate_cert` while holding the `verified` lock;
-    /// `authorize_signed` re-reads it under the same lock before caching a
-    /// verification, so a revocation push landing mid-verification cannot
-    /// be resurrected by the subsequent cache insert.
-    cache_epoch: std::sync::atomic::AtomicU64,
-    stats: Mutex<ServletStats>,
+    /// Verified identical requests: request hash → speaker, each slot
+    /// carrying the verified proof's certificate provenance and the
+    /// instant its cached conclusion stops holding.
+    verified: ProvenanceMap<HashVal, Principal>,
+    stats: StatCounters,
     base_ctx: Mutex<VerifyCtx>,
     clock: fn() -> Time,
     rng: Mutex<Box<dyn FnMut(&mut [u8]) + Send>>,
@@ -448,9 +429,8 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             service,
             hash_alg: HashAlg::Sha256,
             macs,
-            verified: Mutex::new(VerifiedCache::default()),
-            cache_epoch: std::sync::atomic::AtomicU64::new(0),
-            stats: Mutex::new(ServletStats::default()),
+            verified: ProvenanceMap::bounded(IDENT_CACHE_CAPACITY),
+            stats: StatCounters::default(),
             // Every servlet verifies through a verified-chain memo by
             // default: re-presented proof chains (streams of distinct
             // requests under one delegation) skip the exponentiations.
@@ -505,17 +485,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     /// revocation lands, no cached state keeps honoring the dead
     /// delegation, and no full-cache flush is needed.
     pub fn invalidate_cert(&self, cert_hash: &HashVal) -> usize {
-        let mut dropped = 0;
-        {
-            let mut verified = self.verified.plock();
-            // Bumped under the lock: an in-flight verification that read
-            // the old epoch will re-check under this lock and skip caching.
-            self.cache_epoch
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let before = verified.entries.len();
-            verified.entries.retain(|_, e| !e.certs.contains(cert_hash));
-            dropped += before - verified.entries.len();
-        }
+        let mut dropped = self.verified.evict_cert(cert_hash).len();
         if let Some(memo) = self.base_ctx.plock().chain_memo() {
             dropped += memo.evict_cert(cert_hash);
         }
@@ -530,7 +500,13 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
 
     /// Current statistics.
     pub fn stats(&self) -> ServletStats {
-        *self.stats.plock()
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServletStats {
+            ident_hits: load(&self.stats.ident_hits),
+            proof_verifications: load(&self.stats.proof_verifications),
+            mac_hits: load(&self.stats.mac_hits),
+            challenges: load(&self.stats.challenges),
+        }
     }
 
     /// The verified-chain memo's counters — the operator-facing snapshot
@@ -577,7 +553,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     /// Clears the identical-request cache (benchmarks use this to force the
     /// full verification path).
     pub fn forget_verified(&self) {
-        self.verified.plock().entries.clear();
+        self.verified.clear();
     }
 
     /// The inner service.
@@ -585,13 +561,35 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         &self.service
     }
 
+    /// The identical-request fast path: an already-verified request hash
+    /// authorizes by lookup alone (counted and audited here).
+    fn ident_hit(&self, hash: &HashVal, req: &HttpRequest, now: Time) -> Option<Principal> {
+        let (speaker, certs) = self
+            .verified
+            .get(hash, now, |speaker, certs| (speaker.clone(), Arc::clone(certs)))?;
+        self.stats.ident_hits.fetch_add(1, Ordering::Relaxed);
+        self.audit(|| {
+            DecisionEvent::new(
+                now,
+                "http",
+                Decision::Grant,
+                &req.path,
+                &req.method,
+                "identical-request-cache",
+            )
+            .with_subject(speaker.clone())
+            .with_certs(certs.to_vec())
+            .with_epoch(self.revocation_epoch())
+        });
+        Some(speaker)
+    }
+
     fn authorize_signed(&self, req: &HttpRequest) -> Result<Principal, HttpResponse> {
         let issuer = self.service.issuer(req);
         let request_tag = self.service.min_tag(req);
         let now = (self.clock)();
 
-        // Identical-request fast path *before* any proof parsing: an
-        // already-verified request hash authorizes by lookup alone (the
+        // Identical-request fast path *before* any proof parsing (the
         // cheapest bar of Figure 8's client-authorization group).
         //
         // Note the protocol's inherent replay property, shared with the
@@ -601,32 +599,12 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         // non-idempotent services should fold a client nonce or channel
         // binding into the request so distinct transactions hash apart.
         let default_hash = auth::request_hash(req, self.hash_alg);
-        let ident_hit = {
-            let verified = self.verified.plock();
-            verified.entries.get(&default_hash).and_then(|entry| {
-                (entry.expiry >= now).then(|| (entry.speaker.clone(), Arc::clone(&entry.certs)))
-            })
-        };
-        if let Some((speaker, certs)) = ident_hit {
-            self.stats.plock().ident_hits += 1;
-            self.audit(|| {
-                DecisionEvent::new(
-                    now,
-                    "http",
-                    Decision::Grant,
-                    &req.path,
-                    &req.method,
-                    "identical-request-cache",
-                )
-                .with_subject(speaker.clone())
-                .with_certs(certs.to_vec())
-                .with_epoch(self.revocation_epoch())
-            });
+        if let Some(speaker) = self.ident_hit(&default_hash, req, now) {
             return Ok(speaker);
         }
 
         let Some(proof) = auth::extract_proof(req) else {
-            self.stats.plock().challenges += 1;
+            self.stats.challenges.fetch_add(1, Ordering::Relaxed);
             self.audit(|| {
                 DecisionEvent::new(
                     now,
@@ -654,63 +632,34 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             default_hash
         } else {
             let h = auth::request_hash(req, alg);
-            let hit = {
-                let verified = self.verified.plock();
-                verified.entries.get(&h).and_then(|entry| {
-                    (entry.expiry >= now)
-                        .then(|| (entry.speaker.clone(), Arc::clone(&entry.certs)))
-                })
-            };
-            if let Some((speaker, certs)) = hit {
-                self.stats.plock().ident_hits += 1;
-                self.audit(|| {
-                    DecisionEvent::new(
-                        now,
-                        "http",
-                        Decision::Grant,
-                        &req.path,
-                        &req.method,
-                        "identical-request-cache",
-                    )
-                    .with_subject(speaker.clone())
-                    .with_certs(certs.to_vec())
-                    .with_epoch(self.revocation_epoch())
-                });
+            if let Some(speaker) = self.ident_hit(&h, req, now) {
                 return Ok(speaker);
             }
             h
         };
 
-        let epoch = self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst);
+        // Read before verifying: a revocation push landing mid-verification
+        // then refuses the cache insert below.  (This request is still
+        // served — the same benign race exists for a request verified an
+        // instant before the revocation.)
+        let token = self.verified.epoch();
         let mut ctx = self.base_ctx.plock().clone();
         ctx.now = now;
         match ctx.authorize(&proof, &speaker, &issuer, &request_tag) {
             Ok(()) => {
-                self.stats.plock().proof_verifications += 1;
+                self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
                 let expiry = match proof.conclusion().validity.not_after {
                     Some(t) => t.min(now.plus(300)),
                     None => now.plus(300),
                 };
-                {
-                    // Skip caching when an invalidation landed while the
-                    // proof was being verified: the verdict used
-                    // pre-revocation state, and caching it would outlive
-                    // the push.  (This request is still served — the same
-                    // benign race exists for a request verified an
-                    // instant before the revocation.)
-                    let mut verified = self.verified.plock();
-                    if self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst) == epoch {
-                        verified.insert(
-                            hash,
-                            VerifiedEntry {
-                                speaker: speaker.clone(),
-                                expiry,
-                                certs: proof.cert_hashes().into(),
-                            },
-                            now,
-                        );
-                    }
-                }
+                self.verified.insert(
+                    token,
+                    hash,
+                    speaker.clone(),
+                    proof.cert_hashes().into(),
+                    Some(expiry),
+                    now,
+                );
                 self.audit(|| {
                     DecisionEvent::new(
                         now,
@@ -777,7 +726,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                         "MAC rejected: session speaks for a different issuer",
                     )));
                 }
-                self.stats.plock().mac_hits += 1;
+                self.stats.mac_hits.fetch_add(1, Ordering::Relaxed);
                 self.audit(|| {
                     DecisionEvent::new(
                         (self.clock)(),
@@ -818,7 +767,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     /// a session from reaching services its issuer does not control.
     fn authorize_and_establish(&self, req: &HttpRequest) -> HttpResponse {
         let Some(proof) = auth::extract_proof(req) else {
-            self.stats.plock().challenges += 1;
+            self.stats.challenges.fetch_add(1, Ordering::Relaxed);
             self.audit(|| {
                 DecisionEvent::new(
                     (self.clock)(),
@@ -867,26 +816,20 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 ));
             }
         }
-        // Read the store's invalidation epoch before verifying: a
-        // revocation push racing this establishment then refuses the
-        // session instead of minting one from a superseded verdict.
-        let store_epoch = self.macs.invalidation_epoch();
+        // Read before verifying: a revocation push racing this
+        // establishment then refuses the session instead of minting one
+        // from a superseded verdict.
+        let token = self.macs.epoch();
         let mut ctx = self.base_ctx.plock().clone();
         ctx.now = now;
         match ctx.authorize(&proof, &speaker, &conclusion.issuer, &conclusion.tag) {
             Ok(()) => {
-                self.stats.plock().proof_verifications += 1;
+                self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
                 let certs = proof.cert_hashes();
                 let established = {
                     let mut rng = self.rng.plock();
-                    self.macs.establish_at_epoch(
-                        &req.body,
-                        conclusion,
-                        proof,
-                        now,
-                        &mut **rng,
-                        store_epoch,
-                    )
+                    self.macs
+                        .establish(token, &req.body, conclusion, proof, now, &mut **rng)
                 };
                 match established {
                     Ok(reply) => {

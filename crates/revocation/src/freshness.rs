@@ -600,7 +600,7 @@ impl PushSink for AgentSink {
 /// Spawns a listener applying pushed delta frames from `transport` to
 /// `agent` until the transport closes; returns the number of deltas
 /// applied.  The remote-verifier side of
-/// [`ValidatorService::subscribe_transport`].
+/// [`ValidatorService::subscribe_reactor`].
 ///
 /// The listener spends its life parked in `recv()`, so it runs on a
 /// dedicated [`snowflake_runtime::spawn_thread`] rather than pinning a

@@ -7,10 +7,10 @@
 //!
 //! * [`ValidatorService`] — the authority side.  Owns revocation state for
 //!   one validator key, serves signed [`snowflake_core::Crl`]s and
-//!   [`snowflake_core::Revalidation`]s over direct calls, RMI
-//!   ([`ValidatorObject`]), or framed channel transports, accepts push
-//!   subscriptions, and broadcasts a signed [`RevocationDelta`] to every
-//!   subscriber the moment a certificate is revoked.
+//!   [`snowflake_core::Revalidation`]s over direct calls or RMI
+//!   ([`ValidatorObject`]), accepts push subscriptions, and broadcasts a
+//!   signed [`RevocationDelta`] to every subscriber the moment a
+//!   certificate is revoked.
 //! * [`FreshnessAgent`] — the verifier side.  Caches artifacts keyed by
 //!   validator, refreshes each CRL before its validity window closes
 //!   (with per-agent jitter so a fleet does not stampede one validator),
@@ -46,7 +46,6 @@ pub use freshness::{
     RmiValidatorClient, ValidatorClient, DEFAULT_MAX_JITTER, DEFAULT_REFRESH_LEAD,
 };
 pub use service::{
-    read_delta, ChannelSink, PushSink, ReactorSink, TransportSink, ValidatorObject, ValidatorService,
-    ValidatorStats, DEFAULT_CRL_WINDOW, DEFAULT_REVALIDATION_WINDOW, TRANSPORT_SINK_QUEUE,
-    VALIDATOR_OBJECT,
+    read_delta, PushSink, ReactorSink, ValidatorObject, ValidatorService, ValidatorStats,
+    DEFAULT_CRL_WINDOW, DEFAULT_REVALIDATION_WINDOW, VALIDATOR_OBJECT,
 };

@@ -7,8 +7,8 @@
 //! [`ValidatorObject`]) and push: subscribers registered through
 //! [`ValidatorService::subscribe`] receive a signed [`RevocationDelta`]
 //! the moment a certificate is revoked, over whatever sink they choose —
-//! an in-process freshness agent, an mpsc channel, or a framed
-//! [`Transport`] to another host.
+//! an in-process freshness agent, or a socket to another host parked in
+//! the connection reactor ([`ReactorSink`]).
 //!
 //! This is the production shape of Vanadium-style third-party validators:
 //! short-lived signed artifacts minted centrally, cached and refreshed at
@@ -20,11 +20,8 @@ use snowflake_core::sync::LockExt;
 use snowflake_core::{Crl, Principal, Revalidation, Time, Validity};
 use snowflake_crypto::{HashVal, KeyPair, PublicKey};
 use snowflake_rmi::{CallerInfo, Invocation, RemoteObject, RmiFault};
-use snowflake_runtime::BoundedQueue;
 use snowflake_sexpr::Sexp;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 /// Default CRL validity window (seconds).  Short enough that a verifier
@@ -43,115 +40,24 @@ pub const VALIDATOR_OBJECT: &str = "revocation-validator";
 /// (dead transports and dropped agents clean themselves up this way).
 ///
 /// `push` runs with the validator's subscriber list locked and so must
-/// **not block indefinitely**: transport-backed sinks hand the delta to a
-/// per-subscriber forwarder thread instead of writing the socket inline,
-/// so one stalled remote verifier cannot halt revocation distribution
-/// for the whole fleet.
+/// **not block**: the socket-backed sink queues the delta on the reactor
+/// instead of writing inline, so one stalled remote verifier cannot halt
+/// revocation distribution for the whole fleet.
 pub trait PushSink: Send {
     /// Delivers one delta; `false` drops the subscription.
     fn push(&mut self, delta: &RevocationDelta) -> bool;
 }
 
-/// A sink forwarding deltas into an in-process mpsc channel.
-pub struct ChannelSink(Sender<RevocationDelta>);
-
-impl PushSink for ChannelSink {
-    fn push(&mut self, delta: &RevocationDelta) -> bool {
-        self.0.send(delta.clone()).is_ok()
-    }
-}
-
-/// Bounded queue depth between the validator and each transport
-/// subscriber's forwarder: a subscriber this far behind is treated as
-/// stalled and dropped rather than allowed to buffer without bound.
-pub const TRANSPORT_SINK_QUEUE: usize = 64;
-
-/// Per-subscriber state shared between the validator's broadcast path
-/// and the forwarder thread.
-struct SinkShared {
-    queue: BoundedQueue<RevocationDelta>,
-    /// The transport died or the subscriber stalled; the next broadcast
-    /// drops the subscription.
-    dead: AtomicBool,
-}
-
-/// A sink writing each delta as one canonical S-expression frame on a
-/// [`Transport`] — how a validator pushes to verifiers on other hosts.
-///
-/// `push` only enqueues onto a bounded per-subscriber queue; the socket
-/// writes happen on a **dedicated forwarder**
-/// ([`snowflake_runtime::spawn_thread`] — a transport `send` can block
-/// indefinitely on a dead-but-open peer, so it must own its thread
-/// rather than pin a shared pool worker).  A stalled or slow remote
-/// therefore blocks only its own forwarder, never the validator's
-/// broadcast or other subscribers: its queue fills (each refusal counted
-/// by the queue's drop counter) and the subscription is dropped.
-pub struct TransportSink {
-    shared: Arc<SinkShared>,
-}
-
-impl TransportSink {
-    /// Wraps a connected transport, starting its forwarder (which exits
-    /// when the sink is dropped or the transport dies).
-    pub fn new(mut transport: Box<dyn Transport>) -> TransportSink {
-        let shared = Arc::new(SinkShared {
-            queue: BoundedQueue::new(TRANSPORT_SINK_QUEUE),
-            dead: AtomicBool::new(false),
-        });
-        let forwarder = Arc::clone(&shared);
-        snowflake_runtime::spawn_thread("sf-push-forwarder", move || {
-            // pop() parks until a delta arrives or the queue closes
-            // (sink dropped) and drains what was accepted before then.
-            while let Some(delta) = forwarder.queue.pop() {
-                if transport.send(&delta.to_sexp().canonical()).is_err() {
-                    forwarder.dead.store(true, Ordering::SeqCst);
-                    return;
-                }
-            }
-        });
-        TransportSink { shared }
-    }
-}
-
-impl PushSink for TransportSink {
-    fn push(&mut self, delta: &RevocationDelta) -> bool {
-        if self.shared.dead.load(Ordering::SeqCst) {
-            return false;
-        }
-        // Full queue = stalled subscriber.  The subscription is dropped
-        // (visibly: the refusal is counted by the queue's drop counter,
-        // and the verifier's pull refresh takes over) rather than letting
-        // a revocation sit undelivered for an unbounded time.
-        if self.shared.queue.try_push(delta.clone()).is_err() {
-            self.shared.dead.store(true, Ordering::SeqCst);
-            return false;
-        }
-        true
-    }
-}
-
-impl Drop for TransportSink {
-    fn drop(&mut self) {
-        // Closing the queue ends the forwarder once it has written
-        // everything already accepted (or immediately, if it is stuck in
-        // a send the OS will eventually fail).
-        self.shared.queue.close();
-    }
-}
-
 /// A sink delivering deltas through the connection reactor: the socket
 /// parks in the reactor's epoll set and is written nonblocking, so a
-/// remote subscriber costs no thread at all (compare [`TransportSink`],
-/// which dedicates a forwarder thread per subscriber).
+/// remote subscriber costs no thread at all.
 ///
-/// Frames are byte-identical to [`TransportSink`] over TCP — a 4-byte
-/// big-endian length prefix around the delta's canonical S-expression —
-/// so [`read_delta`] on the verifier side cannot tell which one the
-/// validator used.  A remote that stalls past the reactor's per-sink
-/// buffer cap is shed (counted per-surface in the runtime's shed ledger
-/// under `revocation-push`) and its socket closed; the next broadcast
-/// then sees `push` fail and drops the subscription, exactly like a
-/// stalled [`TransportSink`].
+/// Each frame is a 4-byte big-endian length prefix around the delta's
+/// canonical S-expression — what [`read_delta`] over a `TcpTransport`
+/// expects on the verifier side.  A remote that stalls past the
+/// reactor's per-sink buffer cap is shed (counted per-surface in the
+/// runtime's shed ledger under `revocation-push`) and its socket closed;
+/// the next broadcast then sees `push` fail and drops the subscription.
 pub struct ReactorSink {
     handle: snowflake_runtime::SinkHandle,
 }
@@ -467,26 +373,10 @@ impl ValidatorService {
         }
     }
 
-    /// Subscribes via an in-process channel; the caller drains the
-    /// receiver (colocated verifiers and tests).
-    pub fn subscribe_channel(&self) -> Receiver<RevocationDelta> {
-        let (tx, rx) = channel();
-        self.subscribe(Box::new(ChannelSink(tx)));
-        rx
-    }
-
-    /// Subscribes a remote verifier over a framed transport: every delta
-    /// is sent as one canonical S-expression frame, written by the
-    /// subscriber's dedicated forwarder behind a bounded queue.
-    pub fn subscribe_transport(&self, transport: Box<dyn Transport>) {
-        self.subscribe(Box::new(TransportSink::new(transport)));
-    }
-
     /// Subscribes a remote verifier's TCP connection through the
     /// connection reactor: the socket parks there and every delta is
     /// written nonblocking, so the subscription holds no thread and no
-    /// pool worker.  Wire-compatible with
-    /// [`ValidatorService::subscribe_transport`] over TCP.
+    /// pool worker.
     pub fn subscribe_reactor(
         &self,
         stream: std::net::TcpStream,
@@ -547,7 +437,7 @@ impl RemoteObject for ValidatorObject {
 }
 
 /// Reads one pushed delta frame from a transport (the verifier side of
-/// [`ValidatorService::subscribe_transport`]).
+/// [`ValidatorService::subscribe_reactor`]).
 pub fn read_delta(transport: &mut dyn Transport) -> std::io::Result<RevocationDelta> {
     let frame = transport.recv()?;
     let sexp = Sexp::parse(&frame)
@@ -596,41 +486,6 @@ mod tests {
         assert!(r.check(&v.validator_hash(), &cert, fixed_clock()).is_ok());
         v.revoke(cert.clone());
         assert!(v.revalidate(&cert).is_err());
-    }
-
-    #[test]
-    fn channel_subscription_gets_snapshot_and_events() {
-        let v = validator("subs");
-        v.revoke(HashVal::of(b"already-dead"));
-        let rx = v.subscribe_channel();
-        // Snapshot delta covers pre-subscription revocations.
-        let snapshot = rx.try_recv().unwrap();
-        assert_eq!(snapshot.newly_revoked, vec![HashVal::of(b"already-dead")]);
-        // Live event arrives as its own delta.
-        v.revoke(HashVal::of(b"newly-dead"));
-        let event = rx.try_recv().unwrap();
-        assert_eq!(event.newly_revoked, vec![HashVal::of(b"newly-dead")]);
-        assert!(event.crl.revokes(&HashVal::of(b"already-dead")));
-        assert!(event.crl.serial > snapshot.crl.serial);
-        // Dropping the receiver unsubscribes on the next push.
-        drop(rx);
-        v.revoke(HashVal::of(b"third"));
-        assert_eq!(v.subscriber_count(), 0);
-    }
-
-    #[test]
-    fn transport_subscription_frames_deltas() {
-        use snowflake_channel::PipeTransport;
-        let v = validator("transport");
-        let (server_end, mut client_end) = PipeTransport::pair();
-        v.subscribe_transport(Box::new(server_end));
-        // Snapshot frame first.
-        let snapshot = read_delta(&mut client_end).unwrap();
-        assert!(snapshot.newly_revoked.is_empty());
-        v.revoke(HashVal::of(b"gone"));
-        let event = read_delta(&mut client_end).unwrap();
-        assert_eq!(event.newly_revoked, vec![HashVal::of(b"gone")]);
-        assert!(event.check(&v.validator_hash(), fixed_clock()).is_ok());
     }
 
     /// A restarted validator resumes its revoked set and its serial

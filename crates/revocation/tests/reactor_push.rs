@@ -1,10 +1,11 @@
 //! Revocation push through the connection reactor: a remote subscriber
-//! is a parked write-only socket (no forwarder thread), frames on the
-//! wire are identical to the transport sink's, a subscriber that stalls
-//! past the reactor's buffer cap is shed into the runtime's ledger and
-//! dropped, and shutdown closes the sink sockets.
+//! is a parked write-only socket (no forwarder thread), each delta is
+//! one length-prefixed frame `read_delta` understands, a subscriber that
+//! stalls past the reactor's buffer cap is shed into the runtime's ledger
+//! and dropped, and shutdown closes the sink sockets.
 
 use snowflake_channel::TcpTransport;
+use snowflake_core::Time;
 use snowflake_crypto::{DetRng, Group, HashVal, KeyPair};
 use snowflake_revocation::{read_delta, ValidatorService};
 use snowflake_runtime::{PoolConfig, ServerRuntime};
@@ -37,21 +38,27 @@ fn subscribe_one(
 fn deltas_reach_a_reactor_subscriber() {
     let v = validator();
     let runtime = ServerRuntime::new(PoolConfig::new("push-reactor", 2, 4));
+    let already_dead = HashVal::of(b"revoked-before-subscribing");
+    v.revoke(already_dead.clone());
     let client = subscribe_one(&v, &runtime);
     let mut verifier = TcpTransport::new(client);
 
-    // The subscription snapshot arrives first (empty CRL, nothing revoked).
+    // The subscription snapshot arrives first and covers what was revoked
+    // before the subscriber joined.
     let snapshot = read_delta(&mut verifier).unwrap();
-    assert!(snapshot.newly_revoked.is_empty());
+    assert_eq!(snapshot.newly_revoked, vec![already_dead.clone()]);
     assert_eq!(v.subscriber_count(), 1);
     assert_eq!(runtime.reactor_stats().open_sinks, 1);
 
-    // A revocation is pushed as one framed delta.
+    // A revocation is pushed as one framed delta of its own: just the new
+    // victim, under a newer validator-signed CRL listing both.
     let victim = HashVal::of(b"revoked-cert");
     v.revoke(victim.clone());
     let event = read_delta(&mut verifier).unwrap();
-    assert_eq!(event.newly_revoked, vec![victim]);
-    assert!(event.crl.revoked.contains(&event.newly_revoked[0]));
+    assert_eq!(event.newly_revoked, vec![victim.clone()]);
+    assert!(event.crl.revokes(&victim) && event.crl.revokes(&already_dead));
+    assert!(event.crl.serial > snapshot.crl.serial);
+    assert!(event.check(&v.validator_hash(), Time::now()).is_ok());
 
     // Shutdown drains the reactor and closes the sink: the verifier sees
     // EOF, and the next broadcast drops the dead subscription.

@@ -6,12 +6,14 @@ use std::sync::Mutex;
 use snowflake_channel::AuthChannel;
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
 use snowflake_core::{
-    ChainMemo, ChannelId, Delegation, Principal, Proof, Tag, Time, Validity, VerifyCtx,
+    ChainMemo, ChannelId, Delegation, HashVal, Principal, Proof, ProvenanceMap, Tag, Time,
+    Validity, VerifyCtx,
 };
 use snowflake_crypto::PublicKey;
 use snowflake_sexpr::Sexp;
 use std::collections::HashMap;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Information about the authenticated caller, passed to implementations.
@@ -70,17 +72,22 @@ pub struct ProofCacheStats {
     pub misses: u64,
 }
 
-/// One verified proof in the cache.
+/// One verified proof in a subject's list.
+#[derive(Clone)]
 struct CachedProof {
+    /// The proof's canonical hash: a re-submission replaces, not appends.
+    hash: HashVal,
     conclusion: Delegation,
-    /// Hashes of the certificates the proof depends on — its revocation
-    /// provenance, consulted by [`RmiServer::invalidate_cert`] and
-    /// recorded in grant audit events.  Shared (`Arc`) so the hot path
-    /// hands it out without an allocation inside the cache lock.
-    certs: Arc<[snowflake_core::HashVal]>,
-    #[expect(dead_code, reason = "retained for audit trails")]
-    proof: Proof,
+    /// Hashes of the certificates the proof depends on, recorded in grant
+    /// audit events.  Shared (`Arc`) so the hot path hands it out without
+    /// an allocation inside the cache lock.
+    certs: Arc<[HashVal]>,
 }
+
+/// Subjects the proof cache remembers (oldest forgotten first), and
+/// proofs kept per subject (a client can mint itself endless valid ones).
+const PROOF_CACHE_SUBJECTS: usize = 4096;
+const PROOFS_PER_SUBJECT: usize = 64;
 
 /// The RMI server: object registry, proof cache, and per-connection loop.
 pub struct RmiServer {
@@ -88,14 +95,13 @@ pub struct RmiServer {
     /// Objects served without authorization (the "basic RMI" baseline of
     /// the paper's Figure 6 measurements).
     open_objects: Mutex<HashMap<String, Arc<dyn RemoteObject>>>,
-    /// Verified proofs keyed by subject principal.
-    cache: Mutex<HashMap<Principal, Vec<CachedProof>>>,
-    /// Bumped by `invalidate_cert` while holding the cache lock;
-    /// `receive_proof` re-reads it under the same lock before caching, so
-    /// a revocation push landing mid-verification cannot be resurrected
-    /// by the subsequent insert.
-    cache_epoch: std::sync::atomic::AtomicU64,
-    stats: Mutex<ProofCacheStats>,
+    /// Verified proofs, one slot per subject principal holding an
+    /// immutable list; the slot's provenance is the union over the list,
+    /// so a revocation drops the subject's slot and the client re-submits
+    /// (the survivors re-verify through the memo).
+    cache: ProvenanceMap<Principal, Arc<[CachedProof]>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     /// Base context cloned per connection (carries revocation data).
     base_ctx: Mutex<VerifyCtx>,
     clock: fn() -> Time,
@@ -118,9 +124,9 @@ impl RmiServer {
         Arc::new(RmiServer {
             objects: Mutex::new(HashMap::new()),
             open_objects: Mutex::new(HashMap::new()),
-            cache: Mutex::new(HashMap::new()),
-            cache_epoch: std::sync::atomic::AtomicU64::new(0),
-            stats: Mutex::new(ProofCacheStats::default()),
+            cache: ProvenanceMap::bounded(PROOF_CACHE_SUBJECTS),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             // Proof verification goes through a verified-chain memo:
             // reconnecting clients re-submitting a known chain skip the
             // exponentiations.
@@ -174,9 +180,11 @@ impl RmiServer {
 
     /// Proof-cache statistics.
     pub fn cache_stats(&self) -> ProofCacheStats {
-        let mut s = *self.stats.plock();
-        s.proofs = self.cache.plock().values().map(Vec::len).sum();
-        s
+        ProofCacheStats {
+            proofs: self.cache.collect(|_, list| Some(list.len())).iter().sum(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
     }
 
     /// The verified-chain memo's counters — the operator-facing snapshot
@@ -214,7 +222,7 @@ impl RmiServer {
 
     /// Drops all cached proofs (benchmarks use this to force re-submission).
     pub fn forget_proofs(&self) {
-        self.cache.plock().clear();
+        self.cache.clear();
     }
 
     /// Attaches a pluggable revocation source (e.g. a freshness agent)
@@ -226,25 +234,19 @@ impl RmiServer {
         self.base_ctx.plock().set_revocation_source(source);
     }
 
-    /// Drops every cached proof that depended on the certificate with this
-    /// hash, returning how many were evicted.  After a revocation push the
-    /// `check_auth` fast path faults again, forcing clients to re-prove —
-    /// which the verifier then rejects against the fresh CRL.  Unrelated
-    /// cached proofs keep answering; no flush, no restart.
-    pub fn invalidate_cert(&self, cert_hash: &snowflake_core::HashVal) -> usize {
-        let mut cache = self.cache.plock();
-        // Bumped under the lock: an in-flight `receive_proof` that read
-        // the old epoch will re-check under this lock and skip caching.
-        self.cache_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let mut evicted = 0;
-        cache.retain(|_, entries| {
-            let before = entries.len();
-            entries.retain(|e| !e.certs.contains(cert_hash));
-            evicted += before - entries.len();
-            !entries.is_empty()
-        });
-        drop(cache);
+    /// Drops every subject's cached proofs when one of them depended on
+    /// the certificate with this hash, returning how many proofs were
+    /// evicted.  After a revocation push the `check_auth` fast path faults
+    /// again, forcing those clients to re-prove — which the verifier then
+    /// rejects against the fresh CRL.  Unrelated subjects keep answering;
+    /// no flush, no restart.
+    pub fn invalidate_cert(&self, cert_hash: &HashVal) -> usize {
+        let mut evicted: usize = self
+            .cache
+            .evict_cert(cert_hash)
+            .iter()
+            .map(|(_, list, _)| list.len())
+            .sum();
         if let Some(memo) = self.base_ctx.plock().chain_memo() {
             evicted += memo.evict_cert(cert_hash);
         }
@@ -255,54 +257,6 @@ impl RmiServer {
     /// (exposed for counters and shared wiring).
     pub fn chain_memo(&self) -> Option<Arc<ChainMemo>> {
         self.base_ctx.plock().chain_memo().cloned()
-    }
-
-    /// Hands a connection to the runtime's worker pool, the production
-    /// accept path: each admitted connection runs
-    /// [`RmiServer::serve_connection`] on a pooled worker.
-    ///
-    /// Admission is bounded.  When the pool is saturated (or shutting
-    /// down) the connection is **shed**: the peer receives one
-    /// [`RmiFault::Busy`] reply — the RMI analogue of HTTP 503 — and the
-    /// channel is dropped, instead of queueing forever.  The shed is
-    /// counted in the pool's [`snowflake_runtime::RuntimeStats`].
-    ///
-    /// One pooled job owns the connection for its lifetime, so an idle
-    /// peer occupies a worker until it hangs up or its channel's `recv`
-    /// fails.  Channels over TCP should therefore bound reads (e.g.
-    /// `TcpTransport::set_read_timeout`) before being wrapped, or
-    /// `workers` parked clients can exhaust the worker budget.
-    pub fn serve_pooled(
-        self: &Arc<Self>,
-        pool: &snowflake_runtime::WorkerPool,
-        mut channel: Box<dyn AuthChannel>,
-    ) -> Result<(), snowflake_runtime::SubmitError> {
-        match pool.try_permit() {
-            Ok(permit) => {
-                let server = Arc::clone(self);
-                permit.submit(move || {
-                    let _ = server.serve_connection(&mut *channel);
-                });
-                Ok(())
-            }
-            Err(e) => {
-                // The permit was refused while we still hold the channel:
-                // say BUSY on the wire before hanging up.
-                self.audit(|| {
-                    DecisionEvent::new(
-                        (self.clock)(),
-                        "rmi",
-                        Decision::Shed,
-                        "connection",
-                        "serve",
-                        &e.to_string(),
-                    )
-                });
-                let reply = RmiReply::Fault(RmiFault::Busy(e.to_string()));
-                let _ = channel.send(&reply.to_sexp().canonical());
-                Err(e)
-            }
-        }
     }
 
     /// Serves one connection until the peer closes it.
@@ -334,7 +288,7 @@ impl RmiServer {
     /// sends a sealed [`RmiFault::Busy`] (counted by the pool), while
     /// reactor-level refusals (parked cap, drain) are counted per-surface
     /// in the runtime's shed ledger, and every shed is audited under
-    /// surface `rmi` exactly like [`RmiServer::serve_pooled`]'s.
+    /// surface `rmi`.
     ///
     /// The returned handle [`waits`](snowflake_runtime::ListenerHandle::wait)
     /// until shutdown drains the listener.
@@ -483,7 +437,7 @@ impl RmiServer {
         let tag = object.restriction(invocation);
         let now = (self.clock)();
         let Some(certs) = self.check_auth(&speaker, &object.issuer(), &tag, now) else {
-            self.stats.plock().misses += 1;
+            self.misses.fetch_add(1, Ordering::Relaxed);
             self.audit(|| {
                 DecisionEvent::new(
                     now,
@@ -501,7 +455,7 @@ impl RmiServer {
                 tag,
             });
         };
-        self.stats.plock().hits += 1;
+        self.hits.fetch_add(1, Ordering::Relaxed);
         self.audit(|| {
             DecisionEvent::new(
                 now,
@@ -536,17 +490,18 @@ impl RmiServer {
         issuer: &Principal,
         tag: &Tag,
         now: Time,
-    ) -> Option<Arc<[snowflake_core::HashVal]>> {
-        let cache = self.cache.plock();
-        let entries = cache.get(speaker)?;
-        entries
-            .iter()
-            .find(|e| {
-                e.conclusion.issuer == *issuer
-                    && e.conclusion.tag.permits(tag)
-                    && e.conclusion.validity.contains(now)
+    ) -> Option<Arc<[HashVal]>> {
+        self.cache
+            .get(speaker, now, |list, _| {
+                list.iter()
+                    .find(|e| {
+                        e.conclusion.issuer == *issuer
+                            && e.conclusion.tag.permits(tag)
+                            && e.conclusion.validity.contains(now)
+                    })
+                    .map(|e| Arc::clone(&e.certs))
             })
-            .map(|e| Arc::clone(&e.certs))
+            .flatten()
     }
 
     /// The proof-recipient object: verifies a submitted proof against this
@@ -564,9 +519,11 @@ impl RmiServer {
             Err(e) => return RmiReply::Fault(RmiFault::Application(format!("bad proof: {e}"))),
         };
 
+        // Read before verifying: a revocation push landing mid-verification
+        // then refuses the cache insert below.
+        let token = self.cache.epoch();
         // Build this connection's verification context: base (revocation
         // data) + the channel binding this endpoint itself witnessed.
-        let epoch = self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst);
         let mut ctx = self.base_ctx.plock().clone();
         ctx.now = (self.clock)();
         if let Some(binding) = channel.peer_binding() {
@@ -604,23 +561,41 @@ impl RmiServer {
             .with_certs(certs.clone())
             .with_epoch(ctx.revocation_epoch())
         });
-        {
-            // Skip caching when an invalidation landed during
-            // verification: the verdict used pre-revocation state.  The
-            // next `check_auth` then faults and the client must re-prove
-            // against the fresh CRL.
-            let mut cache = self.cache.plock();
-            if self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst) == epoch {
-                cache
-                    .entry(conclusion.subject.clone())
-                    .or_default()
-                    .push(CachedProof {
-                        conclusion,
-                        certs: certs.into(),
-                        proof,
-                    });
-            }
-        }
+        // A refused insert (a push landed during verification: the verdict
+        // used pre-revocation state) means the next `check_auth` faults and
+        // the client must re-prove against the fresh CRL.
+        let now = ctx.now;
+        let fresh = CachedProof {
+            hash: proof.hash(),
+            conclusion,
+            certs: certs.into(),
+        };
+        self.cache.upsert(token, fresh.conclusion.subject.clone(), now, |old| {
+            // The subject's list without expired proofs and without an
+            // earlier submission of this one; newest last, oldest dropped
+            // past the per-subject bound.
+            let mut list: Vec<CachedProof> = old
+                .map_or(&[][..], |l| &l[..])
+                .iter()
+                .filter(|e| e.hash != fresh.hash)
+                .filter(|e| e.conclusion.validity.not_after.is_none_or(|t| t >= now))
+                .cloned()
+                .collect();
+            list.push(fresh);
+            let excess = list.len().saturating_sub(PROOFS_PER_SUBJECT);
+            list.drain(..excess);
+            let mut union: Vec<HashVal> =
+                list.iter().flat_map(|e| e.certs.iter().cloned()).collect();
+            union.sort_unstable();
+            union.dedup();
+            // The slot dies with its longest-lived proof: never (`None`)
+            // when any of them is open-ended.
+            let not_after = list
+                .iter()
+                .map(|e| e.conclusion.validity.not_after)
+                .try_fold(Time(0), |latest, t| t.map(|t| latest.max(t)));
+            (list.into(), union.into(), not_after)
+        });
         RmiReply::Return(Sexp::from("ok"))
     }
 }

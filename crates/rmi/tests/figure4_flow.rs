@@ -301,3 +301,58 @@ fn proof_survives_reconnection() {
     drop(c2);
     h2.join().unwrap();
 }
+
+/// A client that re-submits the proof it already delivered (every
+/// reconnect does) replaces its cached entry instead of growing the
+/// subject's list; a genuinely different proof for the same subject is
+/// kept alongside, and an expired one is dropped by the next submission.
+#[test]
+fn resubmitted_proofs_do_not_accumulate() {
+    use snowflake_channel::PlainChannel;
+    use snowflake_core::Proof;
+    use snowflake_rmi::{Invocation, RmiReply, PROOF_RECIPIENT};
+
+    let r = rig();
+    let holder = Principal::key(&kp("resubmitter").public);
+    let mut rng = DetRng::new(b"resubmit");
+    let mut grant = |object: &str, validity: Validity| {
+        let delegation = Delegation {
+            subject: holder.clone(),
+            issuer: Principal::key(&r.server_key.public),
+            tag: tag(&format!("(rmi (object {object}))")),
+            validity,
+            delegable: false,
+        };
+        Proof::signed_cert(Certificate::issue(&r.server_key, delegation, &mut |b| rng.fill(b)))
+    };
+    let (_peer, transport) = PipeTransport::pair();
+    let channel = PlainChannel::new(transport, "resubmit");
+    let submit = |proof: &Proof| {
+        let frame = Invocation {
+            object: PROOF_RECIPIENT.into(),
+            method: "submit".into(),
+            args: vec![proof.to_sexp()],
+            quoting: None,
+        }
+        .to_sexp()
+        .canonical();
+        match r.server.handle_frame(&frame, &channel) {
+            RmiReply::Return(_) => {}
+            other => panic!("proof refused: {other:?}"),
+        }
+    };
+
+    let files = grant("files", Validity::always());
+    for _ in 0..20 {
+        submit(&files);
+    }
+    assert_eq!(r.server.cache_stats().proofs, 1, "one proof, one entry");
+
+    // Already past its window at the rig's clock: verifies (validity is
+    // checked per request, against the conclusion) but never accumulates.
+    let lapsed = grant("lapsed", Validity::until(Time(10)));
+    submit(&lapsed);
+    let other = grant("other", Validity::always());
+    submit(&other);
+    assert_eq!(r.server.cache_stats().proofs, 2, "files + other; lapsed dropped");
+}

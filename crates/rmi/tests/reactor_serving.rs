@@ -1,8 +1,9 @@
 //! RMI over real TCP through the connection reactor: the handshake runs
 //! as an offloaded pool job, the socket is then adopted and parked
 //! between invocations (no worker per connection), session resumption
-//! survives the split accept path, and a saturated pool answers a
-//! sealed `Busy` fault at *invocation* time.
+//! survives the split accept path, a saturated pool answers a sealed
+//! `Busy` fault at *invocation* time, and shutdown drains what was
+//! admitted while refusing what arrives late.
 
 use snowflake_channel::{SecureChannel, SessionCache, TcpTransport};
 use snowflake_core::{Principal, Time};
@@ -206,4 +207,60 @@ fn saturated_pool_seals_busy_at_invocation_time() {
 
     runtime.shutdown();
     handle.wait();
+}
+
+/// Shutdown drains: the in-flight invocation and the queued one both
+/// complete and reach their clients, while a connection arriving after
+/// shutdown began is refused — one counted shed on the `rmi` surface.
+#[test]
+fn shutdown_drains_admitted_invocations() {
+    let gate = Gate::closed();
+    let server = RmiServer::with_clock(fixed_clock);
+    server.register_open("gated", Arc::new(GatedObject(Arc::clone(&gate))));
+    let runtime = ServerRuntime::new(PoolConfig::new("rmi-drain", 1, 4));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = server
+        .serve_reactor(listener, &runtime, keypair("server"), None)
+        .unwrap();
+
+    let mut a = client_for(secure_connect(addr, "drain-a", None), "drain-a");
+    let mut b = client_for(secure_connect(addr, "drain-b", None), "drain-b");
+    let handshakes = runtime.stats().submitted;
+
+    // A: in flight (parked on the gate).  B: admitted, still queued.
+    let a_thread =
+        std::thread::spawn(move || a.invoke("gated", "wait", vec![]).expect("in-flight call"));
+    gate.wait_entered(1);
+    let b_thread =
+        std::thread::spawn(move || b.invoke("gated", "ping", vec![]).expect("queued call"));
+    wait_for(|| runtime.stats().submitted == handshakes + 2);
+
+    // Begin shutdown on a side thread (it blocks until the drain ends).
+    let rt = Arc::clone(&runtime);
+    let closer = std::thread::spawn(move || rt.shutdown());
+    wait_for(|| runtime.is_shutting_down());
+    assert!(!closer.is_finished(), "shutdown must block on the drain");
+
+    // A connection arriving during the drain never gets a session.
+    let late = TcpTransport::new(TcpStream::connect(addr).unwrap());
+    let mut rng = DetRng::new(b"drain-late-rng");
+    let refused =
+        SecureChannel::client(Box::new(late), Some(&keypair("drain-late")), None, &mut |b| {
+            rng.fill(b)
+        });
+    assert!(refused.is_err(), "no handshake once the drain began");
+    assert!(
+        runtime.sheds_by_surface().contains(&("rmi".to_owned(), 1)),
+        "the refusal is one counted shed: {:?}",
+        runtime.sheds_by_surface()
+    );
+
+    // Release the gate: A completes, B is then served, the drain ends.
+    gate.open();
+    assert_eq!(a_thread.join().unwrap(), Sexp::from("waited"));
+    assert_eq!(b_thread.join().unwrap(), Sexp::from("pong"));
+    closer.join().unwrap();
+    handle.wait();
+    assert_eq!(runtime.stats().completed, handshakes + 2);
 }

@@ -14,6 +14,12 @@ cargo test -q --offline
 echo "==> cargo doc --no-deps"
 cargo doc --no-deps --offline
 
+echo "==> benchmark crate builds against the facade"
+# benchmark/ is a package of its own (not a workspace member) that the
+# pipeline builds from the committed tree; a facade API it calls that
+# changed shape must fail here, locally, not there.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> contention + freshness + saturation + audit + wal + scaling + fanout + crypto + table1 + metrics benches (smoke mode: one iteration each)"
 SF_BENCH_SMOKE=1 cargo bench -q -p snowflake-bench --offline \
     --bench prover_contention --bench mac_contention \
@@ -41,17 +47,20 @@ cargo test -q --offline -p snowflake-http --test connection_reactor
 cargo test -q --offline -p snowflake-rmi --test reactor_serving
 cargo test -q --offline -p snowflake-revocation --test reactor_push
 
-echo "==> verification fast-path suites (modpow vs reference, batch pinpointing, memo soundness)"
+echo "==> verification fast-path suites (modpow vs reference, batch pinpointing, memo soundness, the revocation guard)"
 # The fast paths are optimizations of an unchanged acceptance predicate,
 # and each has a suite proving it against the slow reference: bigint
 # sliding-window/fixed-base modpow vs square-and-multiply, batched
 # Schnorr accepts iff every member verifies individually (bit-flips are
 # pinpointed), and the verified-chain memo answers byte-identically to a
-# cold context while staying revocation-sound.  A change that deletes or
-# renames these suites must fail loudly here.
+# cold context while staying revocation-sound — on the one
+# revocation-guarded map (model proptest + verifier-vs-revoker stress)
+# that it and every other warm store is built on.  A change that deletes
+# or renames these suites must fail loudly here.
 cargo test -q --offline -p snowflake-bigint --test props
 cargo test -q --offline -p snowflake-crypto --test batch_props
 cargo test -q --offline -p snowflake-core --test chain_memo
+cargo test -q --offline -p snowflake-core --test provenance
 
 echo "==> broker suites (authz facade, subscribe-as-action, revocation-push cuts)"
 # The broker's claims — authz answers fail closed on malformed bodies,
