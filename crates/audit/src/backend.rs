@@ -8,9 +8,11 @@
 //!   stream is a *suffix* and can no longer be chain-verified from
 //!   genesis; eviction is counted so that is visible.
 //! * [`FileBackend`] — append-only files of transport-encoded
-//!   S-expressions, one entry per line, fsynced per append and recovered
-//!   (torn tail truncated) on reopen: the durable form an auditor copies
-//!   off the box and verifies offline with [`crate::verify_chain`].
+//!   S-expressions, one entry per line: each segment is an
+//!   [`AppendLog`], fsynced per append and recovered on reopen (a torn
+//!   final line is truncated, a damaged line before the end fails the
+//!   open): the durable form an auditor copies off the box and verifies
+//!   offline with [`crate::verify_chain`].
 //!   Rotation caps segment size without renames: `path` is segment 1 and
 //!   later segments live at `path.2`, `path.3`, …, each opening with an
 //!   anchor line that seals it to its predecessor's last record, so chain
@@ -21,7 +23,7 @@
 
 use crate::query::AuditQuery;
 use crate::record::{ChainedRecord, LogEntry};
-use snowflake_core::durable::{CrashPoint, Durable, RecoveryReport};
+use snowflake_core::durable::{scan, AppendLog, CrashPoint, Record, RecoveryReport};
 use snowflake_crypto::HashVal;
 use snowflake_reldb::{
     ColumnType, Database, Predicate, Schema, SelectQuery, SortOrder, Value,
@@ -57,16 +59,14 @@ impl EntrySnapshot {
             EntrySnapshot::Files(parts) => {
                 let mut out = Vec::new();
                 for (path, len) in parts {
-                    let mut data = std::fs::read(&path)
-                        .map_err(|e| format!("read {}: {e}", path.display()))?;
-                    if let Some(len) = len {
-                        data.truncate(len as usize);
-                    }
-                    for line in segment_lines(&data) {
-                        if let SegmentLine::Entry(e) = parse_segment_line(line)? {
-                            out.push(e);
-                        }
-                    }
+                    out.extend(
+                        read_segment(&path, len)?
+                            .into_iter()
+                            .filter_map(|l| match l {
+                                SegmentLine::Entry(e) => Some(e),
+                                SegmentLine::Anchor(..) => None,
+                            }),
+                    );
                 }
                 Ok(out)
             }
@@ -157,14 +157,82 @@ enum SegmentLine {
     Anchor(u64, HashVal),
 }
 
-/// Splits segment bytes into complete (newline-terminated) non-blank
-/// lines.  Bytes after the last newline are a torn tail and are not
-/// yielded.
-fn segment_lines(data: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let clean = data.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-    data[..clean]
-        .split(|&b| b == b'\n')
-        .filter(|l| !l.iter().all(u8::is_ascii_whitespace))
+/// The segment record decoder, shared by open and [`EntrySnapshot::load`]:
+/// classifies the line at the front of `rest`, pushing it onto `lines`
+/// when it parses.  A line without its newline is incomplete; one that
+/// does not parse is damaged; a blank line is intact and yields nothing.
+fn decode_line(rest: &[u8], lines: &mut Vec<SegmentLine>) -> Record {
+    let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+        return Record::Incomplete;
+    };
+    let line = &rest[..nl];
+    if !line.iter().all(u8::is_ascii_whitespace) {
+        match parse_segment_line(line) {
+            Ok(l) => lines.push(l),
+            Err(_) => return Record::Damaged(nl + 1),
+        }
+    }
+    Record::Intact(nl + 1)
+}
+
+/// Decodes a segment that must be wholly intact — a sealed segment, or
+/// the clean prefix (`len`) of an active one.
+fn read_segment(path: &Path, len: Option<u64>) -> Result<Vec<SegmentLine>, String> {
+    let mut data = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    if let Some(len) = len {
+        data.truncate(len as usize);
+    }
+    let mut lines = Vec::new();
+    match scan(&data, |rest| decode_line(rest, &mut lines)) {
+        Ok(clean) if clean == data.len() => Ok(lines),
+        Ok(_) => Err(format!(
+            "{}: torn data before the stream end",
+            path.display()
+        )),
+        Err(e) => Err(format!("{}: {e}", path.display())),
+    }
+}
+
+/// Applies the seam rules to one decoded segment — a rotated segment
+/// (and only a rotated one) opens with an anchor sealing its
+/// predecessor's last record — and advances `last_record`.  Returns the
+/// segment's entry count.
+fn check_segment(
+    seg: &Path,
+    rotated: bool,
+    lines: Vec<SegmentLine>,
+    last_record: &mut Option<(u64, HashVal)>,
+) -> Result<u64, String> {
+    let mut entries = 0;
+    for (k, line) in lines.into_iter().enumerate() {
+        match line {
+            SegmentLine::Anchor(upto, head) => {
+                if !rotated || k > 0 {
+                    return Err(format!("{}: anchor outside a segment head", seg.display()));
+                }
+                if last_record.as_ref() != Some(&(upto, head)) {
+                    return Err(format!(
+                        "{}: rotation seam broken: anchor does not match \
+                         the previous segment's last record",
+                        seg.display()
+                    ));
+                }
+            }
+            SegmentLine::Entry(e) => {
+                if rotated && k == 0 {
+                    return Err(format!(
+                        "{}: rotated segment is missing its anchor",
+                        seg.display()
+                    ));
+                }
+                if let LogEntry::Record(r) = &e {
+                    *last_record = Some((r.seq, r.hash.clone()));
+                }
+                entries += 1;
+            }
+        }
+    }
+    Ok(entries)
 }
 
 fn parse_segment_line(line: &[u8]) -> Result<SegmentLine, String> {
@@ -212,15 +280,15 @@ fn anchor_line(upto: u64, head: &HashVal) -> Vec<u8> {
 ///
 /// On reopen the sealed segments must parse completely and each anchor
 /// must match its predecessor's last record (anything else is corruption
-/// or tampering and fails the open); only the *active* segment may end in
-/// a torn line, which is truncated away exactly as the reldb WAL does.
+/// or tampering and fails the open); the *active* segment is an
+/// [`AppendLog`], so only its final line may be torn, and is truncated
+/// away exactly as the reldb WAL's final frame is.
 pub struct FileBackend {
     path: PathBuf,
-    file: std::fs::File,
+    /// The active segment.
+    log: AppendLog,
     /// All segment paths, oldest first; the last one is active.
     segments: Vec<PathBuf>,
-    /// Clean (fully fsynced, line-terminated) bytes of the active segment.
-    active_len: u64,
     /// Entry lines (anchors excluded) in the active segment.
     active_entries: u64,
     /// Rotate once the active segment holds this many entries.
@@ -269,119 +337,34 @@ impl FileBackend {
 
         let mut recovery = RecoveryReport::default();
         let mut last_record: Option<(u64, HashVal)> = None;
-        let mut active_len = 0u64;
-        let mut active_entries = 0u64;
-        let mut reanchor = false;
-        for (i, seg) in segments.iter().enumerate() {
-            let sealed = i + 1 < segments.len();
-            let data = match std::fs::read(seg) {
-                Ok(data) => data,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound && !sealed => Vec::new(),
-                Err(e) => return Err(format!("read {}: {e}", seg.display())),
-            };
-            let mut clean = 0u64;
-            let mut entries_here = 0u64;
-            let mut first_line = true;
-            let mut pos = 0usize;
-            // Walk complete lines by explicit offset so `clean` is always
-            // a true byte boundary (blank lines count their bytes too).
-            while let Some(nl) = data[pos..].iter().position(|&b| b == b'\n') {
-                let line = &data[pos..pos + nl];
-                pos += nl + 1;
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    clean = pos as u64;
-                    continue;
-                }
-                let parsed = match parse_segment_line(line) {
-                    Ok(p) => p,
-                    Err(e) if sealed => {
-                        // A hole in a sealed segment is not a torn tail —
-                        // it is corruption (or tampering) and must surface.
-                        return Err(format!("sealed segment {}: {e}", seg.display()));
-                    }
-                    // In the active segment a bad line starts the torn
-                    // tail; everything from here on is discarded.
-                    Err(_) => break,
-                };
-                match parsed {
-                    SegmentLine::Anchor(upto, head) => {
-                        if i == 0 || !first_line {
-                            return Err(format!(
-                                "{}: anchor outside a segment head",
-                                seg.display()
-                            ));
-                        }
-                        if last_record.as_ref() != Some(&(upto, head.clone())) {
-                            return Err(format!(
-                                "{}: rotation seam broken: anchor does not match \
-                                 the previous segment's last record",
-                                seg.display()
-                            ));
-                        }
-                    }
-                    SegmentLine::Entry(e) => {
-                        if i > 0 && first_line {
-                            return Err(format!(
-                                "{}: rotated segment is missing its anchor",
-                                seg.display()
-                            ));
-                        }
-                        if let LogEntry::Record(r) = &e {
-                            last_record = Some((r.seq, r.hash.clone()));
-                        }
-                        entries_here += 1;
-                    }
-                }
-                first_line = false;
-                clean = pos as u64;
-            }
-            if sealed {
-                recovery.from_snapshot += entries_here;
-                if clean < data.len() as u64 {
-                    return Err(format!(
-                        "sealed segment {}: torn data before the stream end",
-                        seg.display()
-                    ));
-                }
-            } else {
-                recovery.replayed = entries_here;
-                recovery.truncated_bytes = data.len() as u64 - clean;
-                active_len = clean;
-                active_entries = entries_here;
-                // A rotation that crashed mid-anchor leaves an empty (or
-                // fully torn) segment: re-issue the anchor below.
-                reanchor = i > 0 && first_line;
-            }
+        let (active, sealed) = segments.split_last().expect("at least one segment");
+        for (i, seg) in sealed.iter().enumerate() {
+            // A hole in a sealed segment is not a torn tail — it is
+            // corruption (or tampering) and must surface.
+            let lines = read_segment(seg, None).map_err(|e| format!("sealed segment {e}"))?;
+            recovery.from_snapshot += check_segment(seg, i > 0, lines, &mut last_record)?;
         }
+        let mut lines = Vec::new();
+        let (log, truncated) =
+            AppendLog::open(active, crash.clone(), |rest| decode_line(rest, &mut lines))
+                .map_err(|e| format!("open {}: {e}", active.display()))?;
+        let rotated = !sealed.is_empty();
+        // A rotation that crashed mid-anchor leaves an empty (or fully
+        // torn) segment: re-issue the anchor below.
+        let reanchor = rotated && lines.is_empty();
+        recovery.replayed = check_segment(active, rotated, lines, &mut last_record)?;
+        recovery.truncated_bytes = truncated;
 
-        let active = segments.last().expect("at least one segment").clone();
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .open(&active)
-            .map_err(|e| format!("open {}: {e}", active.display()))?;
-        if recovery.truncated_bytes > 0 {
-            file.set_len(active_len)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| format!("truncate {}: {e}", active.display()))?;
-        }
-        use std::io::Seek;
         let mut backend = FileBackend {
             path,
-            file,
+            log,
+            active_entries: recovery.replayed,
             segments,
-            active_len,
-            active_entries,
             rotate_after,
             last_record,
             recovery,
             crash,
         };
-        backend
-            .file
-            .seek(std::io::SeekFrom::Start(active_len))
-            .map_err(|e| format!("seek: {e}"))?;
         if reanchor {
             let (upto, head) = backend.last_record.clone().expect("anchored rotation");
             backend.write_line(&anchor_line(upto, &head))?;
@@ -399,16 +382,17 @@ impl FileBackend {
         self.segments.len()
     }
 
-    /// Crash-guarded durable line write: bytes, then fsync.
+    /// What the most recent open recovered.
+    pub fn recovery(&self) -> RecoveryReport {
+        self.recovery
+    }
+
+    /// Durably appends one line to the active segment.
     fn write_line(&mut self, line: &[u8]) -> Result<(), String> {
         let active = self.segments.last().expect("active segment");
-        self.crash
-            .write_all(&mut self.file, line)
-            .and_then(|()| self.crash.check())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("append {}: {e}", active.display()))?;
-        self.active_len += line.len() as u64;
-        Ok(())
+        self.log
+            .append(line)
+            .map_err(|e| format!("append {}: {e}", active.display()))
     }
 
     /// Starts the next segment, sealed to the current last record.
@@ -417,14 +401,18 @@ impl FileBackend {
             return Ok(()); // nothing to seal yet; keep filling segment 1
         };
         let next = segment_path(&self.path, self.segments.len() as u64 + 1);
-        self.file = std::fs::OpenOptions::new()
-            .create_new(true)
-            .read(true)
-            .write(true)
-            .open(&next)
-            .map_err(|e| format!("rotate to {}: {e}", next.display()))?;
+        let (log, _) = AppendLog::open(&next, self.crash.clone(), |rest| {
+            decode_line(rest, &mut Vec::new())
+        })
+        .map_err(|e| format!("rotate to {}: {e}", next.display()))?;
+        if !log.is_empty() {
+            return Err(format!(
+                "rotate to {}: segment already exists",
+                next.display()
+            ));
+        }
+        self.log = log;
         self.segments.push(next);
-        self.active_len = 0;
         self.active_entries = 0;
         self.write_line(&anchor_line(upto, &head))
     }
@@ -465,23 +453,9 @@ impl AuditBackend for FileBackend {
             .map(|p| (p.clone(), None))
             .collect();
         // The active segment may hold torn bytes from a failed append
-        // beyond `active_len`; sealed segments are immutable.
-        parts.last_mut().expect("active segment").1 = Some(self.active_len);
+        // beyond the log's intact length; sealed segments are immutable.
+        parts.last_mut().expect("active segment").1 = Some(self.log.len());
         Ok(EntrySnapshot::Files(parts))
-    }
-}
-
-impl Durable for FileBackend {
-    fn storage(&self) -> &Path {
-        &self.path
-    }
-
-    fn recovery(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    fn sync(&mut self) -> Result<(), String> {
-        self.file.sync_data().map_err(|e| e.to_string())
     }
 }
 
@@ -804,9 +778,8 @@ mod tests {
         assert_eq!(b.recovery().replayed, 1, "active segment");
         // The on-disk anchors really are there: segment 2 starts with one
         // sealing segment 1's last record (seq 2).
-        let seg2 = std::fs::read(segment_path(&path, 2)).unwrap();
-        let first = segment_lines(&seg2).next().unwrap();
-        match parse_segment_line(first).unwrap() {
+        let seg2 = read_segment(&segment_path(&path, 2), None).unwrap();
+        match seg2.into_iter().next().unwrap() {
             SegmentLine::Anchor(upto, _) => assert_eq!(upto, 2),
             SegmentLine::Entry(_) => panic!("segment 2 must start with an anchor"),
         }
@@ -830,6 +803,26 @@ mod tests {
         // Truncation is durable: the next open is clean.
         let b = FileBackend::open(&path).unwrap();
         assert_eq!(b.recovery().truncated_bytes, 0);
+    }
+
+    #[test]
+    fn file_backend_rejects_damage_before_the_active_tail() {
+        let path = file_base("active-hole.log");
+        {
+            let mut b = FileBackend::open(&path).unwrap();
+            for e in chain(3) {
+                b.append(&e).unwrap();
+            }
+        }
+        // Damage line 1 of 3 in the *active* segment: two acknowledged
+        // lines follow it, so this is no torn tail and the open must fail
+        // rather than truncate them away.
+        let mut data = std::fs::read(&path).unwrap();
+        data[10] ^= 0xff;
+        std::fs::write(&path, &data).unwrap();
+        let err = FileBackend::open(&path).map(|_| ()).unwrap_err();
+        assert!(err.contains("damaged record"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), data, "nothing truncated");
     }
 
     #[test]

@@ -22,10 +22,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use snowflake_audit::{AuditLog, FileBackend};
 use snowflake_core::audit::{Decision, DecisionEvent};
-use snowflake_core::durable::Durable;
 use snowflake_core::Time;
 use snowflake_crypto::{DetRng, Group, KeyPair};
-use snowflake_reldb::{ColumnType, Database, DurableDatabase, Schema, Value};
+use snowflake_reldb::wal::encode_frame;
+use snowflake_reldb::{ColumnType, Database, DurableDatabase, Schema, Value, WalOp};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -105,18 +105,20 @@ fn run_audit_appends(log: &AuditLog, n: u64) -> Duration {
     start.elapsed()
 }
 
-/// Builds an `n`-record WAL (fsync off: build speed is not the subject)
-/// and measures the cold reopen that replays it.
+/// Writes an `n`-record WAL's frames straight to `<base>.wal` (build
+/// speed is not the subject) and measures the cold reopen that replays it.
 fn run_replay(name: &str, n: u64) -> (Duration, u64) {
     let base = fresh_base(name);
-    {
-        let mut db = DurableDatabase::open(&base, schema).expect("open");
-        db.set_sync(false);
-        for i in 0..n {
-            db.insert("decisions", row(i)).expect("insert");
-        }
-        db.sync().expect("final sync");
-    }
+    let wal: Vec<u8> = (0..n)
+        .flat_map(|i| {
+            let op = WalOp::Insert {
+                table: "decisions".into(),
+                row: row(i),
+            };
+            encode_frame(i, &op)
+        })
+        .collect();
+    std::fs::write(base.with_extension("wal"), wal).expect("write replay fixture");
     let start = Instant::now();
     let db = DurableDatabase::open(&base, schema).expect("reopen");
     let elapsed = start.elapsed();

@@ -4,18 +4,22 @@
 //! revocation knowledge, the tamper-evident audit trail — must survive a
 //! process death without ever presenting a *third* state: after a restart
 //! a durable store holds either the state before the interrupted write or
-//! the state after it, never a torn hybrid.  This module defines the two
-//! pieces every durable store in the workspace shares:
+//! the state after it, never a torn hybrid.  This module holds the pieces
+//! every durable store in the workspace shares:
 //!
-//! * [`Durable`] — the narrow contract a durable store exposes: where its
-//!   bytes live, what the last open/replay recovered, and a forced sync.
+//! * [`AppendLog`] — the one append-only file writer.  It recovers a log
+//!   on open under one rule (see [`scan`]), and each append is a
+//!   crash-guarded write followed by an fsync.  The reldb write-ahead log
+//!   and every audit segment are built on it; the validator's revocation
+//!   store is a reldb database, so it rides the same log.
 //! * [`CrashPoint`] — a byte-granular fault-injection hook threaded
 //!   through every durable write path.  Tests arm it to kill a write at
 //!   an exact byte offset; production code carries it inert at zero cost.
 //!   Because the hook sits *in* the write path (not in a test double),
 //!   the recovery the tests prove is the recovery production runs.
 
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,25 +37,150 @@ pub struct RecoveryReport {
     /// segmented logs, entries read from already-sealed segments).
     pub from_snapshot: u64,
     /// Bytes of torn tail discarded: an interrupted final write whose
-    /// frame never completed.  Always confined to the end of the stream —
-    /// a hole anywhere else is corruption and fails the open instead.
+    /// record never completed.  Always confined to the end of the stream —
+    /// damage anywhere else is corruption and fails the open instead
+    /// (see [`scan`]).
     pub truncated_bytes: u64,
 }
 
-/// The contract of a crash-recoverable store.
+/// How a log's record decoder classifies the bytes at the front of the
+/// unread stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Record {
+    /// A well-formed record spanning this many bytes (at least one).
+    Intact(usize),
+    /// A record whose extent is known — this many bytes — but whose
+    /// contents fail their check (checksum, syntax).
+    Damaged(usize),
+    /// The stream ends before the record does.
+    Incomplete,
+}
+
+/// Walks `data` record by record with `decode` and returns the length of
+/// its intact prefix.
 ///
-/// Implementations: the reldb write-ahead database, the audit file
-/// backend, and the validator's revocation store.
-pub trait Durable {
-    /// The path of the primary durable artifact (diagnostics; a store may
-    /// keep siblings next to it — snapshots, rotated segments).
-    fn storage(&self) -> &Path;
+/// The one torn-versus-corrupt rule: an [`Record::Incomplete`] final
+/// record, or a [`Record::Damaged`] one that ends exactly at the end of
+/// `data`, is a **torn tail** — what an interrupted append leaves — and
+/// the intact prefix before it is returned.  A damaged record with more
+/// bytes after it is **corruption**: no crash of a sequential, fsynced
+/// appender leaves one, and accepting the prefix would silently drop the
+/// acknowledged records that follow, so it is an
+/// [`io::ErrorKind::InvalidData`] error.
+///
+/// A damaged *framing* field (a record length, a line terminator) can
+/// make the records after it look like one incomplete record; that case
+/// is indistinguishable from a tear and truncates.
+pub fn scan(data: &[u8], mut decode: impl FnMut(&[u8]) -> Record) -> io::Result<usize> {
+    let mut at = 0;
+    while at < data.len() {
+        match decode(&data[at..]) {
+            Record::Intact(n) => {
+                assert!(n > 0, "a record decoder must consume bytes");
+                at += n;
+            }
+            Record::Incomplete => break,
+            Record::Damaged(n) if at + n >= data.len() => break,
+            Record::Damaged(n) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "damaged record at byte {at} followed by {} more bytes",
+                        data.len() - at - n
+                    ),
+                ))
+            }
+        }
+    }
+    Ok(at)
+}
 
-    /// What the most recent open/replay recovered.
-    fn recovery(&self) -> RecoveryReport;
+/// An append-only durable file: the only code that opens one for
+/// appending.
+///
+/// [`AppendLog::open`] reads the whole file (a missing file is an empty
+/// log), [`scan`]s it with the caller's record decoder, truncates a torn
+/// tail and fsyncs the truncation, and fails on corruption.  Each
+/// [`AppendLog::append`] is one [`CrashPoint::write_all`], then
+/// [`CrashPoint::check`], then `sync_data`: once it returns `Ok` the
+/// record is on the medium.  The record format is the caller's; the log
+/// sees bytes.
+pub struct AppendLog {
+    file: File,
+    /// Intact bytes: every acknowledged append, nothing torn.
+    len: u64,
+    crash: CrashPoint,
+}
 
-    /// Forces buffered state onto the medium.
-    fn sync(&mut self) -> Result<(), String>;
+impl AppendLog {
+    /// Opens (creating or recovering) the log at `path`, feeding its
+    /// bytes through `decode`.  Returns the log and the number of torn
+    /// bytes truncated away.
+    pub fn open(
+        path: &Path,
+        crash: CrashPoint,
+        decode: impl FnMut(&[u8]) -> Record,
+    ) -> io::Result<(AppendLog, u64)> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)?;
+        let mut data = Vec::new();
+        file.read_to_end(&mut data)?;
+        let clean = scan(&data, decode)?;
+        let torn = (data.len() - clean) as u64;
+        if torn > 0 {
+            file.set_len(clean as u64)?;
+            file.sync_data()?;
+        }
+        let log = AppendLog {
+            file,
+            len: clean as u64,
+            crash,
+        };
+        Ok((log, torn))
+    }
+
+    /// Intact bytes in the log.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the log holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Durably appends one encoded record.
+    ///
+    /// On failure the record is not acknowledged.  Unless the crash point
+    /// has struck (the simulated process is dead and writes nothing more),
+    /// a partial write is cut back off so a later append cannot land
+    /// behind it and turn a torn tail into mid-stream damage.
+    pub fn append(&mut self, record: &[u8]) -> io::Result<()> {
+        let written = self
+            .crash
+            .write_all(&mut self.file, record)
+            .and_then(|()| self.crash.check())
+            .and_then(|()| self.file.sync_data());
+        if written.is_ok() {
+            self.len += record.len() as u64;
+        } else if !self.crash.tripped() {
+            let _ = self.file.set_len(self.len);
+        }
+        written
+    }
+
+    /// Durably truncates the log to empty: the last step of a compaction
+    /// whose snapshot has already committed.
+    pub fn clear(&mut self) -> io::Result<()> {
+        self.crash.check()?;
+        self.file.set_len(0)?;
+        self.file.sync_data()?;
+        self.len = 0;
+        Ok(())
+    }
 }
 
 struct CrashInner {

@@ -76,7 +76,7 @@ mod verify;
 
 pub use audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot, NullEmitter};
 pub use cert::Certificate;
-pub use durable::{CrashPoint, Durable, RecoveryReport};
+pub use durable::{AppendLog, CrashPoint, RecoveryReport};
 pub use memo::{ChainMemo, MemoStats};
 pub use principal::{ChannelId, Principal};
 pub use proof::{Proof, ProofError};

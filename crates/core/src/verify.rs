@@ -324,7 +324,7 @@ impl VerifyCtx {
     /// **content hash** (the full signed wire bytes — body, signer, and
     /// signature) of the revocation artifact
     /// [`VerifyCtx::check_revocation`] would resolve — through the *same*
-    /// [`VerifyCtx::resolve_crl`] / [`VerifyCtx::resolve_revalidation`]
+    /// `VerifyCtx::resolve_crl` / `VerifyCtx::resolve_revalidation`
     /// helpers, so fingerprint and cold path can never disagree about
     /// which artifact governs.  Hashing the artifact's *content*, not its
     /// (signer, serial, window) identity, is load-bearing: a validator

@@ -27,7 +27,7 @@
 //! family is `sf_<subsystem>_<what>[_total]`, labels identify the member
 //! (`surface="http"`, `origin="pool"`), and request latency across all
 //! server surfaces shares the single family
-//! [`REQUEST_HISTOGRAM`](self::REQUEST_HISTOGRAM) =
+//! [`REQUEST_HISTOGRAM`] =
 //! `sf_request_duration_seconds{surface=...}`.
 
 #![deny(missing_docs)]

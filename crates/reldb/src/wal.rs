@@ -20,10 +20,13 @@
 //!
 //! The payload is the canonical S-expression
 //! `(wal (seq n) <op>)` where `<op>` is one of [`WalOp`]'s wire forms.
-//! The CRC (IEEE 802.3) covers the payload only; a frame whose header is
-//! short, whose payload is short, or whose CRC mismatches ends replay:
-//! if it is the stream's final frame it is a torn tail and is truncated
-//! away, anywhere else it is corruption and the open fails.
+//! The CRC (IEEE 802.3) covers the payload only.  The WAL is an
+//! [`AppendLog`] and `decode_frame` is its record decoder: a frame
+//! whose header or payload is short is incomplete, one whose CRC
+//! mismatches (or whose payload does not parse) is damaged.  Either is a
+//! torn tail and is truncated away when it is the stream's final frame;
+//! a damaged frame with anything after it is corruption and the open
+//! fails (see [`snowflake_core::durable::scan`]).
 //!
 //! The snapshot (`<base>.snap`) is one frame with payload
 //! `(db-snapshot (next-seq n) (table <name> (row …)…)…)` written
@@ -33,10 +36,9 @@
 //! every point between its steps.
 
 use crate::{Database, DbError, Predicate, Value};
-use snowflake_core::durable::{CrashPoint, Durable, RecoveryReport};
+use snowflake_core::durable::{AppendLog, CrashPoint, Record, RecoveryReport};
 use snowflake_sexpr::Sexp;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 /// CRC-32 (IEEE 802.3, reflected) over `data` — the frame checksum.
@@ -181,13 +183,35 @@ impl WalOp {
 /// `(wal (seq n) <op>)` payload.  Public so the crash-injection harness
 /// can compute exact byte boundaries.
 pub fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
-    let payload = Sexp::tagged("wal", vec![Sexp::tagged("seq", vec![Sexp::int(seq)]), op.to_sexp()])
-        .canonical();
+    frame(
+        Sexp::tagged(
+            "wal",
+            vec![Sexp::tagged("seq", vec![Sexp::int(seq)]), op.to_sexp()],
+        )
+        .canonical(),
+    )
+}
+
+/// Wraps `payload` in the `len | crc32` header (WAL frames and snapshots).
+fn frame(payload: Vec<u8>) -> Vec<u8> {
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
     frame
+}
+
+/// The checksummed payload of the frame at the front of `rest` and the
+/// frame's byte length, or why there is none.
+fn frame_payload(rest: &[u8]) -> Result<(&[u8], usize), Record> {
+    let header = rest.get(..8).ok_or(Record::Incomplete)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let payload = rest.get(8..8 + len).ok_or(Record::Incomplete)?;
+    if crc32(payload) != crc {
+        return Err(Record::Damaged(8 + len));
+    }
+    Ok((payload, 8 + len))
 }
 
 /// One decoded frame.
@@ -196,38 +220,37 @@ struct Frame {
     op: WalOp,
 }
 
-/// Decodes the frames of `data`, stopping at the first incomplete or
-/// corrupt frame.  Returns the frames plus the byte offset where clean
-/// data ends (`== data.len()` iff the stream is whole).
-fn decode_frames(data: &[u8]) -> Result<(Vec<Frame>, usize), DbError> {
-    let mut frames = Vec::new();
-    let mut at = 0usize;
-    while data.len() - at >= 8 {
-        let len = u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(data[at + 4..at + 8].try_into().expect("4 bytes"));
-        let Some(payload) = data.get(at + 8..at + 8 + len) else {
-            break; // short payload: torn tail
-        };
-        if crc32(payload) != crc {
-            break; // torn or corrupt frame
+/// The WAL's record decoder: classifies the frame at the front of
+/// `rest`, pushing it onto `frames` when it is intact.
+fn decode_frame(rest: &[u8], frames: &mut Vec<Frame>) -> Record {
+    let (payload, len) = match frame_payload(rest) {
+        Ok(p) => p,
+        Err(r) => return r,
+    };
+    match parse_frame(payload) {
+        Ok(frame) => {
+            frames.push(frame);
+            Record::Intact(len)
         }
-        let e = Sexp::parse(payload).map_err(DbError::from)?;
-        if e.tag_name() != Some("wal") {
-            return Err(DbError::Decode("expected (wal …) frame".into()));
-        }
-        let seq = e
-            .find_value("seq")
-            .and_then(Sexp::as_u64)
-            .ok_or_else(|| DbError::Decode("wal frame needs (seq n)".into()))?;
-        let op = e
-            .tag_body()
-            .and_then(|body| body.iter().find(|s| s.tag_name() != Some("seq")))
-            .ok_or_else(|| DbError::Decode("wal frame needs an op".into()))
-            .and_then(WalOp::from_sexp)?;
-        at += 8 + len;
-        frames.push(Frame { seq, op });
+        Err(_) => Record::Damaged(len),
     }
-    Ok((frames, at))
+}
+
+fn parse_frame(payload: &[u8]) -> Result<Frame, DbError> {
+    let e = Sexp::parse(payload)?;
+    if e.tag_name() != Some("wal") {
+        return Err(DbError::Decode("expected (wal …) frame".into()));
+    }
+    let seq = e
+        .find_value("seq")
+        .and_then(Sexp::as_u64)
+        .ok_or_else(|| DbError::Decode("wal frame needs (seq n)".into()))?;
+    let op = e
+        .tag_body()
+        .and_then(|body| body.iter().find(|s| s.tag_name() != Some("seq")))
+        .ok_or_else(|| DbError::Decode("wal frame needs an op".into()))
+        .and_then(WalOp::from_sexp)?;
+    Ok(Frame { seq, op })
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> DbError {
@@ -253,21 +276,11 @@ pub struct DurableDatabase {
 struct WalWriter {
     wal_path: PathBuf,
     snap_path: PathBuf,
-    file: File,
+    log: AppendLog,
     next_seq: u64,
+    /// Guards the compaction snapshot write (the log carries its own).
     crash: CrashPoint,
-    sync: bool,
     records_since_snapshot: u64,
-    bytes: u64,
-}
-
-impl WalWriter {
-    fn sync_file(&mut self) -> Result<(), DbError> {
-        self.crash
-            .check()
-            .and_then(|()| if self.sync { self.file.sync_data() } else { Ok(()) })
-            .map_err(|e| io_err("sync", &self.wal_path, e))
-    }
 }
 
 impl DurableDatabase {
@@ -326,12 +339,12 @@ impl DurableDatabase {
         }
 
         // Replay the WAL on top, skipping frames the snapshot covers.
-        let data = match std::fs::read(&wal_path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read", &wal_path, e)),
-        };
-        let (frames, clean_end) = decode_frames(&data)?;
+        let mut frames = Vec::new();
+        let (log, truncated) = AppendLog::open(&wal_path, crash.clone(), |rest| {
+            decode_frame(rest, &mut frames)
+        })
+        .map_err(|e| io_err("open", &wal_path, e))?;
+        recovery.truncated_bytes = truncated;
         for frame in &frames {
             if frame.seq < next_seq {
                 continue; // covered by the snapshot
@@ -350,33 +363,16 @@ impl DurableDatabase {
             recovery.replayed += 1;
         }
 
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .open(&wal_path)
-            .map_err(|e| io_err("open", &wal_path, e))?;
-        if clean_end < data.len() {
-            recovery.truncated_bytes = (data.len() - clean_end) as u64;
-            file.set_len(clean_end as u64)
-                .map_err(|e| io_err("truncate", &wal_path, e))?;
-            file.sync_data().map_err(|e| io_err("sync", &wal_path, e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", &wal_path, e))?;
-
         Ok(DurableDatabase {
             db,
             recovery,
             wal: Some(WalWriter {
                 wal_path,
                 snap_path,
-                file,
+                log,
                 next_seq,
                 crash,
-                sync: true,
                 records_since_snapshot: frames.len() as u64,
-                bytes: clean_end as u64,
             }),
         })
     }
@@ -393,30 +389,22 @@ impl DurableDatabase {
 
     /// Current WAL size in bytes (0 for ephemeral).
     pub fn wal_bytes(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.bytes)
+        self.wal.as_ref().map_or(0, |w| w.log.len())
     }
 
-    /// Disables (or re-enables) the per-mutation fsync.  With sync off a
-    /// crash can lose *recent complete* frames — replay still never
-    /// yields a torn state, only an older consistent one.  Bulk loads
-    /// and benches use this; serving paths leave it on.
-    pub fn set_sync(&mut self, sync: bool) {
-        if let Some(w) = &mut self.wal {
-            w.sync = sync;
-        }
+    /// What the most recent open recovered (all zero for ephemeral).
+    pub fn recovery(&self) -> RecoveryReport {
+        self.recovery
     }
 
     /// Appends `op` to the WAL (fsync included) and then applies it.
     fn log_then_apply(&mut self, op: WalOp) -> Result<usize, DbError> {
         if let Some(w) = &mut self.wal {
-            let frame = encode_frame(w.next_seq, &op);
-            w.crash
-                .write_all(&mut w.file, &frame)
+            w.log
+                .append(&encode_frame(w.next_seq, &op))
                 .map_err(|e| io_err("append", &w.wal_path, e))?;
-            w.sync_file()?;
             w.next_seq += 1;
             w.records_since_snapshot += 1;
-            w.bytes += frame.len() as u64;
         }
         apply(&mut self.db, &op)
     }
@@ -478,34 +466,11 @@ impl DurableDatabase {
         }
         w.crash.check().map_err(|e| io_err("rename", &tmp, e))?;
         std::fs::rename(&tmp, &w.snap_path).map_err(|e| io_err("rename", &tmp, e))?;
-        w.crash.check().map_err(|e| io_err("truncate", &w.wal_path, e))?;
-        w.file
-            .set_len(0)
-            .and_then(|()| w.file.seek(SeekFrom::Start(0)).map(|_| ()))
-            .and_then(|()| w.file.sync_data())
+        w.log
+            .clear()
             .map_err(|e| io_err("truncate", &w.wal_path, e))?;
         w.records_since_snapshot = 0;
-        w.bytes = 0;
         Ok(())
-    }
-}
-
-impl Durable for DurableDatabase {
-    fn storage(&self) -> &Path {
-        self.wal
-            .as_ref()
-            .map_or_else(|| Path::new(""), |w| w.wal_path.as_path())
-    }
-
-    fn recovery(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    fn sync(&mut self) -> Result<(), String> {
-        match &mut self.wal {
-            Some(w) => w.sync_file().map_err(|e| e.to_string()),
-            None => Ok(()),
-        }
     }
 }
 
@@ -537,27 +502,13 @@ fn encode_snapshot(db: &Database, next_seq: u64) -> Result<Vec<u8>, DbError> {
                 .collect(),
         ));
     }
-    let payload = Sexp::tagged("db-snapshot", body).canonical();
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
+    Ok(frame(Sexp::tagged("db-snapshot", body).canonical()))
 }
 
 /// Decodes a snapshot frame into its watermark and `(table, row)` pairs.
 fn decode_snapshot(data: &[u8]) -> Result<(u64, Vec<(String, Vec<Value>)>), DbError> {
-    if data.len() < 8 {
-        return Err(DbError::Decode("snapshot too short".into()));
-    }
-    let len = u32::from_le_bytes(data[..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-    let payload = data
-        .get(8..8 + len)
-        .ok_or_else(|| DbError::Decode("snapshot payload short".into()))?;
-    if crc32(payload) != crc {
-        return Err(DbError::Decode("snapshot checksum mismatch".into()));
-    }
+    let (payload, _) = frame_payload(data)
+        .map_err(|_| DbError::Decode("snapshot frame short or checksum mismatch".into()))?;
     let e = Sexp::parse(payload)?;
     if e.tag_name() != Some("db-snapshot") {
         return Err(DbError::Decode("expected (db-snapshot …)".into()));
@@ -722,18 +673,17 @@ mod tests {
             db.insert("t", vec![Value::text("a"), Value::Int(1)]).unwrap();
             db.insert("t", vec![Value::text("b"), Value::Int(2)]).unwrap();
         }
-        // Flip a payload byte of the FIRST frame: the stream now decodes
-        // to a torn tail at offset 0 followed by data — but replay stops
-        // at the first bad frame and truncation would discard a *good*
-        // later frame.  The stop-at-first-bad-frame policy treats all of
-        // it as tail; state rolls back to the last consistent point.
+        // Flip a payload byte of the FIRST frame: its CRC no longer
+        // matches, and a whole acknowledged frame follows it.  That is not
+        // a torn tail — truncating it would silently drop the good second
+        // frame — so the open must fail and leave the file untouched.
         let wal = base.with_extension("wal");
         let mut data = std::fs::read(&wal).unwrap();
         data[10] ^= 0xff;
         std::fs::write(&wal, &data).unwrap();
-        let db = DurableDatabase::open(&base, schema).unwrap();
-        assert_eq!(rows(&db).len(), 0);
-        assert!(db.recovery().truncated_bytes > 0);
+        let err = DurableDatabase::open(&base, schema).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("damaged record"), "{err}");
+        assert_eq!(std::fs::read(&wal).unwrap(), data, "nothing truncated");
     }
 
     #[test]
@@ -743,7 +693,6 @@ mod tests {
         db.update("t", &Predicate::True, &[("n".into(), Value::Int(2))]).unwrap();
         assert_eq!(db.wal_bytes(), 0);
         db.compact().unwrap();
-        db.sync().unwrap();
         assert_eq!(rows(&db), vec![vec![Value::text("a"), Value::Int(2)]]);
     }
 

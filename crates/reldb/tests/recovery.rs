@@ -14,7 +14,7 @@
 //! must replay to the state one operation earlier.
 
 use proptest::prelude::*;
-use snowflake_core::durable::{CrashPoint, Durable};
+use snowflake_core::durable::CrashPoint;
 use snowflake_reldb::wal::encode_frame;
 use snowflake_reldb::{
     ColumnType, Database, DurableDatabase, Predicate, Schema, Value, WalOp,

@@ -11,32 +11,35 @@
 //! persisted high-water mark: a restarted validator can never re-sign the
 //! past.
 //!
-//! The store is a line-per-record append-only file of transport-encoded
-//! S-expressions — `(crl-serial n)` and `(cert-revoked (hash …))` — with
-//! the same recovery contract as the reldb WAL: a torn final line (the
-//! write the crash interrupted) is truncated on open; a hole anywhere
-//! else is corruption and fails the open.
+//! The store is a reldb [`DurableDatabase`] with two tables: `crl_serial`
+//! (one row per serial ever advanced to) and `revoked` (one row per
+//! revoked certificate hash).  It therefore has the WAL's recovery
+//! contract: a torn final frame (the write the crash interrupted) is
+//! truncated on open; damage anywhere else is corruption and fails the
+//! open — it never comes back with a lower serial.
 
-use snowflake_core::durable::{CrashPoint, Durable, RecoveryReport};
+use snowflake_core::durable::{CrashPoint, RecoveryReport};
 use snowflake_crypto::HashVal;
+use snowflake_reldb::{ColumnType, Database, DurableDatabase, Predicate, Schema, Value};
 use snowflake_sexpr::Sexp;
 use std::collections::BTreeSet;
-use std::fs::File;
-use std::io::{Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Append-only persistence for one validator's revocation authority.
+/// Write-ahead persistence for one validator's revocation authority.
 pub struct ValidatorStore {
-    path: PathBuf,
-    file: File,
+    db: DurableDatabase,
     serial: u64,
     revoked: BTreeSet<HashVal>,
-    recovery: RecoveryReport,
-    crash: CrashPoint,
+}
+
+fn schema(db: &mut Database) {
+    db.create_table("crl_serial", Schema::new(&[("serial", ColumnType::Int)]));
+    db.create_table("revoked", Schema::new(&[("cert", ColumnType::Bytes)]));
 }
 
 impl ValidatorStore {
-    /// Opens (creating or recovering) the store at `path`.
+    /// Opens (creating or recovering) the store rooted at `path`: its WAL
+    /// is `path.with_extension("wal")`.
     pub fn open(path: impl Into<PathBuf>) -> Result<ValidatorStore, String> {
         Self::with_crash_point(path, CrashPoint::inert())
     }
@@ -47,85 +50,36 @@ impl ValidatorStore {
         path: impl Into<PathBuf>,
         crash: CrashPoint,
     ) -> Result<ValidatorStore, String> {
-        let path: PathBuf = path.into();
-        let data = match std::fs::read(&path) {
-            Ok(data) => data,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(format!("read {}: {e}", path.display())),
+        let db = DurableDatabase::open_with_crash_point(path, schema, crash)
+            .map_err(|e| e.to_string())?;
+        let rows = |table: &str| {
+            db.database()
+                .table(table)
+                .and_then(|t| t.select(&Predicate::True, &[]))
+                .map_err(|e| e.to_string())
         };
-
-        let mut serial = 0u64;
-        let mut revoked = BTreeSet::new();
-        let mut recovery = RecoveryReport::default();
-        let mut clean = 0u64;
-        let mut pos = 0usize;
-        while let Some(nl) = data[pos..].iter().position(|&b| b == b'\n') {
-            let line = &data[pos..pos + nl];
-            pos += nl + 1;
-            if line.iter().all(u8::is_ascii_whitespace) {
-                clean = pos as u64;
-                continue;
-            }
-            // A bad line starts the torn tail; it and everything after it
-            // is the interrupted final write and gets truncated.  (Any
-            // *good* line after it never existed: appends are sequential
-            // and fsynced, so the stream is damaged only at its end.)
-            let Ok(record) = Sexp::parse(line) else { break };
-            match record.tag_name() {
-                Some("crl-serial") => {
-                    let Some(n) = record
-                        .tag_body()
-                        .and_then(|b| b.first())
-                        .and_then(Sexp::as_u64)
-                    else {
-                        break;
-                    };
-                    if n <= serial && serial != 0 {
-                        return Err(format!(
-                            "{}: serial went backwards ({serial} then {n})",
-                            path.display()
-                        ));
-                    }
-                    serial = n;
-                }
-                Some("cert-revoked") => {
-                    let Some(Ok(h)) = record
-                        .tag_body()
-                        .and_then(|b| b.first())
-                        .map(HashVal::from_sexp)
-                    else {
-                        break;
-                    };
-                    revoked.insert(h);
-                }
-                _ => break,
-            }
-            recovery.replayed += 1;
-            clean = pos as u64;
-        }
-        recovery.truncated_bytes = data.len() as u64 - clean;
-
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| format!("open {}: {e}", path.display()))?;
-        if recovery.truncated_bytes > 0 {
-            file.set_len(clean)
-                .and_then(|()| file.sync_data())
-                .map_err(|e| format!("truncate {}: {e}", path.display()))?;
-        }
-        file.seek(SeekFrom::Start(clean))
-            .map_err(|e| format!("seek {}: {e}", path.display()))?;
-
+        // Serials are stored as the i64 with the same bits.
+        let serial = rows("crl_serial")?
+            .iter()
+            .filter_map(|r| match r[..] {
+                [Value::Int(n)] => Some(n as u64),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let revoked = rows("revoked")?
+            .iter()
+            .map(|r| match &r[..] {
+                [Value::Bytes(b)] => Sexp::parse(b)
+                    .and_then(|e| HashVal::from_sexp(&e))
+                    .map_err(|e| format!("bad revoked hash: {e}")),
+                _ => Err("bad revoked row".to_string()),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ValidatorStore {
-            path,
-            file,
+            db,
             serial,
             revoked,
-            recovery,
-            crash,
         })
     }
 
@@ -139,15 +93,9 @@ impl ValidatorStore {
         &self.revoked
     }
 
-    /// Crash-guarded durable line write: bytes, then fsync.
-    fn write_line(&mut self, record: Sexp) -> Result<(), String> {
-        let mut line = record.transport().into_bytes();
-        line.push(b'\n');
-        self.crash
-            .write_all(&mut self.file, &line)
-            .and_then(|()| self.crash.check())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("append {}: {e}", self.path.display()))
+    /// What the most recent open recovered.
+    pub fn recovery(&self) -> RecoveryReport {
+        self.db.recovery()
     }
 
     /// Persists `serial` as the new high-water mark — **before** anything
@@ -161,7 +109,9 @@ impl ValidatorStore {
                 self.serial
             ));
         }
-        self.write_line(Sexp::tagged("crl-serial", vec![Sexp::int(serial)]))?;
+        self.db
+            .insert("crl_serial", vec![Value::Int(serial as i64)])
+            .map_err(|e| e.to_string())?;
         self.serial = serial;
         Ok(())
     }
@@ -171,34 +121,28 @@ impl ValidatorStore {
         if self.revoked.contains(cert_hash) {
             return Ok(());
         }
-        self.write_line(Sexp::tagged("cert-revoked", vec![cert_hash.to_sexp()]))?;
+        self.db
+            .insert(
+                "revoked",
+                vec![Value::bytes(cert_hash.to_sexp().canonical())],
+            )
+            .map_err(|e| e.to_string())?;
         self.revoked.insert(cert_hash.clone());
         Ok(())
-    }
-}
-
-impl Durable for ValidatorStore {
-    fn storage(&self) -> &Path {
-        &self.path
-    }
-
-    fn recovery(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    fn sync(&mut self) -> Result<(), String> {
-        self.file.sync_data().map_err(|e| e.to_string())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snowflake_reldb::wal::encode_frame;
+    use snowflake_reldb::WalOp;
 
+    /// A fresh store path whose WAL is the path itself (`<name>.wal`).
     fn store_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sf-valstore-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
+        let path = dir.join(name).with_extension("wal");
         let _ = std::fs::remove_file(&path);
         path
     }
@@ -235,14 +179,15 @@ mod tests {
 
     #[test]
     fn crash_at_every_byte_of_an_advance_is_pre_or_post() {
-        // The exact line a (crl-serial 3) append writes.
-        let line_len = {
-            let mut l = Sexp::tagged("crl-serial", vec![Sexp::int(3)])
-                .transport()
-                .into_bytes();
-            l.push(b'\n');
-            l.len()
-        };
+        // The exact frame advance(3) writes: the third WAL record.
+        let line_len = encode_frame(
+            2,
+            &WalOp::Insert {
+                table: "crl_serial".into(),
+                row: vec![Value::Int(3)],
+            },
+        )
+        .len();
         for cut in 0..=line_len {
             let path = store_path(&format!("crash-{cut}"));
             {
@@ -251,11 +196,9 @@ mod tests {
                 s.advance(2).unwrap();
             }
             {
-                let mut s = ValidatorStore::with_crash_point(
-                    &path,
-                    CrashPoint::after_bytes(cut as u64),
-                )
-                .unwrap();
+                let mut s =
+                    ValidatorStore::with_crash_point(&path, CrashPoint::after_bytes(cut as u64))
+                        .unwrap();
                 let r = s.advance(3);
                 assert_eq!(r.is_err(), cut < line_len, "cut {cut}");
             }
@@ -284,5 +227,24 @@ mod tests {
         assert!(s.recovery().truncated_bytes > 0);
         let s = ValidatorStore::open(&path).unwrap();
         assert_eq!(s.recovery().truncated_bytes, 0);
+    }
+
+    #[test]
+    fn damage_before_the_tail_fails_the_open() {
+        let path = store_path("mid-stream");
+        {
+            let mut s = ValidatorStore::open(&path).unwrap();
+            s.advance(1).unwrap();
+            s.advance(2).unwrap();
+            s.advance(3).unwrap();
+        }
+        // Damage the first advance: two acknowledged advances follow it.
+        // Truncating from there would reopen with serial 0 — a validator
+        // that could re-sign serials 1..=3 — so the open must fail.
+        let mut data = std::fs::read(&path).unwrap();
+        data[10] ^= 0xff;
+        std::fs::write(&path, &data).unwrap();
+        assert!(ValidatorStore::open(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), data, "nothing truncated");
     }
 }

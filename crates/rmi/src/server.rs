@@ -279,7 +279,7 @@ impl RmiServer {
     /// The accept path is split to match where the cost is: the
     /// secure-channel handshake (public-key work, blocking reads) runs as
     /// one offloaded job on a pooled worker, and then the socket — with
-    /// its established [`RecordCrypto`] — is adopted by the reactor,
+    /// its established [`RecordCrypto`](snowflake_channel::RecordCrypto) — is adopted by the reactor,
     /// which parks it between invocations.  An idle authenticated peer
     /// costs a few kilobytes of reactor state instead of a worker, so the
     /// worker budget bounds *concurrent invocations*, not open sessions.

@@ -20,7 +20,7 @@
 //!   reply and posts it back on a completion queue; an `eventfd` wakes
 //!   the reactor, which writes the reply and re-parks the connection.
 //!   At most one frame per connection is in flight.
-//! * Idle deadlines live in a coarse [timer wheel](timer).  A deadline
+//! * Idle deadlines live in a coarse timer wheel (`timer`).  A deadline
 //!   is armed when a connection parks and re-armed only when a complete
 //!   frame's reply has been flushed — a slow-loris client dribbling
 //!   bytes never refreshes its deadline and is reaped on schedule, while

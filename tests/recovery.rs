@@ -23,7 +23,7 @@ use snowflake_audit::{
     genesis_hash, verify_chain, AuditLog, AuditSink, ChainedRecord, FileBackend, LogEntry,
 };
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
-use snowflake_core::durable::{CrashPoint, Durable};
+use snowflake_core::durable::CrashPoint;
 use snowflake_core::{Delegation, HashAlg, Principal, Proof, Tag, Time, Validity};
 use snowflake_crypto::{DetRng, Group, HashVal, KeyPair};
 use snowflake_http::mac::ClientMacSession;
