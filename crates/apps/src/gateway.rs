@@ -25,11 +25,12 @@
 
 use snowflake_core::sync::LockExt;
 use std::sync::{Arc, Mutex};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
-use snowflake_core::{ChainMemo, Principal, Tag, Time, VerifyCtx};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::{Principal, Tag, Time};
 use snowflake_http::{auth, Handler, HttpRequest, HttpResponse};
 use snowflake_reldb::{rows_from_sexp, Value};
 use snowflake_rmi::{RmiClient, RmiError};
+use snowflake_runtime::Surface;
 use snowflake_sexpr::Sexp;
 
 use crate::emaildb::EMAIL_DB_OBJECT;
@@ -39,18 +40,12 @@ pub struct QuotingGateway {
     /// The RMI connection to the database server (secure or local channel —
     /// the gateway "operates identically" over either).
     rmi: Mutex<RmiClient>,
-    clock: fn() -> Time,
-    /// Audit emitter; gateway-level decisions — client verification,
-    /// forwarded grants, re-challenges, backend sheds — are recorded
-    /// through it (surface `gateway`).
-    audit: EmitterSlot,
-    /// Verified-chain memo: "subsequent requests skip the fanfare" — the
-    /// client re-presents the same `R ⇒ C` proof, so repeat verification
-    /// skips the exponentiations.
-    memo: Arc<ChainMemo>,
-    /// Request latency in the per-surface request-duration family under
-    /// `surface="gateway"`.
-    latency: Arc<snowflake_metrics::LatencyHistogram>,
+    /// The `gateway` surface: request latency, the emitter gateway-level
+    /// decisions (client verification, forwarded grants, re-challenges,
+    /// backend sheds) go through, and the memoized verification context
+    /// ("subsequent requests skip the fanfare" — the client re-presents
+    /// the same `R ⇒ C` proof).
+    surface: Arc<Surface>,
 }
 
 impl QuotingGateway {
@@ -58,34 +53,25 @@ impl QuotingGateway {
     pub fn new(rmi: RmiClient, clock: fn() -> Time) -> QuotingGateway {
         QuotingGateway {
             rmi: Mutex::new(rmi),
-            clock,
-            audit: EmitterSlot::new(),
-            memo: Arc::new(ChainMemo::new(256)),
-            latency: snowflake_metrics::request_histogram("gateway"),
+            surface: Arc::new(Surface::new("gateway").with_clock(clock)),
         }
     }
 
-    /// Registers the gateway's chain memo with `registry` under
-    /// `surface="gateway"`; request latency already lands in the shared
-    /// per-surface histogram family at construction.
-    pub fn register_metrics(&self, registry: &snowflake_metrics::Registry) {
-        self.memo.register_metrics(registry, "gateway");
+    /// The surface this gateway decides, audits, and measures on.
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.surface
     }
 
-    /// The gateway's verified-chain memo (exposed for counters and for
-    /// registering it with a revocation bus).
-    pub fn chain_memo(&self) -> Arc<ChainMemo> {
-        Arc::clone(&self.memo)
+    /// Registers the gateway's chain memo with `registry` under
+    /// `surface="gateway"`; request latency lands in the shared
+    /// per-surface histogram family on first use.
+    pub fn register_metrics(&self, registry: &snowflake_metrics::Registry) {
+        self.surface.register_metrics(registry);
     }
 
     /// Attaches an audit emitter recording this gateway's decisions.
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.audit.set(emitter);
-    }
-
-    /// Emits an audit event, building it only when an emitter is attached.
-    fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.audit.emit_with(build);
+        self.surface.set_audit_emitter(emitter);
     }
 
     /// Parses `/mail/<owner>/<folder>` paths.
@@ -105,7 +91,7 @@ impl QuotingGateway {
         let r_principal = auth::request_principal(req, snowflake_core::HashAlg::Sha256);
         let conclusion = proof.conclusion();
         let client = conclusion.issuer.clone();
-        let ctx = VerifyCtx::at((self.clock)()).with_chain_memo(Arc::clone(&self.memo));
+        let ctx = self.surface.verify_ctx(self.surface.now());
         ctx.authorize(&proof, &r_principal, &client, &Tag::Star)
             .map_err(|e| format!("client request proof rejected: {e}"))?;
         Ok(client)
@@ -150,9 +136,9 @@ impl QuotingGateway {
             Err(e) if e.is_busy() => {
                 // The backend shed the call: record the gateway's own
                 // shed decision (the 503 it maps the BUSY fault to).
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.surface.now(),
                         "gateway",
                         Decision::Shed,
                         EMAIL_DB_OBJECT,
@@ -210,7 +196,7 @@ impl QuotingGateway {
 
 impl Handler for QuotingGateway {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
-        let _timer = self.latency.start_timer();
+        let _timer = self.surface.latency().start_timer();
         let Some((owner, folder)) = Self::parse_path(&req.path) else {
             return HttpResponse::not_found();
         };
@@ -229,9 +215,9 @@ impl Handler for QuotingGateway {
                 match self.try_invoke(placeholder, &method, args.clone()) {
                     Ok(Ok(_)) => unreachable!("placeholder cannot hold authority"),
                     Ok(Err((issuer, tag))) => {
-                        self.audit(|| {
+                        self.surface.audit(|| {
                             DecisionEvent::new(
-                                (self.clock)(),
+                                self.surface.now(),
                                 "gateway",
                                 Decision::Deny,
                                 &req.path,
@@ -252,9 +238,9 @@ impl Handler for QuotingGateway {
             Some(_) => match self.verify_client(req) {
                 Ok(c) => c,
                 Err(e) => {
-                    self.audit(|| {
+                    self.surface.audit(|| {
                         DecisionEvent::new(
-                            (self.clock)(),
+                            self.surface.now(),
                             "gateway",
                             Decision::Deny,
                             &req.path,
@@ -277,12 +263,12 @@ impl Handler for QuotingGateway {
             Ok(Ok(value)) => {
                 // The database (seeing G|C end to end) said yes; record the
                 // gateway's side of the granted transaction.
-                self.audit(|| {
+                self.surface.audit(|| {
                     let certs = auth::extract_proof(req)
                         .map(|p| p.cert_hashes())
                         .unwrap_or_default();
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.surface.now(),
                         "gateway",
                         Decision::Grant,
                         &req.path,
@@ -306,9 +292,9 @@ impl Handler for QuotingGateway {
             }
             Ok(Err((issuer, tag))) => {
                 // Still unauthorized: re-challenge (e.g. wrong owner).
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.surface.now(),
                         "gateway",
                         Decision::Deny,
                         &req.path,

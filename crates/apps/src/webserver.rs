@@ -282,7 +282,7 @@ mod tests {
                 delegable: false,
             };
             // The handling servlet's verifier vouches the test assumption.
-            docs.base_ctx().assume(&stmt);
+            docs.surface().base_ctx().assume(&stmt);
             snowflake_http::auth::attach_proof(
                 &mut est,
                 &Proof::Assumption {
@@ -310,7 +310,7 @@ mod tests {
                 validity: Validity::always(),
                 delegable: false,
             };
-            docs.base_ctx().assume(&stmt);
+            docs.surface().base_ctx().assume(&stmt);
             snowflake_http::auth::attach_proof(
                 &mut est,
                 &Proof::Assumption {

@@ -254,7 +254,7 @@ fn http_servlet_mac_and_shed_surfaces_audited() {
             validity: Validity::until(Time(2_000_000)),
             delegable: false,
         };
-        servlet.base_ctx().assume(&stmt);
+        servlet.surface().base_ctx().assume(&stmt);
         snowflake_http::auth::attach_proof(
             &mut req,
             &Proof::Assumption {
@@ -277,7 +277,7 @@ fn http_servlet_mac_and_shed_surfaces_audited() {
         validity: Validity::until(Time(1_003_000)),
         delegable: false,
     };
-    servlet.base_ctx().assume(&stmt);
+    servlet.surface().base_ctx().assume(&stmt);
     snowflake_http::auth::attach_proof(
         &mut est,
         &Proof::Assumption {
@@ -564,4 +564,81 @@ fn audit_service_queries_over_rmi() {
     drop(client);
     drop(server);
     serve_thread.join().unwrap();
+}
+
+/// The `/metrics` exporter's listener sheds are audited through the
+/// emitter its caller attaches to the endpoint: server and endpoint share
+/// one `metrics` surface (same technique as the servlet's TCP shed
+/// above: a saturated pool sheds the scrape with a 503).
+#[test]
+fn metrics_listener_sheds_reach_the_endpoint_emitter() {
+    let sink = fresh_sink("metrics-shed", Box::new(MemoryBackend::new(0)));
+    let runtime = snowflake_runtime::ServerRuntime::new(PoolConfig::new("audit-metrics", 1, 1));
+    let gate = Gate::closed();
+    let g = Arc::clone(&gate);
+    runtime.pool().submit(move || g.wait()).unwrap();
+    wait_for(|| runtime.stats().in_flight == 1);
+    let g = Arc::clone(&gate);
+    runtime.pool().submit(move || g.wait()).unwrap(); // fills the queue
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (_handle, endpoint) = snowflake_http::serve_metrics(listener, &runtime, fixed_clock).unwrap();
+    endpoint.set_audit_emitter(Arc::clone(&sink) as Arc<dyn AuditEmitter>);
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut req = HttpRequest::get(snowflake_http::METRICS_PATH);
+    req.set_header("Connection", "close");
+    req.write_to(&mut stream).unwrap();
+    let shed = snowflake_http::HttpResponse::read_from(&mut std::io::BufReader::new(stream))
+        .unwrap()
+        .expect("a shed scrape still hears a reply");
+    assert_eq!(shed.status, 503);
+    gate.open();
+    runtime.shutdown();
+
+    sink.flush();
+    let sheds = sink
+        .log()
+        .query(&AuditQuery::all().surface("metrics"))
+        .unwrap()
+        .into_iter()
+        .filter(|r| r.event.decision == Decision::Shed)
+        .count();
+    assert_eq!(sheds, 1, "the metrics shed is audited once");
+}
+
+/// The email database's row-scoped checks audit both outcomes: an
+/// applied operation is a grant, a refused one a deny.
+#[test]
+fn emaildb_grants_and_denies_are_audited() {
+    use snowflake_rmi::{CallerInfo, Invocation, RemoteObject};
+
+    let sink = fresh_sink("emaildb", Box::new(MemoryBackend::new(0)));
+    let db = EmailDb::new(Principal::message(b"emaildb-owner"));
+    db.set_audit_emitter(Arc::clone(&sink) as Arc<dyn AuditEmitter>);
+    let caller = CallerInfo {
+        speaker: Principal::message(b"emaildb-caller"),
+        channel: snowflake_core::ChannelId {
+            kind: "test".into(),
+            id: snowflake_crypto::HashVal::of(b"emaildb-channel"),
+        },
+    };
+    let call = |method: &str| Invocation {
+        object: EMAIL_DB_OBJECT.into(),
+        method: method.into(),
+        args: vec![Sexp::from("alice")],
+        quoting: None,
+    };
+    assert!(db.invoke(&call("select"), &caller).is_ok());
+    assert!(db.invoke(&call("drop_table"), &caller).is_err());
+
+    sink.flush();
+    let decisions: Vec<Decision> = sink
+        .log()
+        .query(&AuditQuery::all().surface("emaildb"))
+        .unwrap()
+        .into_iter()
+        .map(|r| r.event.decision)
+        .collect();
+    assert_eq!(decisions, vec![Decision::Grant, Decision::Deny]);
 }

@@ -22,11 +22,12 @@
 //! body refused fail-closed — emits a [`DecisionEvent`].
 
 use crate::json::{self, Json};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
-use snowflake_core::{Principal, Time, VerifyCtx};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::{Principal, Time};
 use snowflake_crypto::HashVal;
 use snowflake_http::{Handler, HttpRequest, HttpResponse};
 use snowflake_prover::Prover;
+use snowflake_runtime::Surface;
 use snowflake_sexpr::Sexp;
 use snowflake_tags::path_vector::{self, ActionTable};
 use std::collections::HashMap;
@@ -175,15 +176,11 @@ pub struct AuthzVerdict {
 pub struct AuthzEndpoint {
     prover: Arc<Prover>,
     namespaces: Mutex<HashMap<String, NamespaceAuthority>>,
-    emitter: EmitterSlot,
-    clock: fn() -> Time,
-    /// Verified-chain memo: the same (subject, issuer, tag) question
-    /// typically resolves to the same proof, so re-verification skips the
-    /// exponentiations.  Evicted by certificate hash on revocation push.
-    memo: Arc<snowflake_core::ChainMemo>,
-    /// Question-answering latency
-    /// (`sf_request_duration_seconds{surface="authz"}`).
-    latency: Arc<snowflake_metrics::LatencyHistogram>,
+    /// The `authz` surface: question-answering latency, the emitter every
+    /// verdict goes through, and the memoized verification context (the
+    /// same question typically resolves to the same proof; a revocation
+    /// source attached here is consulted by every verification).
+    surface: Arc<Surface>,
 }
 
 impl AuthzEndpoint {
@@ -198,23 +195,20 @@ impl AuthzEndpoint {
         Arc::new(AuthzEndpoint {
             prover,
             namespaces: Mutex::new(HashMap::new()),
-            emitter: EmitterSlot::new(),
-            clock,
-            memo: Arc::new(snowflake_core::ChainMemo::new(1024)),
-            latency: snowflake_metrics::request_histogram("authz"),
+            surface: Arc::new(Surface::new("authz").with_clock(clock)),
         })
+    }
+
+    /// The surface this endpoint decides, audits, and measures on (e.g.
+    /// to attach a revocation source or wire it to revocation push).
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.surface
     }
 
     /// Registers this endpoint's verified-chain memo in a metrics
     /// registry under `sf_chain_memo_*{surface="authz"}`.
     pub fn register_metrics(&self, registry: &snowflake_metrics::Registry) {
-        self.memo.register_metrics(registry, "authz");
-    }
-
-    /// The endpoint's verified-chain memo (exposed for counters and for
-    /// registering it with a revocation bus).
-    pub fn chain_memo(&self) -> Arc<snowflake_core::ChainMemo> {
-        Arc::clone(&self.memo)
+        self.surface.register_metrics(registry);
     }
 
     /// Registers (or replaces) the authority for an object namespace.
@@ -227,11 +221,7 @@ impl AuthzEndpoint {
 
     /// Attaches an audit emitter; every verdict is recorded through it.
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.emitter.set(emitter);
-    }
-
-    fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.emitter.emit_with(build);
+        self.surface.set_audit_emitter(emitter);
     }
 
     /// Answers one parsed question.  Denials never explain more than the
@@ -257,13 +247,14 @@ impl AuthzEndpoint {
         drop(namespaces);
         let subject = req.subject_principal();
         let tag = path_vector::request_tag(&req.object_ns, &path, &req.action);
-        let now = (self.clock)();
+        let now = self.surface.now();
         let Some(proof) = self.prover.find_proof(&subject, &issuer, &tag, now) else {
             return deny("no delegation chain from issuer to subject");
         };
         // The prover's graph may hold edges that have gone stale since
-        // insertion; the proof must still verify end-to-end.
-        let ctx = VerifyCtx::at(now).with_chain_memo(Arc::clone(&self.memo));
+        // insertion (or rest on revoked certificates); the proof must
+        // still verify end-to-end against the surface's revocation data.
+        let ctx = self.surface.verify_ctx(now);
         if let Err(e) = ctx.authorize(&proof, &subject, &issuer, &tag) {
             return deny(&format!("proof failed verification: {e}"));
         }
@@ -282,9 +273,9 @@ impl AuthzEndpoint {
             Ok(p) => p,
             Err(reason) => {
                 // Malformed body: fail closed, record the refusal.
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.surface.now(),
                         "authz",
                         Decision::Deny,
                         "malformed-request",
@@ -300,9 +291,9 @@ impl AuthzEndpoint {
             }
         };
         let verdict = self.evaluate(&parsed);
-        self.audit(|| {
+        self.surface.audit(|| {
             DecisionEvent::new(
-                (self.clock)(),
+                self.surface.now(),
                 "authz",
                 if verdict.allowed {
                     Decision::Grant
@@ -327,7 +318,7 @@ impl AuthzEndpoint {
 
 impl Handler for AuthzEndpoint {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
-        let _timer = self.latency.start_timer();
+        let _timer = self.surface.latency().start_timer();
         self.answer(req)
     }
 }

@@ -22,10 +22,10 @@
 //! by the reactor and dropped here.
 
 use snowflake_channel::{TcpTransport, Transport};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
-use snowflake_core::{ChainMemo, Epoch, Principal, Proof, ProvenanceMap, Time, VerifyCtx};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::{Epoch, Principal, Proof, ProvenanceMap, Time};
 use snowflake_crypto::HashVal;
-use snowflake_metrics::{request_histogram, LatencyHistogram, Registry, Sample};
+use snowflake_metrics::{Registry, Sample};
 use snowflake_prover::Prover;
 use snowflake_revocation::RevocationBus;
 use snowflake_runtime::{Accepted, ListenerHandle, ServerRuntime, SinkHandle, SubmitError, Surface};
@@ -144,18 +144,17 @@ pub struct TopicBroker {
     subs: ProvenanceMap<u64, Subscription>,
     next_id: AtomicU64,
     counters: Counters,
-    emitter: EmitterSlot,
-    clock: fn() -> Time,
-    /// Verified-chain memo: re-subscribes and reconnects present the same
-    /// proof chain, so repeat verification skips the exponentiations.
-    /// Evicted by certificate hash on revocation push, alongside the
-    /// stream cuts.
-    memo: Arc<ChainMemo>,
-    /// Subscribe-path latency (handshake + in-process subscribe), in the
-    /// per-surface request-duration family under `surface="broker-sub"`.
-    sub_latency: Arc<LatencyHistogram>,
-    /// Publish acceptance latency, under `surface="broker-publish"`.
-    publish_latency: Arc<LatencyHistogram>,
+    /// The `broker-sub` surface: the subscribe listener, subscribe-path
+    /// latency (handshake + in-process subscribe), and the memoized
+    /// verification context (re-subscribes present the same chain; a
+    /// revocation source attached here is consulted on every decision).
+    sub: Arc<Surface>,
+    /// The `broker-publish` sibling: publish acceptance latency and
+    /// publish sheds.
+    publish: Surface,
+    /// The `broker-push` sibling every subscriber sink is adopted under:
+    /// stalled sinks are shed on it, revocation cuts audited on it.
+    push: Arc<Surface>,
 }
 
 impl TopicBroker {
@@ -180,6 +179,9 @@ impl TopicBroker {
         table: ActionTable,
         clock: fn() -> Time,
     ) -> Arc<TopicBroker> {
+        let sub = Surface::new("broker-sub")
+            .with_clock(clock)
+            .with_shed_reply(|detail| frame_with_len(&deny_sexp(detail).canonical()));
         Arc::new(TopicBroker {
             runtime,
             prover,
@@ -197,18 +199,16 @@ impl TopicBroker {
                 pruned: AtomicU64::new(0),
                 cut_streams: AtomicU64::new(0),
             },
-            emitter: EmitterSlot::new(),
-            clock,
-            memo: Arc::new(ChainMemo::new(1024)),
-            sub_latency: request_histogram("broker-sub"),
-            publish_latency: request_histogram("broker-publish"),
+            publish: sub.sibling("broker-publish"),
+            push: Arc::new(sub.sibling("broker-push")),
+            sub: Arc::new(sub),
         })
     }
 
     /// Registers the broker's counters and gauges with `registry`: the
     /// live subscriber gauge, the `sf_broker_*` counters behind
     /// [`TopicBroker::stats`], and the chain memo under
-    /// `surface="broker"`.  Dropping the broker retires its collector
+    /// `surface="broker-sub"`.  Dropping the broker retires its collector
     /// output on the next scrape.
     pub fn register_metrics(self: &Arc<Self>, registry: &Registry) {
         registry.set_help("sf_broker_subscribers", "Live subscriptions parked on the broker");
@@ -243,22 +243,20 @@ impl TopicBroker {
                 out.push(Sample::counter("sf_broker_cut_streams_total", &[], s.cut_streams));
             }),
         );
-        self.memo.register_metrics(registry, "broker");
+        self.sub.register_metrics(registry);
     }
 
-    /// The broker's verified-chain memo (exposed for counters).
-    pub fn chain_memo(&self) -> Arc<ChainMemo> {
-        Arc::clone(&self.memo)
+    /// The subscribe surface (e.g. to attach a revocation source); its
+    /// `broker-publish` and `broker-push` siblings share its emitter and
+    /// verification context.
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.sub
     }
 
     /// Attaches an audit emitter; grants, denials, sheds, prunes, and
     /// revocation cuts are recorded through it.
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.emitter.set(emitter);
-    }
-
-    fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.emitter.emit_with(build);
+        self.sub.set_audit_emitter(emitter);
     }
 
     /// The namespace this broker serves.
@@ -287,9 +285,9 @@ impl TopicBroker {
     /// Counts and audits one refused subscribe.
     fn deny(&self, subject: &Principal, path: &[&str], why: &SubscribeError) {
         self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-        self.audit(|| {
+        self.sub.audit(|| {
             DecisionEvent::new(
-                (self.clock)(),
+                self.sub.now(),
                 "broker-sub",
                 Decision::Deny,
                 &self.topic_string(path),
@@ -314,8 +312,8 @@ impl TopicBroker {
         let token = self.subs.epoch();
         let verdict = if self.table.permits(path, "subscribe") {
             let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
-            VerifyCtx::at((self.clock)())
-                .with_chain_memo(Arc::clone(&self.memo))
+            self.sub
+                .verify_ctx(self.sub.now())
                 .authorize(proof, subject, &self.issuer, &tag)
                 .map_err(|e| SubscribeError::Unauthorized(e.to_string()))
         } else {
@@ -343,7 +341,7 @@ impl TopicBroker {
             subject: subject.clone(),
             sink,
         };
-        if !self.subs.insert(token, id, sub, Arc::clone(&certs), None, (self.clock)()) {
+        if !self.subs.insert(token, id, sub, Arc::clone(&certs), None, self.sub.now()) {
             let raced = SubscribeError::Unauthorized(
                 "a revocation landed since the proof was verified; present it again".into(),
             );
@@ -351,9 +349,9 @@ impl TopicBroker {
             return Err(raced);
         }
         self.counters.subscribes.fetch_add(1, Ordering::SeqCst);
-        self.audit(|| {
+        self.sub.audit(|| {
             DecisionEvent::new(
-                (self.clock)(),
+                self.sub.now(),
                 "broker-sub",
                 Decision::Grant,
                 &self.topic_string(path),
@@ -377,7 +375,7 @@ impl TopicBroker {
         proof: &Proof,
         sink: Arc<dyn SubscriberSink>,
     ) -> Result<u64, SubscribeError> {
-        let _timer = self.sub_latency.start_timer();
+        let _timer = self.sub.latency().start_timer();
         let token = self.decide(&subject, path, proof)?;
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         self.register(token, id, subject, path, proof, sink)
@@ -395,7 +393,7 @@ impl TopicBroker {
             return Err(SubscribeError::NoSuchTopic);
         }
         let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
-        let now = (self.clock)();
+        let now = self.sub.now();
         let Some(proof) = self.prover.find_proof(&subject, &self.issuer, &tag, now) else {
             let no_chain =
                 SubscribeError::Unauthorized("no delegation chain from issuer to subject".into());
@@ -415,23 +413,18 @@ impl TopicBroker {
     /// in the per-surface ledger and audited — instead of queueing.
     /// Returns `Ok` once the fan-out is *accepted*, not delivered.
     pub fn publish(self: &Arc<Self>, path: &[&str], data: &[u8]) -> Result<(), SubmitError> {
-        let _timer = self.publish_latency.start_timer();
+        let _timer = self.publish.latency().start_timer();
         let owned: Vec<String> = path.iter().map(|s| s.to_string()).collect();
         let permit = match self.runtime.pool().try_permit() {
             Ok(p) => p,
             Err(e) => {
                 self.counters.shed_publishes.fetch_add(1, Ordering::SeqCst);
-                self.runtime.shed_ledger().record("broker-publish");
-                self.audit(|| {
-                    DecisionEvent::new(
-                        (self.clock)(),
-                        "broker-publish",
-                        Decision::Shed,
-                        &self.topic_string(&owned),
-                        "publish",
-                        "worker pool saturated; publish shed",
-                    )
-                });
+                self.runtime.shed_ledger().record(self.publish.name());
+                self.publish.audit_shed(
+                    &self.topic_string(&owned),
+                    "publish",
+                    "worker pool saturated; publish shed",
+                );
                 return Err(e);
             }
         };
@@ -460,27 +453,30 @@ impl TopicBroker {
                 dead.push(id);
             }
         }
+        // A sink the reactor shed for stalling was already pruned (and
+        // its shed audited) by its stall callback; what is left here died
+        // some other way.
         for id in dead {
-            self.prune(id, "push sink dead at delivery");
-        }
-    }
-
-    /// Removes a subscription whose sink died, recording why.
-    fn prune(&self, id: u64, detail: &str) {
-        if let Some(sub) = self.subs.remove(&id) {
-            self.counters.pruned.fetch_add(1, Ordering::SeqCst);
-            self.audit(|| {
+            let Some(sub) = self.prune(id) else { continue };
+            self.push.audit(|| {
                 DecisionEvent::new(
-                    (self.clock)(),
+                    self.push.now(),
                     "broker-push",
                     Decision::Shed,
                     &self.topic_string(&sub.topic),
                     "publish",
-                    detail,
+                    "push sink dead at delivery",
                 )
                 .with_subject(sub.subject.clone())
             });
         }
+    }
+
+    /// Removes (and counts) a subscription whose sink died.
+    fn prune(&self, id: u64) -> Option<Subscription> {
+        let sub = self.subs.remove(&id)?;
+        self.counters.pruned.fetch_add(1, Ordering::SeqCst);
+        Some(sub)
     }
 
     /// Registers a subscribe listener on the runtime's reactor.  Each
@@ -493,29 +489,11 @@ impl TopicBroker {
         listener: TcpListener,
     ) -> io::Result<ListenerHandle> {
         // Long-lived reactor closures hold a Weak: `Arc<TopicBroker>`
-        // would cycle (broker → runtime → reactor → surfaces → broker).
+        // would cycle (broker → runtime → reactor → listeners → broker).
         let broker = Arc::downgrade(self);
-        let shed_broker = Arc::downgrade(self);
-        let surface = Surface::new("broker-sub")
-            .with_shed_reply(|detail| frame_with_len(&deny_sexp(detail).canonical()))
-            .with_on_shed(move |detail| {
-                if let Some(b) = shed_broker.upgrade() {
-                    let detail = detail.to_string();
-                    b.audit(|| {
-                        DecisionEvent::new(
-                            (b.clock)(),
-                            "broker-sub",
-                            Decision::Shed,
-                            "tcp-accept",
-                            "subscribe",
-                            &detail,
-                        )
-                    });
-                }
-            });
         self.runtime.reactor().register_listener(
             listener,
-            surface,
+            Arc::clone(&self.sub),
             Box::new(move || {
                 let broker = broker.clone();
                 Accepted::Offload(Box::new(move |stream, reactor, _surface| {
@@ -530,7 +508,7 @@ impl TopicBroker {
     /// reads ride a dup of the socket so the original fd can be adopted
     /// into the reactor once the grant is decided.
     fn handshake(self: &Arc<Self>, stream: std::net::TcpStream, reactor: &Arc<snowflake_runtime::Reactor>) {
-        let _timer = self.sub_latency.start_timer();
+        let _timer = self.sub.latency().start_timer();
         let Ok(dup) = stream.try_clone() else { return };
         let mut transport = TcpTransport::new(dup);
         let _ = transport.set_read_timeout(Some(SUBSCRIBE_TIMEOUT));
@@ -539,9 +517,9 @@ impl TopicBroker {
             Ok(parts) => parts,
             Err(reason) => {
                 self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-                self.audit(|| {
+                self.sub.audit(|| {
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.sub.now(),
                         "broker-sub",
                         Decision::Deny,
                         "malformed-request",
@@ -563,16 +541,17 @@ impl TopicBroker {
                 return;
             }
         };
-        // Park the original fd write-only; the per-subscriber surface
-        // audits the reactor's own sheds (stall cap) and prunes here.
+        // Park the original fd write-only under the shared push surface;
+        // the reactor counts and audits a stall there, and the callback
+        // drops the subscription.
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let stall_broker = Arc::downgrade(self);
-        let push_surface = Surface::new("broker-push").with_on_shed(move |detail| {
+        let on_stall = Box::new(move || {
             if let Some(b) = stall_broker.upgrade() {
-                b.prune(id, detail);
+                b.prune(id);
             }
         });
-        let sink = match reactor.adopt_sink(stream, push_surface) {
+        let sink = match reactor.adopt_sink(stream, Arc::clone(&self.push), Some(on_stall)) {
             Ok(s) => Arc::new(s),
             Err(_) => {
                 let _ = transport.send(&deny_sexp("shutting down").canonical());
@@ -604,16 +583,16 @@ impl RevocationBus for TopicBroker {
     fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
         // Drop memoized chains first so no re-subscribe can ride a stale
         // verification while the stream cuts below are in flight.
-        self.memo.evict_cert(cert_hash);
+        self.sub.chain_memo().evict_cert(cert_hash);
         let cut = self.subs.evict_cert(cert_hash);
         // Close and audit outside any lock: `close` wakes the reactor
         // and emitters may do real work.
         for (_, sub, certs) in &cut {
             sub.sink.close();
             self.counters.cut_streams.fetch_add(1, Ordering::SeqCst);
-            self.audit(|| {
+            self.push.audit(|| {
                 DecisionEvent::new(
-                    (self.clock)(),
+                    self.push.now(),
                     "broker-push",
                     Decision::Revoke,
                     &self.topic_string(&sub.topic),

@@ -11,11 +11,13 @@ use snowflake_broker::{
     TopicBroker,
 };
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
-use snowflake_core::{Principal, Time, Validity};
+use snowflake_core::{Certificate, Delegation, Principal, Proof, RevocationPolicy, Time, Validity};
 use snowflake_crypto::{DetRng, Group, KeyPair};
-use snowflake_http::{HttpClient, HttpRequest, HttpServer};
+use snowflake_http::{Handler, HttpClient, HttpRequest, HttpServer};
 use snowflake_prover::Prover;
-use snowflake_revocation::RevocationBus;
+use snowflake_revocation::{
+    FreshnessAgent, InProcessValidator, RevocationBus, ValidatorService, DEFAULT_CRL_WINDOW,
+};
 use snowflake_runtime::{PoolConfig, ServerRuntime};
 use snowflake_crypto::HashVal;
 use snowflake_tags::path_vector::{grant_tag, request_tag, ActionTable, PathPattern};
@@ -764,4 +766,144 @@ fn wait_for(cond: impl Fn() -> bool) {
         assert!(Instant::now() < deadline, "condition never held");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// A grant from the namespace issuer to `subject` whose certificate
+/// names `validator` in a CRL revocation policy, loaded into a fresh
+/// prover; returns the prover and the certificate's hash.
+fn crl_policy_grant(
+    issuer_kp: &KeyPair,
+    subject: &Principal,
+    validator: &ValidatorService,
+    actions: &[&str],
+    pattern: &[&str],
+) -> (Arc<Prover>, HashVal) {
+    let mut rng = DetRng::new(b"crl-policy-grant");
+    let cert = Certificate::issue_with_revocation(
+        issuer_kp,
+        Delegation {
+            subject: subject.clone(),
+            issuer: Principal::key(&issuer_kp.public),
+            tag: grant_tag(OBJECT_NS, &PathPattern::parse(pattern), actions),
+            validity: Validity::always(),
+            delegable: false,
+        },
+        Some(RevocationPolicy::Crl {
+            validator: validator.validator_hash(),
+        }),
+        &mut |b| rng.fill(b),
+    );
+    let hash = cert.hash();
+    let mut prng = DetRng::new(b"crl-policy-prover");
+    let prover = Arc::new(Prover::with_rng(Box::new(move |b| prng.fill(b))));
+    prover.add_proof(Proof::signed_cert(cert));
+    (prover, hash)
+}
+
+/// A freshness agent that refetches on every `refresh_due` (a lead of a
+/// whole CRL window), fed in-process by `validator`.  No push bus is
+/// wired anywhere it is used: what it knows, it learned by pulling.
+fn pulling_agent(validator: &Arc<ValidatorService>) -> Arc<FreshnessAgent> {
+    let agent = FreshnessAgent::with_pacing(test_now, DEFAULT_CRL_WINDOW, 0, 0);
+    agent.register_validator(
+        validator.validator_hash(),
+        Arc::new(InProcessValidator(Arc::clone(validator))),
+    );
+    agent
+}
+
+fn crl_validator() -> Arc<ValidatorService> {
+    let mut rng = DetRng::new(b"crl-policy-validator-rng");
+    ValidatorService::with_clock(kp(b"crl-policy-validator"), test_now, Box::new(move |b| rng.fill(b)))
+}
+
+/// `/authz` consults revocation data through its surface: a chain whose
+/// certificate carries a CRL policy is refused while no CRL is known,
+/// granted once a freshness agent is attached to the surface, and refused
+/// again once the validator revokes it and the agent pulls the new list.
+#[test]
+fn authz_consults_the_crl_of_an_attached_agent() {
+    let issuer_kp = kp(b"crl-authz-issuer");
+    let issuer = Principal::key(&issuer_kp.public);
+    let validator = crl_validator();
+    let (prover, cert) = crl_policy_grant(
+        &issuer_kp,
+        &account("alice"),
+        &validator,
+        &["read"],
+        &["rooms", "*"],
+    );
+    let endpoint = AuthzEndpoint::with_clock(prover, test_now);
+    endpoint.add_namespace(
+        OBJECT_NS,
+        NamespaceAuthority {
+            issuer,
+            table: conference_table(),
+        },
+    );
+    let ask = || {
+        let req = HttpRequest::post("/authz", authz_body("alice", &["rooms", "r1"], "read"));
+        String::from_utf8(endpoint.handle(&req).body).unwrap()
+    };
+
+    let before = ask();
+    assert!(before.contains("no current CRL"), "{before}");
+
+    let agent = pulling_agent(&validator);
+    endpoint.surface().set_revocation_source(agent.clone());
+    assert_eq!(agent.refresh_due(), 1);
+    assert_eq!(ask(), "{\"result\":\"allow\"}");
+
+    validator.revoke(cert);
+    assert_eq!(agent.refresh_due(), 1);
+    let after = ask();
+    assert!(after.contains("certificate is on the CRL"), "{after}");
+}
+
+/// The broker's subscribe decision consults the same: granted under an
+/// attached agent's CRL, refused after the revocation is pulled.
+#[test]
+fn subscribe_consults_the_crl_of_an_attached_agent() {
+    let issuer_kp = kp(b"crl-broker-issuer");
+    let issuer = Principal::key(&issuer_kp.public);
+    let validator = crl_validator();
+    let bob = account("bob");
+    let (prover, cert) = crl_policy_grant(
+        &issuer_kp,
+        &bob,
+        &validator,
+        &["subscribe"],
+        &["rooms", "*", "events"],
+    );
+    let runtime = ServerRuntime::new(PoolConfig::new("broker-crl", 1, 4));
+    let broker = TopicBroker::with_clock(
+        Arc::clone(&runtime),
+        prover,
+        OBJECT_NS,
+        issuer,
+        conference_table(),
+        test_now,
+    );
+    let topic = ["rooms", "r1", "events"];
+    let subscribe = || broker.subscribe_local(bob.clone(), &topic, MemSink::new());
+
+    match subscribe() {
+        Err(SubscribeError::Unauthorized(why)) => assert!(why.contains("no current CRL"), "{why}"),
+        other => panic!("no CRL known yet, got {other:?}"),
+    }
+
+    let agent = pulling_agent(&validator);
+    broker.surface().set_revocation_source(agent.clone());
+    assert_eq!(agent.refresh_due(), 1);
+    assert!(subscribe().is_ok());
+
+    validator.revoke(cert);
+    assert_eq!(agent.refresh_due(), 1);
+    match subscribe() {
+        Err(SubscribeError::Unauthorized(why)) => {
+            assert!(why.contains("certificate is on the CRL"), "{why}")
+        }
+        other => panic!("revoked and pulled, got {other:?}"),
+    }
+    runtime.shutdown();
 }

@@ -496,6 +496,10 @@ impl Proof {
     ///
     /// "The step of matching a request to a proof automatically disregards
     /// expired conclusions."
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the unmemoized reference `VerifyCtx::authorize` is proven against"
+    )]
     pub fn authorizes(
         &self,
         speaker: &Principal,

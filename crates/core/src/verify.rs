@@ -279,6 +279,10 @@ impl VerifyCtx {
     /// to [`Proof::verify`] — only successes are memoized, and the memo
     /// key pins everything the cold path would consult (see
     /// [`VerifyCtx::memo_fingerprint`]).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the memo's own cold path: the one sanctioned caller of `Proof::verify`"
+    )]
     pub fn verify_cached(&self, proof: &Proof) -> Result<(), ProofError> {
         let Some(memo) = &self.memo else {
             return proof.verify(self);

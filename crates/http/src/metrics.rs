@@ -8,15 +8,17 @@
 //!
 //! [`MetricsEndpoint`] is a [`Handler`] serving the Prometheus text
 //! exposition format from one consistent point-in-time snapshot
-//! ([`Registry::render`]); [`serve_metrics`] is the one-call production
-//! shape: a dedicated [`HttpServer`] on the reactor whose sheds, audit
-//! events, and request latency all land under `surface="metrics"`.
+//! ([`snowflake_metrics::Registry::render`]); [`serve_metrics`] is the
+//! one-call production shape: a dedicated [`HttpServer`] on the reactor
+//! sharing one `metrics` [`Surface`] with its endpoint, so sheds, scrape
+//! decisions, and request latency all land under `surface="metrics"`
+//! through the one emitter the endpoint's caller attaches.
 
 use crate::message::{HttpRequest, HttpResponse};
 use crate::server::{Handler, HttpServer};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::Time;
-use snowflake_metrics::Registry;
+use snowflake_runtime::Surface;
 use std::sync::Arc;
 
 /// The content type Prometheus scrapers expect.
@@ -25,13 +27,12 @@ pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// The path the exporter serves.
 pub const METRICS_PATH: &str = "/metrics";
 
-/// A [`Handler`] rendering a [`Registry`] as the Prometheus text
-/// exposition format.  GET only; every scrape (and every refused
-/// method) is audited on the `metrics` surface.
+/// A [`Handler`] rendering the process-global
+/// [`snowflake_metrics::Registry`] as the Prometheus text exposition
+/// format.  GET only; every scrape (and every refused method) is
+/// audited on the `metrics` surface.
 pub struct MetricsEndpoint {
-    registry: &'static Registry,
-    audit: EmitterSlot,
-    clock: fn() -> Time,
+    surface: Arc<Surface>,
 }
 
 impl MetricsEndpoint {
@@ -43,32 +44,25 @@ impl MetricsEndpoint {
 
     /// An endpoint with an injected clock (tests).
     pub fn with_clock(clock: fn() -> Time) -> Arc<MetricsEndpoint> {
-        Self::with_registry(snowflake_metrics::global(), clock)
-    }
-
-    /// An endpoint over an explicit registry (tests render private
-    /// registries; production uses [`snowflake_metrics::global`]).
-    pub fn with_registry(registry: &'static Registry, clock: fn() -> Time) -> Arc<MetricsEndpoint> {
         Arc::new(MetricsEndpoint {
-            registry,
-            audit: EmitterSlot::new(),
-            clock,
+            surface: Arc::new(Surface::new("metrics").with_clock(clock)),
         })
     }
 
-    /// Attaches an audit emitter; every scrape decision goes through it
+    /// Attaches an audit emitter; every scrape decision — and, under
+    /// [`serve_metrics`], every shed of its listener — goes through it
     /// (`surface: metrics`).
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.audit.set(emitter);
+        self.surface.set_audit_emitter(emitter);
     }
 }
 
 impl Handler for MetricsEndpoint {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         if req.method != "GET" {
-            self.audit.emit_with(|| {
+            self.surface.audit(|| {
                 DecisionEvent::new(
-                    (self.clock)(),
+                    self.surface.now(),
                     "metrics",
                     Decision::Deny,
                     METRICS_PATH,
@@ -78,10 +72,10 @@ impl Handler for MetricsEndpoint {
             });
             return HttpResponse::status(405, "Method Not Allowed", "GET only");
         }
-        let body = self.registry.render();
-        self.audit.emit_with(|| {
+        let body = snowflake_metrics::global().render();
+        self.surface.audit(|| {
             DecisionEvent::new(
-                (self.clock)(),
+                self.surface.now(),
                 "metrics",
                 Decision::Grant,
                 METRICS_PATH,
@@ -96,15 +90,18 @@ impl Handler for MetricsEndpoint {
 /// Attaches a dedicated metrics [`HttpServer`] to the runtime's reactor:
 /// `GET /metrics` on `listener` serves the process-global registry, with
 /// reactor-level sheds counted and audited under `surface="metrics"`
-/// like every other serving surface.  Returns the listener handle and
-/// the endpoint (so callers can attach an audit emitter).
+/// like every other serving surface.  Server and endpoint share one
+/// surface, so the emitter attached through the returned endpoint also
+/// records the listener's sheds.
 pub fn serve_metrics(
     listener: std::net::TcpListener,
     runtime: &Arc<snowflake_runtime::ServerRuntime>,
     clock: fn() -> Time,
 ) -> std::io::Result<(snowflake_runtime::ListenerHandle, Arc<MetricsEndpoint>)> {
-    let endpoint = MetricsEndpoint::with_clock(clock);
     let server = HttpServer::with_surface("metrics", clock);
+    let endpoint = Arc::new(MetricsEndpoint {
+        surface: Arc::clone(server.surface()),
+    });
     server.route(METRICS_PATH, Arc::clone(&endpoint) as Arc<dyn Handler>);
     let handle = server.attach_to_reactor(listener, runtime)?;
     Ok((handle, endpoint))

@@ -15,12 +15,13 @@ use crate::auth;
 use crate::mac::{MacSessionStore, MAC_SESSION_PATH};
 use crate::message::{HttpRequest, HttpResponse};
 use std::sync::Mutex;
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::{
-    Certificate, ChainMemo, Delegation, HashAlg, HashVal, Principal, Proof, ProvenanceMap, Tag,
-    Time, Validity, VerifyCtx,
+    Certificate, Delegation, HashAlg, HashVal, Principal, Proof, ProvenanceMap, Tag, Time,
+    Validity, VerifyCtx,
 };
 use snowflake_crypto::KeyPair;
+use snowflake_runtime::Surface;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
@@ -46,77 +47,52 @@ where
 /// baselines; the minimal tier is in `snowflake-bench`).
 pub struct HttpServer {
     routes: Mutex<Vec<(String, Arc<dyn Handler>)>>,
-    /// Audit emitter for accept-path decisions (sheds); servlet-level
-    /// grant/deny decisions are emitted by the servlets themselves.
-    audit: EmitterSlot,
-    /// Timestamps shed audit events (injected in tests, like every other
-    /// decision point's clock).
-    clock: fn() -> Time,
-    /// The surface name this server sheds, audits, and measures under
+    /// The surface this server sheds, audits, and measures under
     /// (`"http"` for application servers; the `/metrics` exporter runs a
-    /// dedicated server under `"metrics"`).
-    surface: &'static str,
-    /// Request latency, recorded around every routed dispatch into the
-    /// process-global `sf_request_duration_seconds{surface=...}` family.
-    latency: Arc<snowflake_metrics::LatencyHistogram>,
-}
-
-impl Default for HttpServer {
-    fn default() -> HttpServer {
-        HttpServer {
-            routes: Mutex::new(Vec::new()),
-            audit: EmitterSlot::new(),
-            clock: Time::now,
-            surface: "http",
-            latency: snowflake_metrics::request_histogram("http"),
-        }
-    }
+    /// dedicated server under `"metrics"`).  Servlet-level grant/deny
+    /// decisions are made on the servlets' own surfaces.
+    surface: Arc<Surface>,
 }
 
 impl HttpServer {
     /// Creates an empty server.
     pub fn new() -> Arc<HttpServer> {
-        Arc::new(HttpServer::default())
+        Self::with_clock(Time::now)
     }
 
     /// Creates an empty server with an injected clock for its audit
     /// events (tests and benches).
     pub fn with_clock(clock: fn() -> Time) -> Arc<HttpServer> {
-        Arc::new(HttpServer {
-            clock,
-            ..HttpServer::default()
-        })
+        Self::with_surface("http", clock)
     }
 
     /// Creates an empty server shedding, auditing, and measuring under a
     /// dedicated surface name instead of `"http"` (the `/metrics`
     /// exporter rides the reactor under `"metrics"` this way).
-    pub fn with_surface(surface: &'static str, clock: fn() -> Time) -> Arc<HttpServer> {
+    pub fn with_surface(name: &str, clock: fn() -> Time) -> Arc<HttpServer> {
+        let surface = Surface::new(name).with_clock(clock).with_shed_reply(|detail| {
+            let detail = if detail == "worker pool saturated" {
+                "server busy"
+            } else {
+                detail
+            };
+            Self::response_bytes(&Self::overloaded_response(detail))
+        });
         Arc::new(HttpServer {
-            clock,
-            surface,
-            latency: snowflake_metrics::request_histogram(surface),
-            ..HttpServer::default()
+            routes: Mutex::new(Vec::new()),
+            surface: Arc::new(surface),
         })
     }
 
-    /// Attaches an audit emitter; accept-loop sheds are recorded through
-    /// it (`surface: http`, `decision: shed`).
-    pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.audit.set(emitter);
+    /// The surface this server sheds, audits, and measures under.
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.surface
     }
 
-    fn audit_shed(&self, detail: &str) {
-        self.audit.emit_with(|| {
-            DecisionEvent::new(
-                (self.clock)(),
-                self.surface,
-                Decision::Shed,
-                "tcp-accept",
-                "connect",
-                detail,
-            )
-        });
+    /// Attaches an audit emitter; reactor sheds are recorded through it
+    /// (`surface: http`, `decision: shed`).
+    pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
+        self.surface.set_audit_emitter(emitter);
     }
 
     /// Mounts a handler at a path prefix (longest prefix wins).
@@ -133,7 +109,7 @@ impl HttpServer {
 
     /// Produces the response for one request (no I/O).
     pub fn respond(&self, req: &HttpRequest) -> HttpResponse {
-        let start = std::time::Instant::now();
+        let _timer = self.surface.latency().start_timer();
         // Resolve the handler and release the routes lock before dispatch:
         // handlers may be slow (gateway RMI round-trips) or panic, and
         // neither should stall or poison routing for other connections.
@@ -144,12 +120,10 @@ impl HttpServer {
                 .find(|(prefix, _)| req.path.starts_with(prefix.as_str()))
                 .map(|(_, h)| Arc::clone(h))
         };
-        let resp = match handler {
+        match handler {
             Some(h) => h.handle(req),
             None => HttpResponse::not_found(),
-        };
-        self.latency.record(start.elapsed());
-        resp
+        }
     }
 
     /// Serves one connection (possibly multiple keep-alive requests).
@@ -216,21 +190,10 @@ impl HttpServer {
         listener: TcpListener,
         runtime: &Arc<snowflake_runtime::ServerRuntime>,
     ) -> std::io::Result<snowflake_runtime::ListenerHandle> {
-        let audit = Arc::clone(self);
-        let surface = snowflake_runtime::Surface::new(self.surface)
-            .with_on_shed(move |detail| audit.audit_shed(detail))
-            .with_shed_reply(|detail| {
-                let detail = if detail == "worker pool saturated" {
-                    "server busy"
-                } else {
-                    detail
-                };
-                Self::response_bytes(&Self::overloaded_response(detail))
-            });
         let server = Arc::clone(self);
         runtime.reactor().register_listener(
             listener,
-            surface,
+            Arc::clone(&self.surface),
             Box::new(move || {
                 snowflake_runtime::Accepted::Park(Box::new(HttpConnDriver {
                     server: Arc::clone(&server),
@@ -391,15 +354,12 @@ pub struct ProtectedServlet<S: SnowflakeService> {
     /// instant its cached conclusion stops holding.
     verified: ProvenanceMap<HashVal, Principal>,
     stats: StatCounters,
-    base_ctx: Mutex<VerifyCtx>,
-    clock: fn() -> Time,
     rng: Mutex<Box<dyn FnMut(&mut [u8]) + Send>>,
-    /// Audit emitter; every grant and deny this servlet decides goes
-    /// through it (surfaces `http` and `http-mac`).
-    audit: EmitterSlot,
-    /// Request latency across both the MAC fast path and the
-    /// signed-request path (`sf_request_duration_seconds{surface="servlet"}`).
-    latency: Arc<snowflake_metrics::LatencyHistogram>,
+    /// The `servlet` surface: latency across both the MAC fast path and
+    /// the signed-request path, the memoized verification context, and
+    /// the emitter every grant and deny goes through (audited under
+    /// `http` and `http-mac`).
+    surface: Arc<Surface>,
 }
 
 impl<S: SnowflakeService> ProtectedServlet<S> {
@@ -431,51 +391,26 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             macs,
             verified: ProvenanceMap::bounded(IDENT_CACHE_CAPACITY),
             stats: StatCounters::default(),
-            // Every servlet verifies through a verified-chain memo by
-            // default: re-presented proof chains (streams of distinct
-            // requests under one delegation) skip the exponentiations.
-            base_ctx: Mutex::new(
-                VerifyCtx::at(clock()).with_chain_memo(Arc::new(ChainMemo::new(1024))),
-            ),
-            clock,
             rng: Mutex::new(rng),
-            audit: EmitterSlot::new(),
-            latency: snowflake_metrics::request_histogram("servlet"),
+            surface: Arc::new(Surface::new("servlet").with_clock(clock)),
         })
+    }
+
+    /// The surface this servlet decides, audits, and measures on (e.g.
+    /// to install CRLs or attach a revocation source).
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.surface
     }
 
     /// Attaches an audit emitter recording this servlet's decisions.
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.audit.set(emitter);
-    }
-
-    /// Emits an audit event, building it only when an emitter is attached
-    /// (the build closure may clone principals and provenance).
-    fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.audit.emit_with(build);
-    }
-
-    /// The revocation epoch this servlet currently decides against.
-    fn revocation_epoch(&self) -> u64 {
-        self.base_ctx.plock().revocation_epoch()
+        self.surface.set_audit_emitter(emitter);
     }
 
     /// The servlet's MAC session store (shared with other servlets when
     /// constructed via [`ProtectedServlet::with_store`]).
     pub fn mac_store(&self) -> &Arc<MacSessionStore> {
         &self.macs
-    }
-
-    /// Access to the shared verification context (e.g. to install CRLs).
-    pub fn base_ctx(&self) -> std::sync::MutexGuard<'_, VerifyCtx> {
-        self.base_ctx.plock()
-    }
-
-    /// Attaches a pluggable revocation source (e.g. a freshness agent) to
-    /// every verification this servlet performs.  Sources answer from their
-    /// own cache, so the request hot path never blocks on a fetch.
-    pub fn set_revocation_source(&self, source: Arc<dyn snowflake_core::RevocationSource>) {
-        self.base_ctx.plock().set_revocation_source(source);
     }
 
     /// Evicts every warm-cache entry that depended on the certificate with
@@ -485,17 +420,9 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     /// revocation lands, no cached state keeps honoring the dead
     /// delegation, and no full-cache flush is needed.
     pub fn invalidate_cert(&self, cert_hash: &HashVal) -> usize {
-        let mut dropped = self.verified.evict_cert(cert_hash).len();
-        if let Some(memo) = self.base_ctx.plock().chain_memo() {
-            dropped += memo.evict_cert(cert_hash);
-        }
-        dropped + self.macs.evict_by_cert(cert_hash)
-    }
-
-    /// The verified-chain memo every verification of this servlet consults
-    /// (exposed for counters and shared wiring).
-    pub fn chain_memo(&self) -> Option<Arc<ChainMemo>> {
-        self.base_ctx.plock().chain_memo().cloned()
+        self.verified.evict_cert(cert_hash).len()
+            + self.surface.chain_memo().evict_cert(cert_hash)
+            + self.macs.evict_by_cert(cert_hash)
     }
 
     /// Current statistics.
@@ -509,17 +436,11 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         }
     }
 
-    /// The verified-chain memo's counters — the operator-facing snapshot
-    /// of this surface's memo hit ratio (zeroes if the memo was detached).
-    pub fn memo_stats(&self) -> snowflake_core::MemoStats {
-        self.chain_memo().map(|m| m.stats()).unwrap_or_default()
-    }
-
     /// Registers scrape-time callbacks exposing [`ServletStats`] under
     /// `sf_servlet_*` (collector id `"servlet"`) plus the servlet's
     /// verified-chain memo under
     /// `sf_chain_memo_*{surface="servlet"}` — the same counters
-    /// [`stats`](Self::stats) and [`memo_stats`](Self::memo_stats) read.
+    /// [`stats`](Self::stats) and the surface's memo read.
     pub fn register_metrics(self: &Arc<Self>, registry: &snowflake_metrics::Registry)
     where
         S: 'static,
@@ -545,9 +466,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 out.push(Sample::counter("sf_servlet_challenges_total", &[], s.challenges));
             }),
         );
-        if let Some(memo) = self.chain_memo() {
-            memo.register_metrics(registry, "servlet");
-        }
+        self.surface.register_metrics(registry);
     }
 
     /// Clears the identical-request cache (benchmarks use this to force the
@@ -568,7 +487,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             .verified
             .get(hash, now, |speaker, certs| (speaker.clone(), Arc::clone(certs)))?;
         self.stats.ident_hits.fetch_add(1, Ordering::Relaxed);
-        self.audit(|| {
+        self.surface.audit(|| {
             DecisionEvent::new(
                 now,
                 "http",
@@ -579,7 +498,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             )
             .with_subject(speaker.clone())
             .with_certs(certs.to_vec())
-            .with_epoch(self.revocation_epoch())
+            .with_epoch(self.surface.revocation_epoch())
         });
         Some(speaker)
     }
@@ -587,7 +506,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     fn authorize_signed(&self, req: &HttpRequest) -> Result<Principal, HttpResponse> {
         let issuer = self.service.issuer(req);
         let request_tag = self.service.min_tag(req);
-        let now = (self.clock)();
+        let now = self.surface.now();
 
         // Identical-request fast path *before* any proof parsing (the
         // cheapest bar of Figure 8's client-authorization group).
@@ -605,7 +524,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
 
         let Some(proof) = auth::extract_proof(req) else {
             self.stats.challenges.fetch_add(1, Ordering::Relaxed);
-            self.audit(|| {
+            self.surface.audit(|| {
                 DecisionEvent::new(
                     now,
                     "http",
@@ -614,7 +533,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                     &req.method,
                     "challenge: no proof presented",
                 )
-                .with_epoch(self.revocation_epoch())
+                .with_epoch(self.surface.revocation_epoch())
             });
             return Err(auth::challenge(&issuer, &request_tag));
         };
@@ -643,8 +562,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         // served — the same benign race exists for a request verified an
         // instant before the revocation.)
         let token = self.verified.epoch();
-        let mut ctx = self.base_ctx.plock().clone();
-        ctx.now = now;
+        let ctx = self.surface.verify_ctx(now);
         match ctx.authorize(&proof, &speaker, &issuer, &request_tag) {
             Ok(()) => {
                 self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
@@ -660,7 +578,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                     Some(expiry),
                     now,
                 );
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
                         now,
                         "http",
@@ -676,7 +594,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 Ok(speaker)
             }
             Err(e) => {
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
                         now,
                         "http",
@@ -702,7 +620,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         req.header(auth::MAC_ID_HEADER)?;
         let request_tag = self.service.min_tag(req);
         let result =
-            auth::authorize_mac(&self.macs, req, &request_tag, self.hash_alg, (self.clock)())?;
+            auth::authorize_mac(&self.macs, req, &request_tag, self.hash_alg, self.surface.now())?;
         match result {
             Ok((speaker, grant)) => {
                 // The grant names the issuer the establishment proof was
@@ -710,9 +628,9 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 // must match *this* service's issuer, or a session from one
                 // service would authorize requests another issuer controls.
                 if grant.issuer != self.service.issuer(req) {
-                    self.audit(|| {
+                    self.surface.audit(|| {
                         DecisionEvent::new(
-                            (self.clock)(),
+                            self.surface.now(),
                             "http-mac",
                             Decision::Deny,
                             &req.path,
@@ -720,16 +638,16 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                             "session speaks for a different issuer",
                         )
                         .with_subject(speaker.clone())
-                        .with_epoch(self.revocation_epoch())
+                        .with_epoch(self.surface.revocation_epoch())
                     });
                     return Some(Err(HttpResponse::forbidden(
                         "MAC rejected: session speaks for a different issuer",
                     )));
                 }
                 self.stats.mac_hits.fetch_add(1, Ordering::Relaxed);
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.surface.now(),
                         "http-mac",
                         Decision::Grant,
                         &req.path,
@@ -737,21 +655,21 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                         "mac-session",
                     )
                     .with_subject(speaker.clone())
-                    .with_epoch(self.revocation_epoch())
+                    .with_epoch(self.surface.revocation_epoch())
                 });
                 Some(Ok(speaker))
             }
             Err(e) => {
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
-                        (self.clock)(),
+                        self.surface.now(),
                         "http-mac",
                         Decision::Deny,
                         &req.path,
                         &req.method,
                         &format!("MAC rejected: {e}"),
                     )
-                    .with_epoch(self.revocation_epoch())
+                    .with_epoch(self.surface.revocation_epoch())
                 });
                 Some(Err(HttpResponse::forbidden(&format!("MAC rejected: {e}"))))
             }
@@ -768,16 +686,16 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     fn authorize_and_establish(&self, req: &HttpRequest) -> HttpResponse {
         let Some(proof) = auth::extract_proof(req) else {
             self.stats.challenges.fetch_add(1, Ordering::Relaxed);
-            self.audit(|| {
+            self.surface.audit(|| {
                 DecisionEvent::new(
-                    (self.clock)(),
+                    self.surface.now(),
                     "http-mac",
                     Decision::Deny,
                     &req.path,
                     "ESTABLISH",
                     "challenge: no establishment proof",
                 )
-                .with_epoch(self.revocation_epoch())
+                .with_epoch(self.surface.revocation_epoch())
             });
             // Challenge with this service's issuer as a hint; the proof may
             // target any issuer the client can build a chain to.
@@ -791,7 +709,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             _ => self.hash_alg,
         };
         let speaker = auth::request_principal(req, alg);
-        let now = (self.clock)();
+        let now = self.surface.now();
         // Establishment is open to any provable chain, so sessions must be
         // bounded or strangers could grow the store with never-expiring
         // entries the sweeps cannot reclaim.  Real clients sign
@@ -799,7 +717,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         match conclusion.validity.not_after {
             Some(t) if t <= now.plus(MAX_MAC_SESSION_LIFE) => {}
             _ => {
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
                         now,
                         "http-mac",
@@ -809,7 +727,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                         "unbounded establishment validity",
                     )
                     .with_subject(speaker.clone())
-                    .with_epoch(self.revocation_epoch())
+                    .with_epoch(self.surface.revocation_epoch())
                 });
                 return HttpResponse::forbidden(&format!(
                     "MAC establishment requires a validity bounded to {MAX_MAC_SESSION_LIFE} s"
@@ -820,8 +738,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         // establishment then refuses the session instead of minting one
         // from a superseded verdict.
         let token = self.macs.epoch();
-        let mut ctx = self.base_ctx.plock().clone();
-        ctx.now = now;
+        let ctx = self.surface.verify_ctx(now);
         match ctx.authorize(&proof, &speaker, &conclusion.issuer, &conclusion.tag) {
             Ok(()) => {
                 self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
@@ -833,7 +750,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 };
                 match established {
                     Ok(reply) => {
-                        self.audit(|| {
+                        self.surface.audit(|| {
                             DecisionEvent::new(
                                 now,
                                 "http-mac",
@@ -849,7 +766,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                         HttpResponse::ok("application/sexp", reply)
                     }
                     Err(e) => {
-                        self.audit(|| {
+                        self.surface.audit(|| {
                             DecisionEvent::new(
                                 now,
                                 "http-mac",
@@ -867,7 +784,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 }
             }
             Err(e) => {
-                self.audit(|| {
+                self.surface.audit(|| {
                     DecisionEvent::new(
                         now,
                         "http-mac",
@@ -887,7 +804,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
 
 impl<S: SnowflakeService> Handler for ProtectedServlet<S> {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
-        let _timer = self.latency.start_timer();
+        let _timer = self.surface.latency().start_timer();
         // MAC-authenticated fast path.
         if let Some(result) = self.try_mac(req) {
             return match result {

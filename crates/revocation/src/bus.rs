@@ -10,11 +10,12 @@
 //! restart.
 
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
-use snowflake_core::{ChainMemo, Time};
+use snowflake_core::Time;
 use snowflake_crypto::HashVal;
 use snowflake_http::{MacSessionStore, ProtectedServlet, SnowflakeService};
 use snowflake_prover::Prover;
 use snowflake_rmi::RmiServer;
+use snowflake_runtime::Surface;
 use std::sync::Arc;
 
 /// A warm cache that can evict everything built from one certificate.
@@ -30,9 +31,11 @@ impl RevocationBus for Prover {
     }
 }
 
-impl RevocationBus for ChainMemo {
+/// Every surface is wired to revocation push the same way: its memo
+/// drops the chains built on the dead certificate.
+impl RevocationBus for Surface {
     fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        self.evict_cert(cert_hash)
+        self.chain_memo().evict_cert(cert_hash)
     }
 }
 

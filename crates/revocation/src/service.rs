@@ -20,6 +20,7 @@ use snowflake_core::sync::LockExt;
 use snowflake_core::{Crl, Principal, Revalidation, Time, Validity};
 use snowflake_crypto::{HashVal, KeyPair, PublicKey};
 use snowflake_rmi::{CallerInfo, Invocation, RemoteObject, RmiFault};
+use snowflake_runtime::Surface;
 use snowflake_sexpr::Sexp;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -55,21 +56,23 @@ pub trait PushSink: Send {
 /// Each frame is a 4-byte big-endian length prefix around the delta's
 /// canonical S-expression — what [`read_delta`] over a `TcpTransport`
 /// expects on the verifier side.  A remote that stalls past the
-/// reactor's per-sink buffer cap is shed (counted per-surface in the
-/// runtime's shed ledger under `revocation-push`) and its socket closed;
-/// the next broadcast then sees `push` fail and drops the subscription.
+/// reactor's per-sink buffer cap is shed (counted and audited by the
+/// reactor on its service's `revocation-push` surface) and its socket
+/// closed; the next broadcast then sees `push` fail and drops the
+/// subscription.
 pub struct ReactorSink {
     handle: snowflake_runtime::SinkHandle,
 }
 
 impl ReactorSink {
-    /// Parks `stream` in `runtime`'s reactor as a write-only push sink.
+    /// Parks `stream` in `runtime`'s reactor as a write-only push sink
+    /// under `surface`, shared by every sink of one service.
     pub fn new(
         stream: std::net::TcpStream,
         runtime: &Arc<snowflake_runtime::ServerRuntime>,
+        surface: &Arc<Surface>,
     ) -> std::io::Result<ReactorSink> {
-        let surface = snowflake_runtime::Surface::new("revocation-push");
-        let handle = runtime.reactor().adopt_sink(stream, surface)?;
+        let handle = runtime.reactor().adopt_sink(stream, Arc::clone(surface), None)?;
         Ok(ReactorSink { handle })
     }
 }
@@ -117,6 +120,9 @@ pub struct ValidatorService {
     subscribers: Mutex<Vec<Box<dyn PushSink>>>,
     stats: Mutex<ValidatorStats>,
     rng: Mutex<Box<dyn FnMut(&mut [u8]) + Send>>,
+    /// The `revocation-push` surface every [`ReactorSink`] is adopted
+    /// under.
+    push: Arc<Surface>,
 }
 
 impl ValidatorService {
@@ -187,6 +193,7 @@ impl ValidatorService {
             subscribers: Mutex::new(Vec::new()),
             stats: Mutex::new(ValidatorStats::default()),
             rng: Mutex::new(rng),
+            push: Arc::new(Surface::new("revocation-push").with_clock(clock)),
         })
     }
 
@@ -382,7 +389,7 @@ impl ValidatorService {
         stream: std::net::TcpStream,
         runtime: &Arc<snowflake_runtime::ServerRuntime>,
     ) -> std::io::Result<()> {
-        let sink = ReactorSink::new(stream, runtime)?;
+        let sink = ReactorSink::new(stream, runtime, &self.push)?;
         self.subscribe(Box::new(sink));
         Ok(())
     }

@@ -96,7 +96,7 @@ fn revalidation_policy_revoke_mid_session_over_http() {
         fixed_clock,
         det("reval-servlet"),
     );
-    servlet.set_revocation_source(agent.clone());
+    servlet.surface().set_revocation_source(agent.clone());
     agent.add_bus(servlet.clone());
 
     let runtime = ServerRuntime::new(PoolConfig::new("reval-web", 2, 4));

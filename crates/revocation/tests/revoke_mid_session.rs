@@ -118,7 +118,7 @@ fn webserver_denies_next_request_after_push() {
 
     // Wire the subsystem: the agent feeds verification and invalidates the
     // servlet's warm caches on push.
-    servlet.set_revocation_source(agent.clone());
+    servlet.surface().set_revocation_source(agent.clone());
     agent.add_bus(servlet.clone());
 
     // Alice and Bob each hold a revocable delegation from the owner.
@@ -194,7 +194,7 @@ fn mac_session_stops_authorizing_after_push() {
     let service = ProtectedWebService::new(issuer.clone(), "files", vfs);
     let subtree = service.subtree_tag("/docs/");
     let servlet = ProtectedServlet::with_clock(service, fixed_clock, det("mac-servlet"));
-    servlet.set_revocation_source(agent.clone());
+    servlet.surface().set_revocation_source(agent.clone());
     agent.add_bus(servlet.clone());
 
     let establish = |seed: &str, prover: &Prover| -> ClientMacSession {
@@ -299,7 +299,7 @@ fn emaildb_denies_next_call_after_push() {
         }
     }
     db_server.register(EMAIL_DB_OBJECT, Arc::new(email));
-    db_server.set_revocation_source(agent.clone());
+    db_server.surface().set_revocation_source(agent.clone());
     agent.add_bus(db_server.clone());
 
     // Broker-vouched local channels for both users.
@@ -425,7 +425,7 @@ fn gateway_denies_next_request_after_push() {
             .unwrap();
     }
     db_server.register(EMAIL_DB_OBJECT, Arc::new(email));
-    db_server.set_revocation_source(agent.clone());
+    db_server.surface().set_revocation_source(agent.clone());
     agent.add_bus(db_server.clone());
 
     // Gateway connected to the database over broker-vouched local channels.
@@ -522,7 +522,7 @@ fn reissued_certificate_restores_access() {
     let service = ProtectedWebService::new(issuer.clone(), "files", vfs);
     let subtree = service.subtree_tag("/docs/");
     let servlet = ProtectedServlet::with_clock(service, fixed_clock, det("reissue-servlet"));
-    servlet.set_revocation_source(agent.clone());
+    servlet.surface().set_revocation_source(agent.clone());
     agent.add_bus(servlet.clone());
 
     let carol = kp("carol");

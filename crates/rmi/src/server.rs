@@ -4,12 +4,12 @@ use snowflake_core::sync::LockExt;
 use crate::proto::{Invocation, RmiFault, RmiReply, PROOF_RECIPIENT};
 use std::sync::Mutex;
 use snowflake_channel::AuthChannel;
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::{
-    ChainMemo, ChannelId, Delegation, HashVal, Principal, Proof, ProvenanceMap, Tag, Time,
-    Validity, VerifyCtx,
+    ChannelId, Delegation, HashVal, Principal, Proof, ProvenanceMap, Tag, Time, Validity,
 };
 use snowflake_crypto::PublicKey;
+use snowflake_runtime::Surface;
 use snowflake_sexpr::Sexp;
 use std::collections::HashMap;
 use std::io;
@@ -102,15 +102,11 @@ pub struct RmiServer {
     cache: ProvenanceMap<Principal, Arc<[CachedProof]>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Base context cloned per connection (carries revocation data).
-    base_ctx: Mutex<VerifyCtx>,
-    clock: fn() -> Time,
-    /// Audit emitter; every `check_auth` verdict, proof receipt, and
-    /// connection shed is recorded through it (surface `rmi`).
-    audit: EmitterSlot,
-    /// Invocation latency (`sf_request_duration_seconds{surface="rmi"}`),
-    /// recorded around every dispatch.
-    latency: Arc<snowflake_metrics::LatencyHistogram>,
+    /// The `rmi` surface: invocation latency, the memoized verification
+    /// context every proof receipt starts from (carries revocation data),
+    /// and the emitter every `check_auth` verdict, proof receipt, and
+    /// connection shed is recorded through.
+    surface: Arc<Surface>,
 }
 
 impl RmiServer {
@@ -127,31 +123,19 @@ impl RmiServer {
             cache: ProvenanceMap::bounded(PROOF_CACHE_SUBJECTS),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            // Proof verification goes through a verified-chain memo:
-            // reconnecting clients re-submitting a known chain skip the
-            // exponentiations.
-            base_ctx: Mutex::new(
-                VerifyCtx::at(clock()).with_chain_memo(Arc::new(ChainMemo::new(1024))),
-            ),
-            clock,
-            audit: EmitterSlot::new(),
-            latency: snowflake_metrics::request_histogram("rmi"),
+            surface: Arc::new(Surface::new("rmi").with_clock(clock)),
         })
+    }
+
+    /// The surface this server decides, audits, and measures on (e.g. to
+    /// install CRLs or attach a revocation source).
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.surface
     }
 
     /// Attaches an audit emitter recording this server's decisions.
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.audit.set(emitter);
-    }
-
-    /// Emits an audit event, building it only when an emitter is attached.
-    fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.audit.emit_with(build);
-    }
-
-    /// The revocation epoch this server currently decides against.
-    fn revocation_epoch(&self) -> u64 {
-        self.base_ctx.plock().revocation_epoch()
+        self.surface.set_audit_emitter(emitter);
     }
 
     /// Registers an object served *without* authorization.
@@ -173,11 +157,6 @@ impl RmiServer {
         self.objects.plock().insert(name.to_string(), object);
     }
 
-    /// Installs revocation data shared by all connections.
-    pub fn base_ctx(&self) -> std::sync::MutexGuard<'_, VerifyCtx> {
-        self.base_ctx.plock()
-    }
-
     /// Proof-cache statistics.
     pub fn cache_stats(&self) -> ProofCacheStats {
         ProofCacheStats {
@@ -187,17 +166,11 @@ impl RmiServer {
         }
     }
 
-    /// The verified-chain memo's counters — the operator-facing snapshot
-    /// of this surface's memo hit ratio (zeroes if the memo was detached).
-    pub fn memo_stats(&self) -> snowflake_core::MemoStats {
-        self.chain_memo().map(|m| m.stats()).unwrap_or_default()
-    }
-
     /// Registers scrape-time callbacks exposing [`ProofCacheStats`]
     /// under `sf_rmi_*` (collector id `"rmi"`) plus the server's
     /// verified-chain memo under `sf_chain_memo_*{surface="rmi"}` — the
-    /// same counters [`cache_stats`](Self::cache_stats) and
-    /// [`memo_stats`](Self::memo_stats) read.
+    /// same counters [`cache_stats`](Self::cache_stats) and the surface's
+    /// memo read.
     pub fn register_metrics(self: &Arc<Self>, registry: &snowflake_metrics::Registry) {
         use snowflake_metrics::Sample;
         registry.set_help(
@@ -215,23 +188,12 @@ impl RmiServer {
                 out.push(Sample::counter("sf_rmi_proof_cache_misses_total", &[], s.misses));
             }),
         );
-        if let Some(memo) = self.chain_memo() {
-            memo.register_metrics(registry, "rmi");
-        }
+        self.surface.register_metrics(registry);
     }
 
     /// Drops all cached proofs (benchmarks use this to force re-submission).
     pub fn forget_proofs(&self) {
         self.cache.clear();
-    }
-
-    /// Attaches a pluggable revocation source (e.g. a freshness agent)
-    /// consulted by every connection's verification context.
-    pub fn set_revocation_source(
-        &self,
-        source: std::sync::Arc<dyn snowflake_core::RevocationSource>,
-    ) {
-        self.base_ctx.plock().set_revocation_source(source);
     }
 
     /// Drops every subject's cached proofs when one of them depended on
@@ -241,22 +203,13 @@ impl RmiServer {
     /// rejects against the fresh CRL.  Unrelated subjects keep answering;
     /// no flush, no restart.
     pub fn invalidate_cert(&self, cert_hash: &HashVal) -> usize {
-        let mut evicted: usize = self
+        let evicted: usize = self
             .cache
             .evict_cert(cert_hash)
             .iter()
             .map(|(_, list, _)| list.len())
             .sum();
-        if let Some(memo) = self.base_ctx.plock().chain_memo() {
-            evicted += memo.evict_cert(cert_hash);
-        }
-        evicted
-    }
-
-    /// The verified-chain memo this server's verifications consult
-    /// (exposed for counters and shared wiring).
-    pub fn chain_memo(&self) -> Option<Arc<ChainMemo>> {
-        self.base_ctx.plock().chain_memo().cloned()
+        evicted + self.surface.chain_memo().evict_cert(cert_hash)
     }
 
     /// Serves one connection until the peer closes it.
@@ -287,8 +240,8 @@ impl RmiServer {
     /// Sheds stay on one ledger: a saturated pool at invocation time
     /// sends a sealed [`RmiFault::Busy`] (counted by the pool), while
     /// reactor-level refusals (parked cap, drain) are counted per-surface
-    /// in the runtime's shed ledger, and every shed is audited under
-    /// surface `rmi`.
+    /// in the runtime's shed ledger, and the reactor audits every shed
+    /// through the `rmi` surface.
     ///
     /// The returned handle [`waits`](snowflake_runtime::ListenerHandle::wait)
     /// until shutdown drains the listener.
@@ -300,26 +253,12 @@ impl RmiServer {
         session_cache: Option<snowflake_channel::SessionCache>,
     ) -> io::Result<snowflake_runtime::ListenerHandle> {
         use snowflake_channel::{SecureChannel, TcpTransport};
-        use snowflake_runtime::{Accepted, Surface};
+        use snowflake_runtime::Accepted;
 
-        let reactor = runtime.reactor();
-        let audit_server = Arc::clone(self);
-        let surface = Surface::new("rmi").with_on_shed(move |detail| {
-            audit_server.audit(|| {
-                DecisionEvent::new(
-                    (audit_server.clock)(),
-                    "rmi",
-                    Decision::Shed,
-                    "connection",
-                    "serve",
-                    detail,
-                )
-            });
-        });
         let server = Arc::clone(self);
-        reactor.register_listener(
+        runtime.reactor().register_listener(
             listener,
-            surface,
+            Arc::clone(&self.surface),
             Box::new(move || {
                 let server = Arc::clone(&server);
                 let key = key.clone();
@@ -388,7 +327,7 @@ impl RmiServer {
         invocation: &Invocation,
         channel: &dyn AuthChannel,
     ) -> RmiReply {
-        let _timer = self.latency.start_timer();
+        let _timer = self.surface.latency().start_timer();
         if invocation.object == PROOF_RECIPIENT {
             return self.receive_proof(invocation, channel);
         }
@@ -410,16 +349,16 @@ impl RmiServer {
         // The speaker: K₂ from the channel, wrapped in a Quoting principal
         // when the caller claims to quote someone (paper §4.2).
         let Some(peer) = channel.peer_key() else {
-            self.audit(|| {
+            self.surface.audit(|| {
                 DecisionEvent::new(
-                    (self.clock)(),
+                    self.surface.now(),
                     "rmi",
                     Decision::Deny,
                     &invocation.object,
                     &invocation.method,
                     "need-authorization: unauthenticated channel",
                 )
-                .with_epoch(self.revocation_epoch())
+                .with_epoch(self.surface.revocation_epoch())
             });
             return RmiReply::Fault(RmiFault::NeedAuthorization {
                 issuer: object.issuer(),
@@ -435,10 +374,10 @@ impl RmiServer {
         // subject whose conclusion covers the request — the fast path
         // measured in Figure 6.
         let tag = object.restriction(invocation);
-        let now = (self.clock)();
+        let now = self.surface.now();
         let Some(certs) = self.check_auth(&speaker, &object.issuer(), &tag, now) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.audit(|| {
+            self.surface.audit(|| {
                 DecisionEvent::new(
                     now,
                     "rmi",
@@ -448,7 +387,7 @@ impl RmiServer {
                     "need-authorization: no covering proof",
                 )
                 .with_subject(speaker.clone())
-                .with_epoch(self.revocation_epoch())
+                .with_epoch(self.surface.revocation_epoch())
             });
             return RmiReply::Fault(RmiFault::NeedAuthorization {
                 issuer: object.issuer(),
@@ -456,7 +395,7 @@ impl RmiServer {
             });
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.audit(|| {
+        self.surface.audit(|| {
             DecisionEvent::new(
                 now,
                 "rmi",
@@ -467,7 +406,7 @@ impl RmiServer {
             )
             .with_subject(speaker.clone())
             .with_certs(certs.to_vec())
-            .with_epoch(self.revocation_epoch())
+            .with_epoch(self.surface.revocation_epoch())
         });
 
         let caller = CallerInfo {
@@ -524,14 +463,13 @@ impl RmiServer {
         let token = self.cache.epoch();
         // Build this connection's verification context: base (revocation
         // data) + the channel binding this endpoint itself witnessed.
-        let mut ctx = self.base_ctx.plock().clone();
-        ctx.now = (self.clock)();
+        let mut ctx = self.surface.verify_ctx(self.surface.now());
         if let Some(binding) = channel.peer_binding() {
             ctx.assume(&binding);
         }
 
         if let Err(e) = ctx.verify_cached(&proof) {
-            self.audit(|| {
+            self.surface.audit(|| {
                 DecisionEvent::new(
                     ctx.now,
                     "rmi",
@@ -548,7 +486,7 @@ impl RmiServer {
         }
         let conclusion = proof.conclusion();
         let certs = proof.cert_hashes();
-        self.audit(|| {
+        self.surface.audit(|| {
             DecisionEvent::new(
                 ctx.now,
                 "rmi",

@@ -96,6 +96,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns the pool's worker threads.
+    #[allow(clippy::disallowed_methods, reason = "the pool's own fixed worker threads")]
     pub fn new(config: PoolConfig) -> Arc<WorkerPool> {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let in_flight = Arc::new(AtomicUsize::new(0));

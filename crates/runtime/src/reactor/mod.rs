@@ -29,7 +29,9 @@
 //!   own drop counter (and answered with the driver's busy reply);
 //!   reactor-level refusals — parked-connection cap, accepts during
 //!   drain, stalled push sinks — land in the shared [`ShedLedger`] under
-//!   the surface's name.  One ledger, surfaced per surface.
+//!   the surface's name.  One ledger, surfaced per surface.  Every shed,
+//!   wherever it is counted, is audited here through the [`Surface`]:
+//!   one `Shed` event under its name.
 //! * Drain mirrors the pool: shutdown closes idle parked connections at
 //!   once, lets dispatched frames complete and flush their replies,
 //!   answers late accepts with the surface's shed reply, then closes the
@@ -41,6 +43,7 @@ mod timer;
 use crate::pool::{SubmitError, WorkerPool};
 use crate::shed::ShedLedger;
 use crate::spawn_thread;
+use crate::surface::Surface;
 use sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use timer::TimerWheel;
 
@@ -123,58 +126,6 @@ pub enum Accepted {
 
 /// A blocking setup job for [`Accepted::Offload`].
 pub type OffloadJob = Box<dyn FnOnce(TcpStream, Arc<Reactor>, Arc<Surface>) + Send>;
-
-/// Per-surface identity and shed behavior, shared by every connection
-/// the surface's listeners accept.
-pub struct Surface {
-    name: String,
-    shed_reply: Option<Box<dyn Fn(&str) -> Vec<u8> + Send + Sync>>,
-    on_shed: Option<Box<dyn Fn(&str) + Send + Sync>>,
-}
-
-impl Surface {
-    /// A surface with the given ledger name and no shed hooks.
-    pub fn new(name: &str) -> Surface {
-        Surface {
-            name: name.to_owned(),
-            shed_reply: None,
-            on_shed: None,
-        }
-    }
-
-    /// The ledger name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Sets the reply written (best-effort) to a connection shed at
-    /// accept time; the closure receives the shed reason.
-    pub fn with_shed_reply(
-        mut self,
-        f: impl Fn(&str) -> Vec<u8> + Send + Sync + 'static,
-    ) -> Surface {
-        self.shed_reply = Some(Box::new(f));
-        self
-    }
-
-    /// Sets a hook invoked on every shed (reactor- or pool-refused) so
-    /// the surface can emit its audit event.
-    pub fn with_on_shed(mut self, f: impl Fn(&str) + Send + Sync + 'static) -> Surface {
-        self.on_shed = Some(Box::new(f));
-        self
-    }
-
-    fn shed(&self, detail: &str, stream: &TcpStream) {
-        if let Some(hook) = &self.on_shed {
-            hook(detail);
-        }
-        if let Some(reply) = &self.shed_reply {
-            let bytes = reply(detail);
-            let _ = stream.set_nonblocking(true);
-            let _ = (&*stream).write_all(&bytes);
-        }
-    }
-}
 
 /// Decides what to do with each accepted connection.  Called on the
 /// reactor thread; must not block.
@@ -284,6 +235,38 @@ struct Conn {
     /// Bumped on every park; stale timer-wheel entries are discarded.
     gen: u64,
     is_sink: bool,
+    /// A sink's stall callback, taken and run once when the reactor
+    /// sheds it.
+    on_stall: Option<StallFn>,
+}
+
+/// What a push sink's owner does when the reactor sheds the sink for
+/// stalling (e.g. the broker drops the subscription).
+pub type StallFn = Box<dyn FnOnce() + Send>;
+
+impl Conn {
+    /// A freshly parked connection: a request connection under `driver`,
+    /// or a write-only sink when there is none.
+    fn new(
+        stream: TcpStream,
+        surface: Arc<Surface>,
+        driver: Option<Box<dyn ConnDriver>>,
+        on_stall: Option<StallFn>,
+    ) -> Conn {
+        Conn {
+            stream,
+            surface,
+            is_sink: driver.is_none(),
+            driver,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            phase: Phase::Parked,
+            close_after: false,
+            gen: 0,
+            on_stall,
+        }
+    }
 }
 
 struct ListenerEntry {
@@ -376,7 +359,7 @@ impl Reactor {
     pub fn register_listener(
         &self,
         listener: TcpListener,
-        surface: Surface,
+        surface: Arc<Surface>,
         accept: AcceptFn,
     ) -> io::Result<ListenerHandle> {
         listener.set_nonblocking(true)?;
@@ -395,7 +378,7 @@ impl Reactor {
             token,
             ListenerEntry {
                 listener,
-                surface: Arc::new(surface),
+                surface,
                 accept,
                 handle: Arc::clone(&handle),
             },
@@ -415,14 +398,7 @@ impl Reactor {
         driver: Box<dyn ConnDriver>,
     ) -> io::Result<()> {
         let mut st = self.state.lock().expect("reactor state poisoned");
-        if st.shutting_down {
-            self.ledger.record(surface.name());
-            surface.shed("server shutting down", &stream);
-            return Ok(());
-        }
-        if st.conns.len() >= self.config.max_parked {
-            self.ledger.record(surface.name());
-            surface.shed("parked-connection cap reached", &stream);
+        if self.refused(&st, &surface, &stream) {
             return Ok(());
         }
         stream.set_nonblocking(true)?;
@@ -432,33 +408,23 @@ impl Reactor {
             .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
         let deadline = Instant::now() + self.config.idle_timeout;
         st.wheel.insert(token, 0, deadline);
-        st.conns.insert(
-            token,
-            Conn {
-                stream,
-                surface,
-                driver: Some(driver),
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                phase: Phase::Parked,
-                close_after: false,
-                gen: 0,
-                is_sink: false,
-            },
-        );
+        st.conns
+            .insert(token, Conn::new(stream, surface, Some(driver), None));
         st.adopted += 1;
         drop(st);
         self.wake.wake();
         Ok(())
     }
 
-    /// Adopts a write-only push sink connection.  The remote is watched
-    /// for hangup; writes go through the returned [`SinkHandle`].
+    /// Adopts a write-only push sink connection under its service's
+    /// shared surface.  The remote is watched for hangup; writes go
+    /// through the returned [`SinkHandle`].  A sink shed for stalling
+    /// runs `on_stall` once.
     pub fn adopt_sink(
         self: &Arc<Self>,
         stream: TcpStream,
-        surface: Surface,
+        surface: Arc<Surface>,
+        on_stall: Option<StallFn>,
     ) -> io::Result<SinkHandle> {
         let mut st = self.state.lock().expect("reactor state poisoned");
         if st.shutting_down {
@@ -472,21 +438,8 @@ impl Reactor {
         st.next_token += 1;
         self.epoll
             .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
-        st.conns.insert(
-            token,
-            Conn {
-                stream,
-                surface: Arc::new(surface),
-                driver: None,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                phase: Phase::Parked,
-                close_after: false,
-                gen: 0,
-                is_sink: true,
-            },
-        );
+        st.conns
+            .insert(token, Conn::new(stream, surface, None, on_stall));
         drop(st);
         self.wake.wake();
         Ok(SinkHandle {
@@ -558,8 +511,8 @@ impl Reactor {
     }
 
     fn sink_send(&self, token: u64, frame: &[u8]) -> bool {
-        let mut st = self.state.lock().expect("reactor state poisoned");
-        let st = &mut *st;
+        let mut guard = self.state.lock().expect("reactor state poisoned");
+        let st = &mut *guard;
         let Some(conn) = st.conns.get_mut(&token) else {
             return false;
         };
@@ -568,10 +521,14 @@ impl Reactor {
             // The remote has stalled past its buffer: disconnect and
             // count the shed rather than block or buffer unboundedly.
             self.ledger.record(conn.surface.name());
-            if let Some(hook) = &conn.surface.on_shed {
-                hook("push sink stalled past buffer cap");
-            }
+            let surface = Arc::clone(&conn.surface);
+            let on_stall = conn.on_stall.take();
             Self::close_token(&self.epoll, st, token);
+            drop(guard);
+            surface.audit_shed("push-sink", "send", "push sink stalled past buffer cap");
+            if let Some(on_stall) = on_stall {
+                on_stall();
+            }
             return false;
         }
         conn.wbuf.extend_from_slice(frame);
@@ -668,6 +625,7 @@ impl Reactor {
         }
     }
 
+    #[allow(clippy::disallowed_methods, reason = "the reactor is the only acceptor")]
     fn accept_ready(&self, st: &mut State, listener_token: u64) {
         loop {
             let (stream, surface, accepted) = {
@@ -685,14 +643,7 @@ impl Reactor {
                 }
             };
             st.accepted += 1;
-            if st.shutting_down {
-                self.ledger.record(surface.name());
-                surface.shed("server shutting down", &stream);
-                continue;
-            }
-            if st.conns.len() >= self.config.max_parked {
-                self.ledger.record(surface.name());
-                surface.shed("parked-connection cap reached", &stream);
+            if self.refused(st, &surface, &stream) {
                 continue;
             }
             match accepted {
@@ -711,21 +662,8 @@ impl Reactor {
                     }
                     st.wheel
                         .insert(token, 0, Instant::now() + self.config.idle_timeout);
-                    st.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            surface,
-                            driver: Some(driver),
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            phase: Phase::Parked,
-                            close_after: false,
-                            gen: 0,
-                            is_sink: false,
-                        },
-                    );
+                    st.conns
+                        .insert(token, Conn::new(stream, surface, Some(driver), None));
                 }
                 Accepted::Offload(job) => {
                     // The handshake blocks, so it must run on a worker;
@@ -741,16 +679,31 @@ impl Reactor {
                             });
                         }
                         Err(SubmitError::Busy) => {
-                            surface.shed("worker pool saturated", &stream);
+                            surface.refuse("worker pool saturated", &stream);
                         }
                         Err(SubmitError::ShuttingDown) => {
                             self.ledger.record(surface.name());
-                            surface.shed("server shutting down", &stream);
+                            surface.refuse("server shutting down", &stream);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Counts, audits, and answers a connection arriving during drain or
+    /// past the parked cap; `true` when it was refused.
+    fn refused(&self, st: &State, surface: &Surface, stream: &TcpStream) -> bool {
+        let why = if st.shutting_down {
+            "server shutting down"
+        } else if st.conns.len() >= self.config.max_parked {
+            "parked-connection cap reached"
+        } else {
+            return false;
+        };
+        self.ledger.record(surface.name());
+        surface.refuse(why, stream);
+        true
     }
 
     /// An owning `Arc` of this reactor, recovered from the back-pointer.
@@ -861,9 +814,8 @@ impl Reactor {
                         // Counted by the pool's drop counter (the failed
                         // reservation); answer with the protocol's busy
                         // reply and close once it flushes.
-                        if let Some(hook) = &conn.surface.on_shed {
-                            hook("worker pool saturated");
-                        }
+                        conn.surface
+                            .audit_shed("connection", "dispatch", "worker pool saturated");
                         match driver.busy_reply() {
                             Some(reply) => self.start_reply(st, token, reply, true),
                             None => Self::close_token(&self.epoll, st, token),
@@ -1067,7 +1019,9 @@ mod tests {
         let handle = reactor
             .register_listener(
                 listener,
-                Surface::new("echo").with_shed_reply(|why| format!("SHED {why}\n").into_bytes()),
+                Arc::new(
+                    Surface::new("echo").with_shed_reply(|why| format!("SHED {why}\n").into_bytes()),
+                ),
                 Box::new(|| Accepted::Park(Box::new(EchoDriver))),
             )
             .expect("register");

@@ -107,6 +107,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Starts the timer thread.
+    #[allow(clippy::disallowed_methods, reason = "the scheduler's one timer thread")]
     pub fn new() -> Scheduler {
         let inner = Arc::new(SchedInner {
             state: Mutex::new(SchedState {

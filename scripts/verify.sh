@@ -85,132 +85,23 @@ cargo test -q --offline -p snowflake-metrics --test props
 cargo test -q --offline -p snowflake-metrics --test stress
 cargo test -q --offline -p snowflake --test metrics_e2e
 
-echo "==> runtime gate: no raw thread::spawn in server accept paths"
-# Every server serves from crates/runtime (bounded pools, counted sheds).
-# This gate fails if a serving-path source file regrows a raw
-# thread::spawn outside its #[cfg(test)] module; the only sanctioned
-# spawns live inside crates/runtime itself.
-gate_failed=0
-for f in \
-    crates/http/src/server.rs crates/http/src/stream.rs \
-    crates/http/src/mac.rs crates/http/src/client.rs \
-    crates/rmi/src/server.rs crates/rmi/src/client.rs \
-    crates/revocation/src/service.rs crates/revocation/src/freshness.rs \
-    crates/channel/src/transport.rs crates/channel/src/secure.rs \
-    crates/apps/src/gateway.rs crates/apps/src/webserver.rs \
-    crates/apps/src/emaildb.rs \
-    crates/broker/src/authz.rs crates/broker/src/topic.rs; do
-    if awk '/#\[cfg\(test\)\]/{exit} /thread::spawn/{print FILENAME": "NR": "$0; found=1} END{exit found}' "$f"; then
-        :
-    else
-        gate_failed=1
-    fi
-done
-if [ "$gate_failed" -ne 0 ]; then
-    echo "FAIL: raw thread::spawn in a server accept path (use snowflake-runtime)"
-    exit 1
-fi
+echo "==> surface suites (one Surface per decision point; every decision and shed audited)"
+# Surface: a reactor shed is one ledger count plus one audited Shed
+# event, a sink's stall callback fires once, verification is memoized
+# and consults the attached revocation source.  The audit suite asserts
+# each decision surface's grant, deny and shed events end to end.
+cargo test -q --offline -p snowflake-runtime --lib surface
+cargo test -q --offline -p snowflake-audit --test end_to_end
 
-echo "==> reactor gate: no server surface does its own socket accept/read"
-# The connection layer owns every listening and parked socket: a server
-# surface registers an accept callback / ConnDriver with the reactor and
-# never calls accept() or drives a TcpStream read loop itself.  This
-# gate fails if a surface file regrows a direct accept loop or a
-# blocking per-connection stream read outside its #[cfg(test)] module
-# (the only sanctioned socket loops live in crates/runtime/src/reactor).
-reactor_gate_failed=0
-for f in \
-    crates/http/src/server.rs \
-    crates/rmi/src/server.rs \
-    crates/revocation/src/service.rs \
-    crates/apps/src/gateway.rs crates/apps/src/webserver.rs \
-    crates/apps/src/emaildb.rs crates/apps/src/vfs.rs \
-    crates/broker/src/authz.rs crates/broker/src/topic.rs; do
-    [ -f "$f" ] || continue
-    if awk '/#\[cfg\(test\)\]/{exit}
-            /\.accept\(|\.incoming\(|read_to_end\(|read_exact\(|BufReader::new\(.*TcpStream/{
-                print FILENAME": "NR": "$0; found=1
-            } END{exit found}' "$f"; then
-        :
-    else
-        reactor_gate_failed=1
-    fi
-done
-if [ "$reactor_gate_failed" -ne 0 ]; then
-    echo "FAIL: a server surface accepts or reads sockets outside the reactor (see snowflake-runtime reactor)"
-    exit 1
-fi
-
-echo "==> audit gate: every server decision path emits audit events"
-# Each file that decides grants/denies/sheds/revocations must call its
-# audit emitter (self.audit(...), audit_shed(...), or emitter.emit(...))
-# outside its #[cfg(test)] module.  A decision path that stops emitting
-# silently breaks the tamper-evident trail; this gate makes that loud.
-audit_gate_failed=0
-for f in \
-    crates/http/src/server.rs \
-    crates/rmi/src/server.rs \
-    crates/apps/src/gateway.rs \
-    crates/apps/src/emaildb.rs \
-    crates/revocation/src/bus.rs \
-    crates/broker/src/authz.rs crates/broker/src/topic.rs; do
-    if awk '/#\[cfg\(test\)\]/{exit} /self\.audit\(|audit_shed\(|\.emit\(/{found=1} END{exit !found}' "$f"; then
-        :
-    else
-        echo "$f: no audit emit call in a decision path"
-        audit_gate_failed=1
-    fi
-done
-if [ "$audit_gate_failed" -ne 0 ]; then
-    echo "FAIL: a server decision path lacks an audit emit call (see snowflake-audit)"
-    exit 1
-fi
-
-echo "==> memo gate: server surfaces verify through the memoized entry points"
-# Every server-facing verification must flow through VerifyCtx::authorize
-# or VerifyCtx::verify_cached so the verified-chain memo (and its
-# revocation eviction) covers it.  This gate fails if a surface file
-# regrows a direct proof.authorizes(...) / proof.verify(...) call outside
-# its #[cfg(test)] module — a call site that silently bypasses the memo
-# *and* its push-eviction wiring.
-memo_gate_failed=0
-for f in \
-    crates/http/src/server.rs \
-    crates/rmi/src/server.rs \
-    crates/broker/src/authz.rs crates/broker/src/topic.rs \
-    crates/apps/src/gateway.rs; do
-    if awk '/#\[cfg\(test\)\]/{exit} /\.authorizes\(|proof\.verify\(/{print FILENAME": "NR": "$0; found=1} END{exit found}' "$f"; then
-        :
-    else
-        memo_gate_failed=1
-    fi
-done
-if [ "$memo_gate_failed" -ne 0 ]; then
-    echo "FAIL: a server surface verifies proofs without the verified-chain memo (use VerifyCtx::authorize / verify_cached)"
-    exit 1
-fi
-
-echo "==> metrics gate: every serving surface records request latency"
-# Each server surface must keep recording into its per-surface
-# LatencyHistogram (request_histogram + a start_timer guard or an
-# explicit record) outside its #[cfg(test)] module; a surface that goes
-# quiet disappears from /metrics without failing any functional test.
-metrics_gate_failed=0
-for f in \
-    crates/http/src/server.rs \
-    crates/rmi/src/server.rs \
-    crates/broker/src/authz.rs crates/broker/src/topic.rs \
-    crates/apps/src/gateway.rs; do
-    if awk '/#\[cfg\(test\)\]/{exit} /request_histogram|start_timer|\.record\(|LatencyHistogram/{found=1} END{exit !found}' "$f"; then
-        :
-    else
-        echo "$f: no latency-histogram recording in a serving path"
-        metrics_gate_failed=1
-    fi
-done
-if [ "$metrics_gate_failed" -ne 0 ]; then
-    echo "FAIL: a serving surface stopped recording request latency (see snowflake-metrics)"
-    exit 1
-fi
+echo "==> clippy deny-list: no raw spawn, no accept outside the reactor, no verify outside a surface's memo"
+# clippy.toml disallows std::thread::{spawn, Builder::spawn},
+# TcpListener::{accept, incoming} and Proof::{verify, authorizes} in every
+# library crate: a server regrowing its own thread, accept loop, or
+# memo-bypassing verification fails here.  The sites that implement the
+# rule (the runtime's pool, scheduler, spawn_thread and reactor accept;
+# core's memo cold path) carry a reasoned #[allow].  Audit emits and
+# latency timers are asserted by the suites above (audit end_to_end,
+# broker, broker_e2e, metrics_e2e), not grepped for.
+cargo clippy --offline --workspace --lib -- -A clippy::all -D clippy::disallowed_methods
 
 echo "==> all green"

@@ -86,7 +86,7 @@ fn crl_revocation_over_http() {
     let servlet =
         ProtectedServlet::with_clock(Echo { issuer }, fixed_clock, Box::new(det("rev-servlet")));
     // A clean, current CRL: requests work.
-    servlet.base_ctx().install_crl(Crl::issue(
+    servlet.surface().base_ctx().install_crl(Crl::issue(
         &validator,
         vec![],
         Validity::until(Time(2_000_000)),
@@ -117,7 +117,7 @@ fn crl_revocation_over_http() {
 
     // The validator revokes the certificate; the servlet installs the new
     // CRL; the same chain now fails.
-    servlet.base_ctx().install_crl(Crl::issue(
+    servlet.surface().base_ctx().install_crl(Crl::issue(
         &validator,
         vec![cert_hash],
         Validity::until(Time(2_000_000)),

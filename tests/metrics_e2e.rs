@@ -332,11 +332,11 @@ fn every_surface_reports_into_one_live_scrape() {
     // carol's second subscribe, and the Schnorr key table was populated
     // by the proof verifications.
     assert!(
-        metric(&body, "sf_chain_memo_hits_total{surface=\"broker\"}") >= 1.0,
+        metric(&body, "sf_chain_memo_hits_total{surface=\"broker-sub\"}") >= 1.0,
         "{body}"
     );
     assert!(
-        metric(&body, "sf_chain_memo_misses_total{surface=\"broker\"}") >= 1.0,
+        metric(&body, "sf_chain_memo_misses_total{surface=\"broker-sub\"}") >= 1.0,
         "{body}"
     );
     assert!(metric(&body, "sf_key_table_builds_total") >= 1.0, "{body}");

@@ -133,7 +133,7 @@ fn full_stack_restart_recovers_revocation_audit_and_mail() {
             det("e2e-mount"),
         );
         servlet.set_audit_emitter(Arc::clone(&sink) as Arc<dyn AuditEmitter>);
-        servlet.base_ctx().assume(&Delegation {
+        servlet.surface().base_ctx().assume(&Delegation {
             subject: snowflake_http::request_principal(
                 &HttpRequest::post(
                     snowflake_http::MAC_SESSION_PATH,
