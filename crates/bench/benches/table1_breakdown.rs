@@ -109,7 +109,9 @@ fn phases(c: &mut Criterion) {
         Proof::from_sexp(&tree).expect("decode");
     });
     let cold = time_it(3, 100, || proof.verify(&ctx).expect("verify"));
-    let hit = time_it(10, 2000, || memo_ctx.verify_cached(&proof).expect("memo hit"));
+    let hit = time_it(10, 2000, || {
+        memo_ctx.verify_cached(&proof).expect("memo hit");
+    });
     let stats = memo.stats();
     report_json(
         "table1_breakdown",

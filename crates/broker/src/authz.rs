@@ -255,13 +255,13 @@ impl AuthzEndpoint {
         // insertion (or rest on revoked certificates); the proof must
         // still verify end-to-end against the surface's revocation data.
         let ctx = self.surface.verify_ctx(now);
-        if let Err(e) = ctx.authorize(&proof, &subject, &issuer, &tag) {
-            return deny(&format!("proof failed verification: {e}"));
-        }
-        AuthzVerdict {
-            allowed: true,
-            detail: "delegation chain verified".to_string(),
-            cert_hashes: proof.cert_hashes(),
+        match ctx.authorize(&proof, &subject, &issuer, &tag) {
+            Ok(certs) => AuthzVerdict {
+                allowed: true,
+                detail: "delegation chain verified".to_string(),
+                cert_hashes: certs.to_vec(),
+            },
+            Err(e) => deny(&format!("proof failed verification: {e}")),
         }
     }
 

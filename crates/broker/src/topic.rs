@@ -17,9 +17,11 @@
 //! Subscribers park **write-only** on the reactor ([`SinkHandle`]): ten
 //! thousand idle streams cost ten thousand parked fds, not ten thousand
 //! threads.  Publishes fan out on the worker pool; a saturated pool
-//! sheds the publish (counted, audited) rather than queueing unboundedly,
-//! and a subscriber that stalls past the sink buffer cap is disconnected
-//! by the reactor and dropped here.
+//! sheds the publish (counted, audited) rather than queueing unboundedly.
+//! Whenever the reactor drops a sink — the subscriber hung up, or stalled
+//! past the sink buffer cap — its close callback prunes the subscription
+//! here, so a churned subscriber costs nothing once its connection is
+//! gone, publish or no publish.
 
 use snowflake_channel::{TcpTransport, Transport};
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
@@ -107,7 +109,7 @@ pub struct BrokerStats {
     pub shed_publishes: u64,
     /// Frames delivered to subscriber sinks, ever.
     pub deliveries: u64,
-    /// Subscriptions dropped because their sink died (peer closed or
+    /// Subscriptions dropped because their sink died (peer hung up or
     /// stalled past the buffer cap), ever.
     pub pruned: u64,
     /// Streams cut by revocation push, ever.
@@ -302,13 +304,14 @@ impl TopicBroker {
     /// `proof` authorize `subject` on it?  A refusal is counted and
     /// audited here.  The token is read *before* authorizing, so
     /// [`register`](Self::register) refuses a grant that a revocation push
-    /// has since overtaken.
+    /// has since overtaken.  A grant comes back with the proof's
+    /// certificate provenance, as verification produced it.
     fn decide(
         &self,
         subject: &Principal,
         path: &[&str],
         proof: &Proof,
-    ) -> Result<Epoch, SubscribeError> {
+    ) -> Result<(Epoch, Arc<[HashVal]>), SubscribeError> {
         let token = self.subs.epoch();
         let verdict = if self.table.permits(path, "subscribe") {
             let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
@@ -319,23 +322,24 @@ impl TopicBroker {
         } else {
             Err(SubscribeError::NoSuchTopic)
         };
-        verdict.map(|()| token).inspect_err(|e| self.deny(subject, path, e))
+        verdict
+            .map(|certs| (token, certs))
+            .inspect_err(|e| self.deny(subject, path, e))
     }
 
     /// Makes a decided grant live: parks `sink` under `id` with the
-    /// proof's provenance and audits the grant — unless a revocation
-    /// landed since [`decide`](Self::decide) read `token`, which refuses
-    /// (and audits) instead of parking a stream on a superseded verdict.
+    /// grant's provenance `certs` and audits the grant — unless a
+    /// revocation landed since [`decide`](Self::decide) read `token`,
+    /// which refuses (and audits) instead of parking a stream on a
+    /// superseded verdict.
     fn register(
         &self,
-        token: Epoch,
+        (token, certs): (Epoch, Arc<[HashVal]>),
         id: u64,
         subject: Principal,
         path: &[&str],
-        proof: &Proof,
         sink: Arc<dyn SubscriberSink>,
     ) -> Result<u64, SubscribeError> {
-        let certs: Arc<[HashVal]> = proof.cert_hashes().into();
         let sub = Subscription {
             topic: path.iter().map(|s| s.to_string()).collect(),
             subject: subject.clone(),
@@ -376,9 +380,9 @@ impl TopicBroker {
         sink: Arc<dyn SubscriberSink>,
     ) -> Result<u64, SubscribeError> {
         let _timer = self.sub.latency().start_timer();
-        let token = self.decide(&subject, path, proof)?;
+        let grant = self.decide(&subject, path, proof)?;
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.register(token, id, subject, path, proof, sink)
+        self.register(grant, id, subject, path, sink)
     }
 
     /// Subscribes an in-process subject, letting the broker's own prover
@@ -453,9 +457,9 @@ impl TopicBroker {
                 dead.push(id);
             }
         }
-        // A sink the reactor shed for stalling was already pruned (and
-        // its shed audited) by its stall callback; what is left here died
-        // some other way.
+        // A sink the reactor dropped was already pruned by its close
+        // callback (and a stall's shed audited by the reactor); what is
+        // left here died some other way.
         for id in dead {
             let Some(sub) = self.prune(id) else { continue };
             self.push.audit(|| {
@@ -534,24 +538,25 @@ impl TopicBroker {
         let refs: Vec<&str> = path.iter().map(String::as_str).collect();
         // Decide BEFORE the connection touches the reactor: an
         // unauthorized peer never occupies a parked-sink slot.
-        let token = match self.decide(&subject, &refs, &proof) {
-            Ok(token) => token,
+        let grant = match self.decide(&subject, &refs, &proof) {
+            Ok(grant) => grant,
             Err(e) => {
                 let _ = transport.send(&deny_sexp(&e.to_string()).canonical());
                 return;
             }
         };
         // Park the original fd write-only under the shared push surface;
-        // the reactor counts and audits a stall there, and the callback
-        // drops the subscription.
+        // the reactor counts and audits a stall there, and whenever it
+        // drops the sink (hangup, stall, drain) the callback prunes the
+        // subscription.
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let stall_broker = Arc::downgrade(self);
-        let on_stall = Box::new(move || {
-            if let Some(b) = stall_broker.upgrade() {
+        let close_broker = Arc::downgrade(self);
+        let on_close = Box::new(move || {
+            if let Some(b) = close_broker.upgrade() {
                 b.prune(id);
             }
         });
-        let sink = match reactor.adopt_sink(stream, Arc::clone(&self.push), Some(on_stall)) {
+        let sink = match reactor.adopt_sink(stream, Arc::clone(&self.push), Some(on_close)) {
             Ok(s) => Arc::new(s),
             Err(_) => {
                 let _ = transport.send(&deny_sexp("shutting down").canonical());
@@ -565,12 +570,16 @@ impl TopicBroker {
         let _ = transport.send(&Sexp::tagged("sub-ok", vec![]).canonical());
         drop(transport);
         // A grant overtaken by a revocation is cut like any stream built
-        // on the dead certificate: the peer sees EOF after `sub-ok`.
+        // on the dead certificate: the peer sees EOF after `sub-ok`.  A
+        // peer that hung up before registration had its close callback
+        // run too early to find the subscription; prune it here instead.
         if self
-            .register(token, id, subject, &refs, &proof, Arc::clone(&sink) as _)
+            .register(grant, id, subject, &refs, Arc::clone(&sink) as _)
             .is_err()
         {
             sink.close();
+        } else if !sink.is_open() {
+            self.prune(id);
         }
         // The dup fd is gone; the reactor owns the original and the
         // worker is free.

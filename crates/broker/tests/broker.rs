@@ -395,6 +395,70 @@ fn stalled_subscriber_is_shed_without_harming_healthy_ones() {
     reader.join().unwrap();
 }
 
+/// Subscribers that hang up are pruned as soon as the reactor drops
+/// their sinks — no publish has to find them dead first — and a hangup
+/// is counted as a prune, never audited as a shed.
+#[test]
+fn hung_up_subscribers_are_pruned_without_a_publish() {
+    const STREAMS: usize = 50;
+
+    let issuer_kp = kp(b"broker-hangup-issuer");
+    let issuer = Principal::key(&issuer_kp.public);
+    let mut rng = DetRng::new(b"broker-hangup-prover");
+    let prover = Arc::new(Prover::with_rng(Box::new(move |b| rng.fill(b))));
+    prover.add_key(issuer_kp);
+    let churner = account("churner");
+    let proof = prover
+        .delegate(
+            &churner,
+            &issuer,
+            grant_tag(
+                OBJECT_NS,
+                &PathPattern::parse(&["rooms", "*", "events"]),
+                &["subscribe"],
+            ),
+            Validity::always(),
+            false,
+        )
+        .unwrap();
+
+    let runtime = ServerRuntime::new(PoolConfig::new("broker-hangup", 2, 16));
+    let broker = TopicBroker::with_clock(
+        Arc::clone(&runtime),
+        prover,
+        OBJECT_NS,
+        issuer,
+        conference_table(),
+        test_now,
+    );
+    let audit = Arc::new(Collector::default());
+    broker.set_audit_emitter(Arc::clone(&audit) as Arc<dyn AuditEmitter>);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    broker.attach_subscribe_listener(listener).unwrap();
+
+    let topic = ["rooms", "churn", "events"];
+    let streams: Vec<_> = (0..STREAMS)
+        .map(|_| {
+            subscribe_stream(addr, &topic, &churner, &proof)
+                .unwrap()
+                .expect("the chain authorizes subscribe")
+        })
+        .collect();
+    wait_for(|| broker.stats().subscribes == STREAMS as u64);
+
+    // Every client hangs up; nothing is ever published.
+    drop(streams);
+    wait_for(|| broker.stats().subscribers == 0);
+    assert_eq!(broker.stats().pruned, STREAMS as u64);
+    assert!(
+        !audit.events().iter().any(|e| e.decision == Decision::Shed),
+        "a hangup is not a shed"
+    );
+
+    runtime.shutdown();
+}
+
 /// An in-memory subscriber sink (no fd cost), for presence-style scale.
 #[derive(Default)]
 struct MemSink {

@@ -98,6 +98,8 @@ impl Certificate {
 
     /// Hash identifying this certificate (used by revocation lists).
     pub fn hash(&self) -> HashVal {
+        #[cfg(test)]
+        HASHES.with(|n| n.set(n.get() + 1));
         HashVal::of_sexp(&to_be_signed(&self.delegation, &self.revocation))
     }
 
@@ -187,6 +189,13 @@ impl fmt::Debug for Certificate {
 /// md5 hash principal and sha256 hash principal both denote the key.
 pub fn key_hash_with(key: &PublicKey, alg: HashAlg) -> HashVal {
     HashVal::digest(alg, &key.to_sexp().canonical())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Certificate::hash`] calls made on this thread, for unit tests
+    /// that pin which paths hash certificates.
+    pub(crate) static HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

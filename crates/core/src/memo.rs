@@ -29,6 +29,22 @@
 //!    time-dependent checks are artifact-currency windows), so a hit
 //!    inside the interval answers exactly what a cold verify would.
 //!
+//! The fingerprint folds no certificate hash except a `Revalidate`
+//! leaf's, which it needs to resolve the leaf's artifact.  Dropping the
+//! rest cannot merge two keys the cold path would tell apart: a key is
+//! the *pair*, and equal proof hashes mean equal canonical encodings,
+//! hence the same certificates — same bodies, signers, signatures and
+//! revocation policies — in the same positions.  Every certificate hash
+//! is a function of the proof hash, so folding it in would add no
+//! information.  What the cold path reads *outside* the proof (assumption
+//! bits, the governing artifacts' content, the epoch) is still folded per
+//! leaf, in leaf order.
+//!
+//! A slot also keeps the chain's certificate provenance
+//! ([`Proof::cert_hashes`](crate::Proof::cert_hashes)); a hit hands back
+//! that same `Arc`, so a warm decision records and audits provenance
+//! without hashing the chain again.
+//!
 //! Revocation *push* is the asynchronous hazard: the entries live in a
 //! [`ProvenanceMap`], so [`ChainMemo::evict_cert`] drops every entry whose
 //! provenance contains the dead certificate (the memo rides the same
@@ -91,18 +107,24 @@ impl ChainMemo {
         }
     }
 
-    /// Is a successful verification of `proof` under `fingerprint`
-    /// recorded and valid at `now`?  An entry past its validity interval
-    /// is dropped (counted as an eviction) and misses.
-    pub fn lookup(&self, proof: &HashVal, fingerprint: &HashVal, now: Time) -> bool {
+    /// The recorded certificate provenance of a successful verification
+    /// of `proof` under `fingerprint` that is valid at `now`, if any.  An
+    /// entry past its validity interval is dropped (counted as an
+    /// eviction) and misses.
+    pub fn lookup(&self, proof: &HashVal, fingerprint: &HashVal, now: Time) -> Option<Arc<[HashVal]>> {
         let key = MemoKey {
             proof: proof.clone(),
             fingerprint: fingerprint.clone(),
         };
-        let live = self.entries.get(&key, now, |verified_at, _| now >= *verified_at) == Some(true);
-        let counter = if live { &self.hits } else { &self.misses };
+        let certs = self
+            .entries
+            .get(&key, now, |verified_at, certs| {
+                (now >= *verified_at).then(|| Arc::clone(certs))
+            })
+            .flatten();
+        let counter = if certs.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        live
+        certs
     }
 
     /// The token [`record`](Self::record) needs, read *before* the
@@ -121,13 +143,13 @@ impl ChainMemo {
         fingerprint: &HashVal,
         verified_at: Time,
         valid_until: Option<Time>,
-        certs: Vec<HashVal>,
+        certs: Arc<[HashVal]>,
     ) {
         let key = MemoKey {
             proof: proof.clone(),
             fingerprint: fingerprint.clone(),
         };
-        if self.entries.insert(token, key, verified_at, certs.into(), valid_until, verified_at) {
+        if self.entries.insert(token, key, verified_at, certs, valid_until, verified_at) {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -208,25 +230,29 @@ mod tests {
         HashVal::of(s.as_bytes())
     }
 
+    fn certs(hashes: &[HashVal]) -> Arc<[HashVal]> {
+        hashes.into()
+    }
+
     #[test]
     fn hit_requires_same_key_and_interval() {
         let memo = ChainMemo::new(64);
         let epoch = memo.epoch();
-        memo.record(epoch, &h("p"), &h("fp"), Time(10), Some(Time(100)), vec![h("c")]);
-        assert!(memo.lookup(&h("p"), &h("fp"), Time(50)));
-        assert!(!memo.lookup(&h("p"), &h("other-fp"), Time(50)));
-        assert!(!memo.lookup(&h("other-p"), &h("fp"), Time(50)));
+        memo.record(epoch, &h("p"), &h("fp"), Time(10), Some(Time(100)), certs(&[h("c")]));
+        assert!(memo.lookup(&h("p"), &h("fp"), Time(50)).is_some());
+        assert!(memo.lookup(&h("p"), &h("other-fp"), Time(50)).is_none());
+        assert!(memo.lookup(&h("other-p"), &h("fp"), Time(50)).is_none());
         // Before verified_at: miss (clock ran backwards across contexts).
-        memo.record(epoch, &h("p2"), &h("fp"), Time(10), Some(Time(100)), vec![]);
-        assert!(!memo.lookup(&h("p2"), &h("fp"), Time(5)));
+        memo.record(epoch, &h("p2"), &h("fp"), Time(10), Some(Time(100)), certs(&[]));
+        assert!(memo.lookup(&h("p2"), &h("fp"), Time(5)).is_none());
     }
 
     #[test]
     fn expiry_drops_the_entry() {
         let memo = ChainMemo::new(64);
         let epoch = memo.epoch();
-        memo.record(epoch, &h("p"), &h("fp"), Time(10), Some(Time(100)), vec![]);
-        assert!(!memo.lookup(&h("p"), &h("fp"), Time(200)));
+        memo.record(epoch, &h("p"), &h("fp"), Time(10), Some(Time(100)), certs(&[]));
+        assert!(memo.lookup(&h("p"), &h("fp"), Time(200)).is_none());
         assert_eq!(memo.len(), 0, "expired entry is evicted, not retained");
         assert_eq!(memo.stats().evictions, 1);
     }
@@ -235,11 +261,11 @@ mod tests {
     fn push_eviction_by_cert_hash() {
         let memo = ChainMemo::new(64);
         let epoch = memo.epoch();
-        memo.record(epoch, &h("p1"), &h("fp"), Time(1), None, vec![h("a"), h("b")]);
-        memo.record(epoch, &h("p2"), &h("fp"), Time(1), None, vec![h("c")]);
+        memo.record(epoch, &h("p1"), &h("fp"), Time(1), None, certs(&[h("a"), h("b")]));
+        memo.record(epoch, &h("p2"), &h("fp"), Time(1), None, certs(&[h("c")]));
         assert_eq!(memo.evict_cert(&h("b")), 1);
-        assert!(!memo.lookup(&h("p1"), &h("fp"), Time(2)));
-        assert!(memo.lookup(&h("p2"), &h("fp"), Time(2)));
+        assert!(memo.lookup(&h("p1"), &h("fp"), Time(2)).is_none());
+        assert!(memo.lookup(&h("p2"), &h("fp"), Time(2)).is_some());
         assert_eq!(memo.stats().revocation_evictions, 1);
     }
 
@@ -248,8 +274,8 @@ mod tests {
         let memo = ChainMemo::new(64);
         let epoch = memo.epoch();
         memo.evict_cert(&h("unrelated")); // push lands mid-verification
-        memo.record(epoch, &h("p"), &h("fp"), Time(1), None, vec![h("a")]);
-        assert!(!memo.lookup(&h("p"), &h("fp"), Time(2)), "stale insert discarded");
+        memo.record(epoch, &h("p"), &h("fp"), Time(1), None, certs(&[h("a")]));
+        assert!(memo.lookup(&h("p"), &h("fp"), Time(2)).is_none(), "stale insert discarded");
     }
 
     #[test]
@@ -257,7 +283,7 @@ mod tests {
         let memo = ChainMemo::new(16); // 1 per shard
         let epoch = memo.epoch();
         for i in 0..64 {
-            memo.record(epoch, &h(&format!("p{i}")), &h("fp"), Time(1), None, vec![]);
+            memo.record(epoch, &h(&format!("p{i}")), &h("fp"), Time(1), None, certs(&[]));
         }
         assert!(memo.len() <= 16, "len {} exceeds bound", memo.len());
         assert!(memo.stats().evictions > 0);

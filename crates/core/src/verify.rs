@@ -279,58 +279,67 @@ impl VerifyCtx {
     /// to [`Proof::verify`] — only successes are memoized, and the memo
     /// key pins everything the cold path would consult (see
     /// [`VerifyCtx::memo_fingerprint`]).
+    ///
+    /// On success returns the proof's certificate provenance
+    /// ([`Proof::cert_hashes`]): on a hit, the memo slot's own `Arc`; on a
+    /// miss, computed once and shared with the slot just recorded.
     #[allow(
         clippy::disallowed_methods,
         reason = "the memo's own cold path: the one sanctioned caller of `Proof::verify`"
     )]
-    pub fn verify_cached(&self, proof: &Proof) -> Result<(), ProofError> {
+    pub fn verify_cached(&self, proof: &Proof) -> Result<Arc<[HashVal]>, ProofError> {
         let Some(memo) = &self.memo else {
-            return proof.verify(self);
+            proof.verify(self)?;
+            return Ok(proof.cert_hashes().into());
         };
         let (fingerprint, valid_until) = self.memo_fingerprint(proof);
         let proof_hash = proof.hash();
-        if memo.lookup(&proof_hash, &fingerprint, self.now) {
-            return Ok(());
+        if let Some(certs) = memo.lookup(&proof_hash, &fingerprint, self.now) {
+            return Ok(certs);
         }
         let token = memo.epoch();
         proof.verify(self)?;
+        let certs: Arc<[HashVal]> = proof.cert_hashes().into();
         memo.record(
             token,
             &proof_hash,
             &fingerprint,
             self.now,
             valid_until,
-            proof.cert_hashes(),
+            Arc::clone(&certs),
         );
-        Ok(())
+        Ok(certs)
     }
 
     /// The memoized entry point server surfaces use: verifies `proof`
     /// (via the memo when one is attached) and then always re-checks the
     /// conclusion against the request — subject, issuer, tag, and expiry
-    /// are never answered from the cache.
+    /// are never answered from the cache.  On success returns the
+    /// proof's certificate provenance (see [`VerifyCtx::verify_cached`]),
+    /// which callers record and audit instead of re-hashing the chain.
     pub fn authorize(
         &self,
         proof: &Proof,
         speaker: &Principal,
         issuer: &Principal,
         request: &Tag,
-    ) -> Result<(), ProofError> {
-        self.verify_cached(proof)?;
-        proof.check_conclusion(speaker, issuer, request, self.now)
+    ) -> Result<Arc<[HashVal]>, ProofError> {
+        let certs = self.verify_cached(proof)?;
+        proof.check_conclusion(speaker, issuer, request, self.now)?;
+        Ok(certs)
     }
 
     /// Fingerprints everything [`Proof::verify`] would consult from this
     /// context for `proof`, plus a conservative `valid_until`.
     ///
     /// The fingerprint folds the revocation epoch, each assumption leaf's
-    /// vouched/unvouched bit, and for each signed-certificate leaf the
-    /// **content hash** (the full signed wire bytes — body, signer, and
-    /// signature) of the revocation artifact
-    /// [`VerifyCtx::check_revocation`] would resolve — through the *same*
-    /// `VerifyCtx::resolve_crl` / `VerifyCtx::resolve_revalidation`
-    /// helpers, so fingerprint and cold path can never disagree about
-    /// which artifact governs.  Hashing the artifact's *content*, not its
+    /// vouched/unvouched bit, and for each signed-certificate leaf its
+    /// revocation-policy tag, its validator, and the **content hash**
+    /// (the full signed wire bytes — body, signer, and signature) of the
+    /// revocation artifact [`VerifyCtx::check_revocation`] would resolve
+    /// — through the *same* `VerifyCtx::resolve_crl` /
+    /// `VerifyCtx::resolve_revalidation` helpers, so fingerprint and cold
+    /// path can never disagree about which artifact governs.  Hashing the artifact's *content*, not its
     /// (signer, serial, window) identity, is load-bearing: a validator
     /// that reissues a different revoked-set under a reused serial and
     /// window (or a source that swaps a same-serial list) must change the
@@ -343,6 +352,12 @@ impl VerifyCtx {
     /// `Proof::verify` is time-dependent only through artifact currency,
     /// and conclusion expiry is re-checked on every request by
     /// [`Proof::check_conclusion`].
+    ///
+    /// Certificate hashes are *not* folded, except for a `Revalidate`
+    /// leaf, whose hash names the artifact to resolve: the fingerprint is
+    /// only ever compared alongside the proof hash, which already pins
+    /// every certificate (see the `memo` module docs).  A memo hit on a
+    /// chain without revalidation leaves therefore hashes no certificate.
     pub fn memo_fingerprint(&self, proof: &Proof) -> (HashVal, Option<Time>) {
         fn min_end(valid_until: &mut Option<Time>, v: &Validity) {
             if let Some(end) = v.not_after {
@@ -358,19 +373,16 @@ impl VerifyCtx {
         for lemma in proof.lemmas() {
             match lemma {
                 Proof::Assumption { stmt, .. } => {
+                    let hash = stmt.hash();
                     buf.push(b'A');
-                    buf.extend_from_slice(&stmt.hash().bytes);
-                    buf.push(self.assumes(stmt) as u8);
+                    buf.extend_from_slice(&hash.bytes);
+                    buf.push(self.assumptions.contains(&hash) as u8);
                 }
                 Proof::SignedCert(cert) => match &cert.revocation {
-                    None => {
-                        buf.push(b'-');
-                        buf.extend_from_slice(&cert.hash().bytes);
-                    }
+                    None => buf.push(b'-'),
                     Some(RevocationPolicy::Crl { validator }) => {
                         buf.push(b'L');
                         buf.extend_from_slice(&validator.bytes);
-                        buf.extend_from_slice(&cert.hash().bytes);
                         match self.resolve_crl(validator) {
                             Some(resolved) => {
                                 let crl = resolved.get();
@@ -414,5 +426,66 @@ impl VerifyCtx {
     /// that rely on a source exclusively record epoch 0.
     pub fn revocation_epoch(&self) -> u64 {
         self.crls.values().map(|c| c.serial).max().unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cert::HASHES;
+    use snowflake_crypto::{DetRng, Group, KeyPair};
+
+    fn hashes_during(f: impl FnOnce()) -> u64 {
+        let before = HASHES.with(|n| n.get());
+        f();
+        HASHES.with(|n| n.get()) - before
+    }
+
+    /// A memo hit hashes no certificate except a `Revalidate` leaf's,
+    /// whose hash names the artifact the fingerprint must resolve — and
+    /// still hands back the chain's full provenance.
+    #[test]
+    fn memo_hit_hashes_only_revalidation_leaves() {
+        let mut rng = DetRng::new(b"memo-hit-hashes");
+        let mut r = move |b: &mut [u8]| rng.fill(b);
+        let [alice, bob, carol, validator] =
+            [(); 4].map(|()| KeyPair::generate(Group::test512(), &mut r));
+        let deleg = |subject: &KeyPair, issuer: &KeyPair| Delegation {
+            subject: Principal::key(&subject.public),
+            issuer: Principal::key(&issuer.public),
+            tag: Tag::Star,
+            validity: Validity::until(Time(10_000)),
+            delegable: true,
+        };
+        let window = Validity::until(Time(10_000));
+        let validator_hash = validator.public.hash();
+        let crl_policy = RevocationPolicy::Crl {
+            validator: validator_hash.clone(),
+        };
+        let reval_policy = RevocationPolicy::Revalidate {
+            validator: validator_hash,
+        };
+        let plain = Certificate::issue(&bob, deleg(&carol, &bob), &mut r);
+        let on_crl =
+            Certificate::issue_with_revocation(&alice, deleg(&bob, &alice), Some(crl_policy), &mut r);
+        let revalidated =
+            Certificate::issue_with_revocation(&alice, deleg(&bob, &alice), Some(reval_policy), &mut r);
+
+        let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(Arc::new(ChainMemo::new(64)));
+        ctx.install_crl(Crl::issue(&validator, vec![], window, &mut r));
+        ctx.install_revalidation(Revalidation::issue(&validator, revalidated.hash(), window, &mut r));
+        let (speaker, issuer) = (Principal::key(&carol.public), Principal::key(&alice.public));
+
+        for (top, revalidation_leaves) in [(on_crl, 0), (revalidated, 1)] {
+            let proof = Proof::signed_cert(plain.clone()).then(Proof::signed_cert(top));
+            ctx.authorize(&proof, &speaker, &issuer, &Tag::Star).expect("cold");
+            let mut certs = None;
+            let hashed = hashes_during(|| {
+                certs = Some(ctx.authorize(&proof, &speaker, &issuer, &Tag::Star).expect("hit"));
+            });
+            assert_eq!(hashed, revalidation_leaves, "certificate hashes on a memo hit");
+            assert_eq!(certs.unwrap()[..], proof.cert_hashes()[..]);
+        }
+        assert_eq!(ctx.chain_memo().unwrap().stats().hits, 2);
     }
 }

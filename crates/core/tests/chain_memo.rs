@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use snowflake_core::{
-    Certificate, ChainMemo, Crl, Delegation, Principal, Proof, ProofError, RevocationPolicy, Tag,
-    Time, Validity, VerifyCtx,
+    Certificate, ChainMemo, Crl, Delegation, Principal, Proof, ProofError, Revalidation,
+    RevocationPolicy, Tag, Time, Validity, VerifyCtx,
 };
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use std::sync::{Arc, OnceLock};
@@ -93,6 +93,89 @@ proptest! {
         } else {
             prop_assert!(cold.starts_with("Err"));
             prop_assert_eq!(memo.stats().inserts, 0, "failed verifications are never memoized");
+        }
+    }
+}
+
+/// carol ⇒ bob ⇒ alice whose second certificate carries `policy`
+/// (0: none, 1: a CRL, 2: revalidation) from the fourth key, in a memoized
+/// context holding a current artifact for it.
+fn governed_chain(seed: u64, policy: usize) -> (Proof, VerifyCtx) {
+    let [alice, bob, carol, validator] = &keys()[..] else { unreachable!() };
+    let mut r = rng(&format!("governed-{seed}"));
+    let validator_hash = validator.public.hash();
+    let revocation = match policy {
+        1 => Some(RevocationPolicy::Crl { validator: validator_hash }),
+        2 => Some(RevocationPolicy::Revalidate { validator: validator_hash }),
+        _ => None,
+    };
+    let c1 = Certificate::issue(bob, deleg(carol, bob, false), &mut r);
+    let c2 = Certificate::issue_with_revocation(alice, deleg(bob, alice, true), revocation, &mut r);
+    let window = Validity::until(Time(10_000));
+    let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(Arc::new(ChainMemo::new(64)));
+    match policy {
+        1 => ctx.install_crl(Crl::issue_with_serial(validator, 3, vec![], window, &mut r)),
+        2 => ctx.install_revalidation(Revalidation::issue(validator, c2.hash(), window, &mut r)),
+        _ => {}
+    }
+    (Proof::signed_cert(c1).then(Proof::signed_cert(c2)), ctx)
+}
+
+proptest! {
+    /// `authorize` hands back the chain's provenance on both paths — the
+    /// miss computes it once and shares it with the memo slot, the hit
+    /// returns that slot's `Arc` — and it always equals
+    /// `Proof::cert_hashes`.  Dropping certificate hashes from the
+    /// fingerprint leaves it tracking the governing artifacts: a
+    /// same-serial CRL reissue or a revalidation swap still changes it
+    /// (and misses), while an unchanged context keeps it stable.
+    #[test]
+    fn provenance_is_shared_and_fingerprint_tracks_artifacts(seed in any::<u64>(), policy in 0usize..3) {
+        let [alice, _, carol, validator] = &keys()[..] else { unreachable!() };
+        let (proof, mut ctx) = governed_chain(seed, policy);
+        let memo = Arc::clone(ctx.chain_memo().unwrap());
+        let speaker = Principal::key(&carol.public);
+        let issuer = Principal::key(&alice.public);
+        let request = Tag::named("web", vec![]);
+        let expected = proof.cert_hashes();
+
+        let miss = ctx.authorize(&proof, &speaker, &issuer, &request).unwrap();
+        let hit = ctx.authorize(&proof, &speaker, &issuer, &request).unwrap();
+        prop_assert_eq!((memo.stats().misses, memo.stats().hits), (1, 1));
+        prop_assert_eq!(&miss[..], &expected[..]);
+        prop_assert_eq!(&hit[..], &expected[..]);
+        prop_assert!(Arc::ptr_eq(&miss, &hit), "a hit hands back the slot's own provenance");
+
+        let (before, _) = ctx.memo_fingerprint(&proof);
+        let mut r = rng(&format!("swap-{seed}"));
+        let window = Validity::until(Time(10_000));
+        match policy {
+            // Same serial and window, a different revoked set (one that
+            // still spares this chain).
+            1 => ctx.install_crl(Crl::issue_with_serial(
+                validator,
+                3,
+                vec![snowflake_crypto::HashVal::of(&seed.to_be_bytes())],
+                window,
+                &mut r,
+            )),
+            // A fresh revalidation of the same certificate, same window.
+            2 => ctx.install_revalidation(Revalidation::issue(
+                validator,
+                expected[1].clone(),
+                window,
+                &mut r,
+            )),
+            _ => {}
+        }
+        let (after, _) = ctx.memo_fingerprint(&proof);
+        if policy == 0 {
+            prop_assert_eq!(before, after);
+        } else {
+            prop_assert_ne!(before, after);
+            let again = ctx.authorize(&proof, &speaker, &issuer, &request).unwrap();
+            prop_assert_eq!(memo.stats().misses, 2, "the new artifact misses");
+            prop_assert_eq!(&again[..], &expected[..]);
         }
     }
 }

@@ -29,7 +29,10 @@
 //! * **Cached membership.** `is_element(y)` is itself a full `q`-sized
 //!   exponentiation.  `y` and the group parameters are immutable, so a
 //!   membership check done once per key is sound to reuse; an entry's
-//!   presence in the map records it.
+//!   presence in the map records it.  Decoding a key consults the same
+//!   record ([`check_element`]): a tracked key is not re-proven, and a
+//!   key that passes is admitted *without* counting a verify sighting,
+//!   so decoding never moves a key toward its table.
 //!
 //! Signing never consults this cache: the signer exponentiates only the
 //! generator (`r = g^k`), never its own `y`, so there is nothing for a
@@ -117,6 +120,44 @@ fn make_room(s: &mut Shard) {
     }
 }
 
+/// Starts tracking `key` (already subgroup-validated) with `seen`
+/// verify sightings, making room in the shard first.
+fn track(s: &mut Shard, fp: u64, gp: usize, key: &PublicKey, seen: u64) {
+    make_room(s);
+    s.order.push(fp);
+    s.map.insert(
+        fp,
+        Entry {
+            group: gp,
+            y: key.y.clone(),
+            seen,
+            table: None,
+        },
+    );
+}
+
+/// Is `key` an element of its group's order-`q` subgroup?  Answered from
+/// the cache for a tracked key; otherwise `Group::is_element` runs (outside
+/// the shard lock) and a key that passes is admitted with no sightings, so
+/// decode-time admission neither counts toward promotion nor lets an
+/// invalid key in.  A fingerprint owned by a different key is left alone
+/// (the check still runs; the answer is just not remembered).
+pub(crate) fn check_element(key: &PublicKey) -> bool {
+    let fp = fingerprint(key);
+    let gp = key.group as *const Group as usize;
+    if matches!(shard_for(fp).lock().unwrap().map.get(&fp), Some(en) if en.matches(gp, key)) {
+        return true;
+    }
+    if !key.group.is_element(&key.y) {
+        return false;
+    }
+    let mut s = shard_for(fp).lock().unwrap();
+    if !s.map.contains_key(&fp) {
+        track(&mut s, fp, gp, key, 0);
+    }
+    true
+}
+
 /// What the cache knows about a key at verify time.
 pub(crate) struct Sighting {
     pub table: Option<Arc<FixedBaseTable>>,
@@ -173,17 +214,7 @@ pub(crate) fn confirm_element(key: &PublicKey) -> Option<Arc<FixedBaseTable>> {
             Some(_) => return None,
             None => {
                 // First validated sighting: start tracking the key.
-                make_room(&mut s);
-                s.order.push(fp);
-                s.map.insert(
-                    fp,
-                    Entry {
-                        group: gp,
-                        y: key.y.clone(),
-                        seen: 1,
-                        table: None,
-                    },
-                );
+                track(&mut s, fp, gp, key, 1);
                 false
             }
         }

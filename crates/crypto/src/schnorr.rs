@@ -201,6 +201,10 @@ impl PublicKey {
     }
 
     /// Parses the S-expression form produced by [`PublicKey::to_sexp`].
+    ///
+    /// Every key returned is a proven order-`q` subgroup element.  The
+    /// proof runs once per key per process: a key the verifier's key
+    /// cache already tracks is not re-exponentiated (see `key_cache`).
     pub fn from_sexp(e: &Sexp) -> Result<Self, ParseError> {
         let bad = |m: &str| ParseError {
             offset: 0,
@@ -225,11 +229,14 @@ impl PublicKey {
             .find_value("y")
             .and_then(Sexp::as_atom)
             .ok_or_else(|| bad("missing y"))?;
-        let y = Ubig::from_bytes_be(y_bytes);
-        if !group.is_element(&y) {
+        let key = PublicKey {
+            group,
+            y: Ubig::from_bytes_be(y_bytes),
+        };
+        if !key_cache::check_element(&key) {
             return Err(bad("y is not a valid group element"));
         }
-        Ok(PublicKey { group, y })
+        Ok(key)
     }
 
     /// The key's principal hash: SHA-256 of its canonical S-expression.

@@ -21,7 +21,7 @@ use snowflake_core::{
     Validity, VerifyCtx,
 };
 use snowflake_crypto::KeyPair;
-use snowflake_runtime::Surface;
+use snowflake_runtime::{Surface, CHAIN_MEMO_CAPACITY};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
@@ -314,9 +314,6 @@ pub trait SnowflakeService: Send + Sync {
 /// Upper bound (seconds) on a MAC session's lifetime at establishment.
 const MAX_MAC_SESSION_LIFE: u64 = 3_600;
 
-/// Bound on the identical-request cache (oldest entries go first).
-const IDENT_CACHE_CAPACITY: usize = 4096;
-
 /// Counters exposed for the Table 1 cost breakdown.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServletStats {
@@ -349,10 +346,14 @@ pub struct ProtectedServlet<S: SnowflakeService> {
     /// sharded store: a MAC session established against any of them then
     /// authorizes requests wherever its grant's tag reaches.
     macs: Arc<MacSessionStore>,
-    /// Verified identical requests: request hash → speaker, each slot
-    /// carrying the verified proof's certificate provenance and the
-    /// instant its cached conclusion stops holding.
-    verified: ProvenanceMap<HashVal, Principal>,
+    /// Verified identical requests, keyed by request hash.  A slot holds
+    /// no value: the speaker is always `Message(request hash)`, derived
+    /// from the key.  It carries the verified proof's certificate
+    /// provenance (the `Arc` the chain memo's slot shares) and the
+    /// instant its cached conclusion stops holding.  Bounded like the
+    /// surface's chain memo: one bound, [`CHAIN_MEMO_CAPACITY`], for a
+    /// surface's two caches of verified conclusions.
+    verified: ProvenanceMap<HashVal, ()>,
     stats: StatCounters,
     rng: Mutex<Box<dyn FnMut(&mut [u8]) + Send>>,
     /// The `servlet` surface: latency across both the MAC fast path and
@@ -389,7 +390,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             service,
             hash_alg: HashAlg::Sha256,
             macs,
-            verified: ProvenanceMap::bounded(IDENT_CACHE_CAPACITY),
+            verified: ProvenanceMap::bounded(CHAIN_MEMO_CAPACITY),
             stats: StatCounters::default(),
             rng: Mutex::new(rng),
             surface: Arc::new(Surface::new("servlet").with_clock(clock)),
@@ -483,9 +484,8 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     /// The identical-request fast path: an already-verified request hash
     /// authorizes by lookup alone (counted and audited here).
     fn ident_hit(&self, hash: &HashVal, req: &HttpRequest, now: Time) -> Option<Principal> {
-        let (speaker, certs) = self
-            .verified
-            .get(hash, now, |speaker, certs| (speaker.clone(), Arc::clone(certs)))?;
+        let certs = self.verified.get(hash, now, |(), certs| Arc::clone(certs))?;
+        let speaker = Principal::Message(hash.clone());
         self.stats.ident_hits.fetch_add(1, Ordering::Relaxed);
         self.surface.audit(|| {
             DecisionEvent::new(
@@ -564,20 +564,14 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         let token = self.verified.epoch();
         let ctx = self.surface.verify_ctx(now);
         match ctx.authorize(&proof, &speaker, &issuer, &request_tag) {
-            Ok(()) => {
+            Ok(certs) => {
                 self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
                 let expiry = match proof.conclusion().validity.not_after {
                     Some(t) => t.min(now.plus(300)),
                     None => now.plus(300),
                 };
-                self.verified.insert(
-                    token,
-                    hash,
-                    speaker.clone(),
-                    proof.cert_hashes().into(),
-                    Some(expiry),
-                    now,
-                );
+                self.verified
+                    .insert(token, hash, (), Arc::clone(&certs), Some(expiry), now);
                 self.surface.audit(|| {
                     DecisionEvent::new(
                         now,
@@ -588,7 +582,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                         "proof-verified",
                     )
                     .with_subject(speaker.clone())
-                    .with_certs(proof.cert_hashes())
+                    .with_certs(certs.to_vec())
                     .with_epoch(ctx.revocation_epoch())
                 });
                 Ok(speaker)
@@ -740,9 +734,8 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         let token = self.macs.epoch();
         let ctx = self.surface.verify_ctx(now);
         match ctx.authorize(&proof, &speaker, &conclusion.issuer, &conclusion.tag) {
-            Ok(()) => {
+            Ok(certs) => {
                 self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
-                let certs = proof.cert_hashes();
                 let established = {
                     let mut rng = self.rng.plock();
                     self.macs
@@ -760,7 +753,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                                 "session established",
                             )
                             .with_subject(speaker.clone())
-                            .with_certs(certs.clone())
+                            .with_certs(certs.to_vec())
                             .with_epoch(ctx.revocation_epoch())
                         });
                         HttpResponse::ok("application/sexp", reply)
@@ -776,7 +769,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                                 &e,
                             )
                             .with_subject(speaker.clone())
-                            .with_certs(certs.clone())
+                            .with_certs(certs.to_vec())
                             .with_epoch(ctx.revocation_epoch())
                         });
                         HttpResponse::forbidden(&e)
@@ -901,6 +894,7 @@ pub fn verify_document(
     let proof = Proof::from_sexp(&sexp).map_err(|e| format!("bad document proof: {e}"))?;
     let doc_principal = Principal::Message(HashVal::of(&resp.body));
     ctx.authorize(&proof, &doc_principal, expected_issuer, &Tag::Star)
+        .map(drop)
         .map_err(|e| format!("document proof rejected: {e}"))
 }
 

@@ -468,24 +468,26 @@ impl RmiServer {
             ctx.assume(&binding);
         }
 
-        if let Err(e) = ctx.verify_cached(&proof) {
-            self.surface.audit(|| {
-                DecisionEvent::new(
-                    ctx.now,
-                    "rmi",
-                    Decision::Deny,
-                    PROOF_RECIPIENT,
-                    "receive-proof",
-                    &format!("proof rejected: {e}"),
-                )
-                .with_subject(proof.conclusion().subject)
-                .with_certs(proof.cert_hashes())
-                .with_epoch(ctx.revocation_epoch())
-            });
-            return RmiReply::Fault(RmiFault::NotAuthorized(format!("proof rejected: {e}")));
-        }
+        let certs = match ctx.verify_cached(&proof) {
+            Ok(certs) => certs,
+            Err(e) => {
+                self.surface.audit(|| {
+                    DecisionEvent::new(
+                        ctx.now,
+                        "rmi",
+                        Decision::Deny,
+                        PROOF_RECIPIENT,
+                        "receive-proof",
+                        &format!("proof rejected: {e}"),
+                    )
+                    .with_subject(proof.conclusion().subject)
+                    .with_certs(proof.cert_hashes())
+                    .with_epoch(ctx.revocation_epoch())
+                });
+                return RmiReply::Fault(RmiFault::NotAuthorized(format!("proof rejected: {e}")));
+            }
+        };
         let conclusion = proof.conclusion();
-        let certs = proof.cert_hashes();
         self.surface.audit(|| {
             DecisionEvent::new(
                 ctx.now,
@@ -496,7 +498,7 @@ impl RmiServer {
                 "proof verified and digested",
             )
             .with_subject(conclusion.subject.clone())
-            .with_certs(certs.clone())
+            .with_certs(certs.to_vec())
             .with_epoch(ctx.revocation_epoch())
         });
         // A refused insert (a push landed during verification: the verdict
@@ -506,7 +508,7 @@ impl RmiServer {
         let fresh = CachedProof {
             hash: proof.hash(),
             conclusion,
-            certs: certs.into(),
+            certs,
         };
         self.cache.upsert(token, fresh.conclusion.subject.clone(), now, |old| {
             // The subject's list without expired proofs and without an

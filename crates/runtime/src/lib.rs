@@ -43,8 +43,8 @@ pub use pool::{Job, JobPermit, PoolConfig, RuntimeStats, SubmitError, WorkerPool
 pub use queue::{BoundedQueue, QueueError};
 pub use reactor::sys::{nofile_limit, raise_nofile_limit};
 pub use reactor::{
-    Accepted, AcceptFn, ConnDriver, FrameScan, ListenerHandle, OffloadJob, Reactor,
-    ReactorConfig, ReactorStats, ReadyOutcome, SinkHandle, StallFn, SINK_BUFFER_CAP,
+    Accepted, AcceptFn, CloseFn, ConnDriver, FrameScan, ListenerHandle, OffloadJob, Reactor,
+    ReactorConfig, ReactorStats, ReadyOutcome, SinkHandle, SINK_BUFFER_CAP,
 };
 pub use scheduler::{Scheduler, TaskHandle};
 pub use shed::ShedLedger;

@@ -20,11 +20,15 @@
 //!   reply and posts it back on a completion queue; an `eventfd` wakes
 //!   the reactor, which writes the reply and re-parks the connection.
 //!   At most one frame per connection is in flight.
-//! * Idle deadlines live in a coarse timer wheel (`timer`).  A deadline
-//!   is armed when a connection parks and re-armed only when a complete
-//!   frame's reply has been flushed — a slow-loris client dribbling
-//!   bytes never refreshes its deadline and is reaped on schedule, while
-//!   consuming zero workers in the meantime.
+//! * Idle deadlines live in a coarse timer wheel (`timer`), one entry per
+//!   connection for its whole life.  A connection's deadline is set when
+//!   it parks and moved only when a complete frame's reply has been
+//!   flushed — moving it touches the connection, not the wheel.  When the
+//!   entry fires, a connection parked past its deadline is reaped; any
+//!   other is re-armed at its current deadline.  A slow-loris client
+//!   dribbling bytes never moves its deadline and is reaped on schedule,
+//!   while consuming zero workers in the meantime; a busy keep-alive
+//!   connection costs one wheel entry however many requests it makes.
 //! * Shedding carries over: pool-full refusals are counted by the pool's
 //!   own drop counter (and answered with the driver's busy reply);
 //!   reactor-level refusals — parked-connection cap, accepts during
@@ -33,9 +37,15 @@
 //!   wherever it is counted, is audited here through the [`Surface`]:
 //!   one `Shed` event under its name.
 //! * Drain mirrors the pool: shutdown closes idle parked connections at
-//!   once, lets dispatched frames complete and flush their replies,
-//!   answers late accepts with the surface's shed reply, then closes the
-//!   listeners and exits.
+//!   once, lets dispatched frames complete and flush their replies within
+//!   a grace period, answers late accepts with the surface's shed reply,
+//!   then closes the listeners and exits.
+//! * A driver that panics degrades its own connection only: the pool
+//!   swallows the panic, and the dispatched job's drop guard completes
+//!   the connection as [`ReadyOutcome::Close`].
+//! * A push sink's owner learns of its end through one close callback,
+//!   run exactly once, outside the reactor lock, whenever the reactor
+//!   drops the sink — hangup, write error, stall, owner close or drain.
 
 pub mod sys;
 mod timer;
@@ -51,7 +61,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -154,7 +164,8 @@ impl ListenerHandle {
 ///
 /// Sends are buffered in the reactor (bounded); a remote that stalls
 /// past [`SINK_BUFFER_CAP`] is disconnected and counted as a shed — it
-/// never blocks the sender and never occupies a thread.
+/// never blocks the sender and never occupies a thread.  However the
+/// sink ends, its [`CloseFn`] runs once.
 pub struct SinkHandle {
     reactor: Arc<Reactor>,
     token: u64,
@@ -186,9 +197,9 @@ impl SinkHandle {
 /// declared stalled and disconnected.
 pub const SINK_BUFFER_CAP: usize = 256 * 1024;
 
-/// How long draining waits for in-progress reply flushes before
-/// force-closing them (dispatched frames are always allowed to finish).
-const DRAIN_FLUSH_GRACE: Duration = Duration::from_secs(5);
+/// How long draining waits for dispatched frames and in-progress reply
+/// flushes before force-closing their connections.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 const WAKE_TOKEN: u64 = 0;
 const READ_CHUNK: usize = 16 * 1024;
@@ -232,17 +243,19 @@ struct Conn {
     wpos: usize,
     phase: Phase,
     close_after: bool,
-    /// Bumped on every park; stale timer-wheel entries are discarded.
-    gen: u64,
+    /// When a parked request connection is idle past, the wheel reaps
+    /// it.  Set at park; the connection's one wheel entry follows it.
+    deadline: Instant,
     is_sink: bool,
-    /// A sink's stall callback, taken and run once when the reactor
-    /// sheds it.
-    on_stall: Option<StallFn>,
+    /// A sink's close callback, taken and run once when the reactor
+    /// drops the sink.
+    on_close: Option<CloseFn>,
 }
 
-/// What a push sink's owner does when the reactor sheds the sink for
-/// stalling (e.g. the broker drops the subscription).
-pub type StallFn = Box<dyn FnOnce() + Send>;
+/// What a push sink's owner does when the reactor drops the sink, for
+/// any reason (e.g. the broker prunes the subscription).  Runs exactly
+/// once, outside the reactor lock.
+pub type CloseFn = Box<dyn FnOnce() + Send>;
 
 impl Conn {
     /// A freshly parked connection: a request connection under `driver`,
@@ -251,7 +264,8 @@ impl Conn {
         stream: TcpStream,
         surface: Arc<Surface>,
         driver: Option<Box<dyn ConnDriver>>,
-        on_stall: Option<StallFn>,
+        deadline: Instant,
+        on_close: Option<CloseFn>,
     ) -> Conn {
         Conn {
             stream,
@@ -263,8 +277,45 @@ impl Conn {
             wpos: 0,
             phase: Phase::Parked,
             close_after: false,
-            gen: 0,
-            on_stall,
+            deadline,
+            on_close,
+        }
+    }
+}
+
+/// A frame on a pool worker.  The pool swallows a panicking job, so a
+/// driver that panics drops this guard unfinished — and the guard then
+/// completes the connection as `Close` instead of leaving it dispatched
+/// forever (which would also hold drain open).
+struct InFlight {
+    reactor: Arc<Reactor>,
+    token: u64,
+    driver: Option<Box<dyn ConnDriver>>,
+}
+
+impl InFlight {
+    fn run(mut self, frame: Vec<u8>) {
+        // The driver stays in the guard while `handle` runs, so an unwind
+        // finds it there.
+        let driver = self.driver.as_mut().expect("in-flight frame owns its driver");
+        let outcome = driver.handle(frame);
+        let driver = self.driver.take().expect("in-flight frame owns its driver");
+        self.reactor.complete(self.token, driver, outcome);
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        let Some(driver) = self.driver.take() else {
+            return;
+        };
+        // Not `complete`: a drop runs while the panic unwinds and must not
+        // panic itself.  A poisoned lock means the reactor thread is gone,
+        // with nothing left to complete.
+        if let Ok(mut st) = self.reactor.state.lock() {
+            st.completions.push((self.token, driver, ReadyOutcome::Close));
+            drop(st);
+            self.reactor.wake.wake();
         }
     }
 }
@@ -287,6 +338,9 @@ struct State {
     listeners: HashMap<u64, ListenerEntry>,
     wheel: TimerWheel,
     completions: Vec<(u64, Box<dyn ConnDriver>, ReadyOutcome)>,
+    /// Close callbacks of sinks dropped while the lock was held; run by
+    /// [`Reactor::unlock`] once it is released.
+    closed: Vec<CloseFn>,
     next_token: u64,
     shutting_down: bool,
     drain_started: bool,
@@ -335,6 +389,7 @@ impl Reactor {
                 listeners: HashMap::new(),
                 wheel: TimerWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY, Instant::now()),
                 completions: Vec::new(),
+                closed: Vec::new(),
                 next_token: 1,
                 shutting_down: false,
                 drain_started: false,
@@ -407,9 +462,9 @@ impl Reactor {
         self.epoll
             .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
         let deadline = Instant::now() + self.config.idle_timeout;
-        st.wheel.insert(token, 0, deadline);
+        st.wheel.insert(token, deadline);
         st.conns
-            .insert(token, Conn::new(stream, surface, Some(driver), None));
+            .insert(token, Conn::new(stream, surface, Some(driver), deadline, None));
         st.adopted += 1;
         drop(st);
         self.wake.wake();
@@ -418,13 +473,15 @@ impl Reactor {
 
     /// Adopts a write-only push sink connection under its service's
     /// shared surface.  The remote is watched for hangup; writes go
-    /// through the returned [`SinkHandle`].  A sink shed for stalling
-    /// runs `on_stall` once.
+    /// through the returned [`SinkHandle`].  `on_close` runs once, outside
+    /// the reactor lock, when the reactor drops the sink for any reason:
+    /// hangup, write error, stall (also counted and audited as a shed),
+    /// [`SinkHandle::close`], or drain.
     pub fn adopt_sink(
         self: &Arc<Self>,
         stream: TcpStream,
         surface: Arc<Surface>,
-        on_stall: Option<StallFn>,
+        on_close: Option<CloseFn>,
     ) -> io::Result<SinkHandle> {
         let mut st = self.state.lock().expect("reactor state poisoned");
         if st.shutting_down {
@@ -438,8 +495,11 @@ impl Reactor {
         st.next_token += 1;
         self.epoll
             .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
-        st.conns
-            .insert(token, Conn::new(stream, surface, None, on_stall));
+        // Sinks are never idle-reaped, so the deadline is never read.
+        st.conns.insert(
+            token,
+            Conn::new(stream, surface, None, Instant::now(), on_close),
+        );
         drop(st);
         self.wake.wake();
         Ok(SinkHandle {
@@ -485,8 +545,8 @@ impl Reactor {
 
     /// Begins drain and blocks until the reactor thread exits: idle
     /// parked connections close at once, dispatched frames complete and
-    /// flush, late accepts are shed with the surface's reply, then the
-    /// listeners close.  Idempotent.
+    /// flush (force-closed past a grace period), late accepts are shed
+    /// with the surface's reply, then the listeners close.  Idempotent.
     pub fn shutdown(&self) {
         {
             let mut st = self.state.lock().expect("reactor state poisoned");
@@ -522,17 +582,13 @@ impl Reactor {
             // count the shed rather than block or buffer unboundedly.
             self.ledger.record(conn.surface.name());
             let surface = Arc::clone(&conn.surface);
-            let on_stall = conn.on_stall.take();
             Self::close_token(&self.epoll, st, token);
-            drop(guard);
+            Self::unlock(guard);
             surface.audit_shed("push-sink", "send", "push sink stalled past buffer cap");
-            if let Some(on_stall) = on_stall {
-                on_stall();
-            }
             return false;
         }
         conn.wbuf.extend_from_slice(frame);
-        match Self::flush_conn(conn) {
+        let sent = match Self::flush_conn(conn) {
             FlushResult::Gone => {
                 Self::close_token(&self.epoll, st, token);
                 false
@@ -546,16 +602,28 @@ impl Reactor {
                 );
                 true
             }
-        }
+        };
+        Self::unlock(guard);
+        sent
     }
 
     fn sink_close(&self, token: u64) {
         let mut st = self.state.lock().expect("reactor state poisoned");
         Self::close_token(&self.epoll, &mut st, token);
-        drop(st);
+        Self::unlock(st);
         // The reactor may be parked in epoll_wait with no timeout; wake
         // it so drain bookkeeping observes the closed connection.
         self.wake.wake();
+    }
+
+    /// Releases the state lock, then runs the close callbacks of every
+    /// sink dropped while it was held.
+    fn unlock(mut guard: MutexGuard<'_, State>) {
+        let closed = std::mem::take(&mut guard.closed);
+        drop(guard);
+        for on_close in closed {
+            on_close();
+        }
     }
 
     fn sink_is_open(&self, token: u64) -> bool {
@@ -609,19 +677,33 @@ impl Reactor {
                 self.process_completion(st, token, driver, outcome);
             }
 
-            for (token, gen) in st.wheel.expired(now) {
-                let eligible = st.conns.get(&token).is_some_and(|c| {
-                    !c.is_sink && c.gen == gen && matches!(c.phase, Phase::Parked)
-                });
-                if eligible {
+            for token in st.wheel.expired(now) {
+                // A closed connection's entry just lapses.
+                let Some(conn) = st.conns.get(&token) else {
+                    continue;
+                };
+                let parked = matches!(conn.phase, Phase::Parked);
+                if parked && conn.deadline <= now {
                     Self::close_token(&self.epoll, st, token);
                     st.reaped_idle += 1;
+                } else {
+                    // Parked again since the entry was armed (the deadline
+                    // moved on), or busy with a frame: follow the deadline,
+                    // or check back one idle period out while busy (the
+                    // next park moves the deadline past that anyway).
+                    let next = if parked {
+                        conn.deadline
+                    } else {
+                        now + self.config.idle_timeout
+                    };
+                    st.wheel.insert(token, next);
                 }
             }
 
             if st.shutting_down {
                 self.drive_drain(st, now);
             }
+            Self::unlock(guard);
         }
     }
 
@@ -660,10 +742,12 @@ impl Reactor {
                     {
                         continue;
                     }
-                    st.wheel
-                        .insert(token, 0, Instant::now() + self.config.idle_timeout);
-                    st.conns
-                        .insert(token, Conn::new(stream, surface, Some(driver), None));
+                    let deadline = Instant::now() + self.config.idle_timeout;
+                    st.wheel.insert(token, deadline);
+                    st.conns.insert(
+                        token,
+                        Conn::new(stream, surface, Some(driver), deadline, None),
+                    );
                 }
                 Accepted::Offload(job) => {
                     // The handshake blocks, so it must run on a worker;
@@ -801,13 +885,12 @@ impl Reactor {
                     Ok(permit) => {
                         conn.phase = Phase::Dispatched;
                         let _ = self.epoll.modify(conn.stream.as_raw_fd(), 0, token);
-                        let driver = conn.driver.take().expect("driver present when parked");
-                        let reactor = self.self_arc();
-                        permit.submit(move || {
-                            let mut driver = driver;
-                            let outcome = driver.handle(frame);
-                            reactor.complete(token, driver, outcome);
-                        });
+                        let job = InFlight {
+                            reactor: self.self_arc(),
+                            token,
+                            driver: conn.driver.take(),
+                        };
+                        permit.submit(move || job.run(frame));
                         st.frames_dispatched += 1;
                     }
                     Err(SubmitError::Busy) => {
@@ -880,22 +963,18 @@ impl Reactor {
     }
 
     /// Re-parks a connection after a completed frame: fresh idle
-    /// deadline (the only place one is re-armed), read interest back on,
-    /// and an immediate re-scan for a pipelined next frame.
+    /// deadline (the only place one is moved; the connection's wheel
+    /// entry catches up when it fires), read interest back on, and an
+    /// immediate re-scan for a pipelined next frame.
     fn park(&self, st: &mut State, token: u64) {
-        let idle = self.config.idle_timeout;
-        {
-            let Some(conn) = st.conns.get_mut(&token) else {
-                return;
-            };
-            conn.phase = Phase::Parked;
-            conn.gen += 1;
-            let gen = conn.gen;
-            let _ = self
-                .epoll
-                .modify(conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token);
-            st.wheel.insert(token, gen, Instant::now() + idle);
-        }
+        let Some(conn) = st.conns.get_mut(&token) else {
+            return;
+        };
+        conn.phase = Phase::Parked;
+        conn.deadline = Instant::now() + self.config.idle_timeout;
+        let _ = self
+            .epoll
+            .modify(conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token);
         self.try_dispatch(st, token);
     }
 
@@ -914,19 +993,23 @@ impl Reactor {
         FlushResult::Done
     }
 
+    /// Drops a connection.  A sink's close callback is queued for
+    /// [`Reactor::unlock`]: it may take its owner's locks, so it never
+    /// runs under this one.
     fn close_token(epoll: &Epoll, st: &mut State, token: u64) {
-        if let Some(conn) = st.conns.remove(&token) {
+        if let Some(mut conn) = st.conns.remove(&token) {
             // Dropping the stream closes the fd; the explicit delete
             // covers streams with a still-open duplicate (handshake
             // clones), which closing alone would not deregister.
             let _ = epoll.delete(conn.stream.as_raw_fd());
+            st.closed.extend(conn.on_close.take());
         }
     }
 
     fn drive_drain(&self, st: &mut State, now: Instant) {
         if !st.drain_started {
             st.drain_started = true;
-            st.drain_deadline = Some(now + DRAIN_FLUSH_GRACE);
+            st.drain_deadline = Some(now + DRAIN_GRACE);
             let idle: Vec<u64> = st
                 .conns
                 .iter()
@@ -942,7 +1025,7 @@ impl Reactor {
                 let stuck: Vec<u64> = st
                     .conns
                     .iter()
-                    .filter(|(_, c)| matches!(c.phase, Phase::Flushing))
+                    .filter(|(_, c)| matches!(c.phase, Phase::Dispatched | Phase::Flushing))
                     .map(|(t, _)| *t)
                     .collect();
                 for token in stuck {
@@ -1124,6 +1207,182 @@ mod tests {
         assert_eq!(reactor.stats().open_connections, 0);
 
         reactor.shutdown();
+        pool.shutdown();
+    }
+
+    /// However many requests a keep-alive connection makes, it holds one
+    /// timer-wheel entry: parking moves the connection's deadline, not
+    /// the wheel.
+    #[test]
+    fn keep_alive_requests_leave_one_wheel_entry_per_connection() {
+        let (pool, _ledger, reactor) = rig(64, Duration::from_secs(10));
+        let (addr, _handle) = echo_listener(&reactor);
+
+        let mut c = ClientStream::connect(addr).expect("connect");
+        for i in 0..10_000 {
+            c.write_all(format!("req {i}\n").as_bytes()).unwrap();
+            assert_eq!(read_line(&mut c), format!("REQ {i}\n"));
+        }
+        let open = reactor.stats().open_connections as usize;
+        let entries = reactor.state.lock().unwrap().wheel.len();
+        assert_eq!(open, 1);
+        assert!(entries <= open, "{entries} wheel entries for {open} connection");
+
+        reactor.shutdown();
+        pool.shutdown();
+    }
+
+    /// Panics on its first frame.
+    struct PanickingDriver;
+
+    impl ConnDriver for PanickingDriver {
+        fn scan(&mut self, buf: &[u8]) -> FrameScan {
+            match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => FrameScan::Complete(i + 1),
+                None => FrameScan::Partial,
+            }
+        }
+
+        fn handle(&mut self, _frame: Vec<u8>) -> ReadyOutcome {
+            panic!("driver bug");
+        }
+
+        fn busy_reply(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    /// Runs `reactor.shutdown()` on a helper thread; `true` when it
+    /// returned within `limit`.
+    fn shutdown_returns_within(reactor: &Arc<Reactor>, limit: Duration) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let r = Arc::clone(reactor);
+        std::thread::spawn(move || {
+            r.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(limit).is_ok()
+    }
+
+    /// A driver that panics costs its own connection and nothing else:
+    /// the peer sees EOF, the reactor forgets the connection, and drain
+    /// is not held open by a frame that will never complete.
+    #[test]
+    fn panicking_driver_closes_its_connection_and_shutdown_returns() {
+        let (pool, _ledger, reactor) = rig(64, Duration::from_secs(10));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        reactor
+            .register_listener(
+                listener,
+                Arc::new(Surface::new("panicky")),
+                Box::new(|| Accepted::Park(Box::new(PanickingDriver))),
+            )
+            .expect("register");
+
+        let mut c = ClientStream::connect(addr).expect("connect");
+        c.write_all(b"boom\n").unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut eof = Vec::new();
+        c.read_to_end(&mut eof).expect("the panicked connection is closed");
+        assert!(eof.is_empty());
+        let start = Instant::now();
+        while reactor.stats().open_connections != 0 {
+            assert!(start.elapsed() < Duration::from_secs(5), "{:?}", reactor.stats());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(pool.stats().completed, 1, "the pool survived the panic");
+
+        assert!(shutdown_returns_within(&reactor, Duration::from_secs(10)));
+        pool.shutdown();
+    }
+
+    /// Blocks in `handle` until the gate opens.
+    struct GatedDriver(Arc<(Mutex<bool>, Condvar)>);
+
+    impl ConnDriver for GatedDriver {
+        fn scan(&mut self, buf: &[u8]) -> FrameScan {
+            EchoDriver.scan(buf)
+        }
+
+        fn handle(&mut self, frame: Vec<u8>) -> ReadyOutcome {
+            let (open, cvar) = &*self.0;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cvar.wait(open).unwrap();
+            }
+            ReadyOutcome::Reply(frame)
+        }
+
+        fn busy_reply(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    /// Drain waits for a dispatched frame only as long as its grace: a
+    /// handler that never returns cannot hold shutdown open.
+    #[test]
+    fn drain_force_closes_a_frame_stuck_past_the_grace() {
+        let (pool, _ledger, reactor) = rig(64, Duration::from_secs(10));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let driver_gate = Arc::clone(&gate);
+        reactor
+            .register_listener(
+                listener,
+                Arc::new(Surface::new("stuck")),
+                Box::new(move || Accepted::Park(Box::new(GatedDriver(Arc::clone(&driver_gate))))),
+            )
+            .expect("register");
+
+        let mut c = ClientStream::connect(addr).expect("connect");
+        c.write_all(b"hang\n").unwrap();
+        let start = Instant::now();
+        while pool.stats().in_flight != 1 {
+            assert!(start.elapsed() < Duration::from_secs(5));
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let returned = shutdown_returns_within(&reactor, DRAIN_GRACE * 3);
+        // Release the worker whatever happened, so the pool can join it.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        assert!(returned, "shutdown waited on a stuck frame past the grace");
+        pool.shutdown();
+    }
+
+    /// A sink the peer hangs up on runs its close callback exactly once,
+    /// and a hangup is not a shed.
+    #[test]
+    fn sink_hangup_runs_the_close_callback_once() {
+        let (pool, ledger, reactor) = rig(64, Duration::from_secs(10));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = ClientStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let closes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&closes);
+        let sink = reactor
+            .adopt_sink(
+                served,
+                Arc::new(Surface::new("push")),
+                Some(Box::new(move || {
+                    counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                })),
+            )
+            .unwrap();
+
+        drop(client);
+        let start = Instant::now();
+        while closes.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+            assert!(start.elapsed() < Duration::from_secs(5), "hangup never reported");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!sink.is_open());
+        sink.close();
+        reactor.shutdown();
+        assert_eq!(closes.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(ledger.total(), 0, "a hangup is not a shed");
         pool.shutdown();
     }
 

@@ -1,23 +1,22 @@
 //! A coarse timer wheel for connection idle deadlines.
 //!
-//! The reactor arms one deadline per parked connection — tens of
-//! thousands of them — and cancels/re-arms on every completed request.
-//! A binary heap would pay `O(log n)` per re-arm and need tombstone
-//! compaction; a wheel with ~100ms slots pays `O(1)` per arm and
-//! amortized `O(1)` per expiry, and 100ms of reap slop is irrelevant
-//! against multi-second idle timeouts.
+//! The reactor arms one entry per open connection — tens of thousands
+//! of them.  A binary heap would pay `O(log n)` per arm; a wheel with
+//! ~100ms slots pays `O(1)` per arm and amortized `O(1)` per expiry, and
+//! 100ms of reap slop is irrelevant against multi-second idle timeouts.
 //!
-//! Cancellation is lazy: entries carry the generation the connection had
-//! when armed, and the reactor discards fired entries whose generation no
-//! longer matches.  Re-arming is therefore just "bump the generation and
-//! insert a new entry".
+//! The wheel knows tokens, not connections.  A connection's deadline
+//! lives with the connection and moves on every completed request
+//! without touching the wheel; when the entry fires, the reactor either
+//! reaps the connection or re-arms the entry at its current deadline.
+//! So a keep-alive connection costs one entry however many requests it
+//! makes, and a closed connection's entry simply lapses when it fires.
 
 use std::time::{Duration, Instant};
 
-/// One armed deadline: fires `(token, gen)` at or after `deadline`.
+/// One armed deadline: fires `token` at or after `deadline`.
 struct Entry {
     token: u64,
-    gen: u64,
     deadline: Instant,
 }
 
@@ -48,10 +47,10 @@ impl TimerWheel {
         self.len
     }
 
-    /// Arms `(token, gen)` to fire at `deadline`.  Deadlines further out
-    /// than one wheel revolution land in the last slot and are re-inserted
+    /// Arms `token` to fire at `deadline`.  Deadlines further out than
+    /// one wheel revolution land in the last slot and are re-inserted
     /// when the cursor reaches them (the entry keeps its true deadline).
-    pub(crate) fn insert(&mut self, token: u64, gen: u64, deadline: Instant) {
+    pub(crate) fn insert(&mut self, token: u64, deadline: Instant) {
         let slots_ahead = if deadline <= self.cursor_time {
             0
         } else {
@@ -60,11 +59,7 @@ impl TimerWheel {
             ((nanos / gran) as usize).min(self.slots.len() - 1)
         };
         let idx = (self.cursor + slots_ahead) % self.slots.len();
-        self.slots[idx].push(Entry {
-            token,
-            gen,
-            deadline,
-        });
+        self.slots[idx].push(Entry { token, deadline });
         self.len += 1;
     }
 
@@ -85,17 +80,17 @@ impl TimerWheel {
         None
     }
 
-    /// Advances the cursor to `now`, collecting every `(token, gen)` whose
+    /// Advances the cursor to `now`, collecting every token whose
     /// deadline has passed.  Entries in swept slots that are not yet due
     /// (far-future deadlines, coarse slotting) are re-inserted.
-    pub(crate) fn expired(&mut self, now: Instant) -> Vec<(u64, u64)> {
+    pub(crate) fn expired(&mut self, now: Instant) -> Vec<u64> {
         let mut fired = Vec::new();
         let mut requeue = Vec::new();
         while self.cursor_time + self.granularity <= now {
             for entry in self.slots[self.cursor].drain(..) {
                 self.len -= 1;
                 if entry.deadline <= now {
-                    fired.push((entry.token, entry.gen));
+                    fired.push(entry.token);
                 } else {
                     requeue.push(entry);
                 }
@@ -110,22 +105,15 @@ impl TimerWheel {
             if self.slots[self.cursor][i].deadline <= now {
                 let entry = self.slots[self.cursor].swap_remove(i);
                 self.len -= 1;
-                fired.push((entry.token, entry.gen));
+                fired.push(entry.token);
             } else {
                 i += 1;
             }
         }
         for entry in requeue {
-            self.len += 1;
             // Re-insert relative to the advanced cursor; lands closer to
             // its true deadline each revolution.
-            let Entry {
-                token,
-                gen,
-                deadline,
-            } = entry;
-            self.len -= 1; // insert() will re-count it
-            self.insert(token, gen, deadline);
+            self.insert(entry.token, entry.deadline);
         }
         fired
     }
@@ -143,17 +131,17 @@ mod tests {
     fn fires_due_entries_and_keeps_future_ones() {
         let t0 = Instant::now();
         let mut wheel = TimerWheel::new(16, ms(100), t0);
-        wheel.insert(1, 0, t0 + ms(150));
-        wheel.insert(2, 0, t0 + ms(950));
+        wheel.insert(1, t0 + ms(150));
+        wheel.insert(2, t0 + ms(950));
         assert_eq!(wheel.len(), 2);
 
         assert!(wheel.expired(t0 + ms(100)).is_empty());
         let fired = wheel.expired(t0 + ms(200));
-        assert_eq!(fired, vec![(1, 0)]);
+        assert_eq!(fired, vec![1]);
         assert_eq!(wheel.len(), 1);
 
         let fired = wheel.expired(t0 + ms(1_000));
-        assert_eq!(fired, vec![(2, 0)]);
+        assert_eq!(fired, vec![2]);
         assert_eq!(wheel.len(), 0);
         assert!(wheel.next_timeout(t0 + ms(1_000)).is_none());
     }
@@ -163,7 +151,7 @@ mod tests {
         let t0 = Instant::now();
         // 4 slots x 100ms = 400ms revolution; the deadline is 1s out.
         let mut wheel = TimerWheel::new(4, ms(100), t0);
-        wheel.insert(7, 3, t0 + ms(1_000));
+        wheel.insert(7, t0 + ms(1_000));
 
         for step in 1..10 {
             assert!(
@@ -173,7 +161,7 @@ mod tests {
             );
         }
         let fired = wheel.expired(t0 + ms(1_100));
-        assert_eq!(fired, vec![(7, 3)]);
+        assert_eq!(fired, vec![7]);
     }
 
     #[test]
@@ -181,7 +169,7 @@ mod tests {
         let t0 = Instant::now();
         let mut wheel = TimerWheel::new(16, ms(100), t0);
         assert!(wheel.next_timeout(t0).is_none());
-        wheel.insert(1, 0, t0 + ms(250));
+        wheel.insert(1, t0 + ms(250));
         let timeout = wheel.next_timeout(t0).expect("armed");
         // The entry sits in slot 2 (200..300ms); the bound must cover it.
         assert!(timeout >= ms(250) && timeout <= ms(400), "{timeout:?}");
@@ -191,8 +179,8 @@ mod tests {
     fn same_slot_deadline_fires_without_cursor_advance() {
         let t0 = Instant::now();
         let mut wheel = TimerWheel::new(16, ms(100), t0);
-        wheel.insert(9, 1, t0 + ms(10));
+        wheel.insert(9, t0 + ms(10));
         let fired = wheel.expired(t0 + ms(50));
-        assert_eq!(fired, vec![(9, 1)]);
+        assert_eq!(fired, vec![9]);
     }
 }

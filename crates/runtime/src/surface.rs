@@ -284,7 +284,7 @@ mod tests {
     }
 
     /// A stalled sink is one ledger count and one `Shed` event under the
-    /// sink surface's name, and its stall callback fires exactly once.
+    /// sink surface's name, and its close callback fires exactly once.
     #[test]
     fn sink_stall_is_counted_audited_and_called_back_once() {
         let (pool, ledger, reactor) = rig(16);

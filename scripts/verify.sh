@@ -49,6 +49,20 @@ cargo test -q --offline -p snowflake-http --test connection_reactor
 cargo test -q --offline -p snowflake-rmi --test reactor_serving
 cargo test -q --offline -p snowflake-revocation --test reactor_push
 
+echo "==> reactor residency + containment (one wheel entry per connection, panics and stuck frames contained, hung-up sinks pruned)"
+# Per-request residency must not scale with throughput, and a faulty
+# driver must degrade only its own connection: each test is named, so a
+# rename or deletion fails here instead of silently dropping the claim.
+cargo test -q --offline -p snowflake-runtime --lib -- --exact \
+    reactor::tests::keep_alive_requests_leave_one_wheel_entry_per_connection \
+    reactor::tests::idle_connections_are_reaped_by_the_timer_wheel \
+    reactor::tests::panicking_driver_closes_its_connection_and_shutdown_returns \
+    reactor::tests::drain_force_closes_a_frame_stuck_past_the_grace \
+    reactor::tests::sink_hangup_runs_the_close_callback_once
+cargo test -q --offline -p snowflake-broker --test broker -- --exact \
+    hung_up_subscribers_are_pruned_without_a_publish \
+    stalled_subscriber_is_shed_without_harming_healthy_ones
+
 echo "==> verification fast-path suites (modpow vs reference, batch pinpointing, memo soundness, the revocation guard)"
 # The fast paths are optimizations of an unchanged acceptance predicate,
 # and each has a suite proving it against the slow reference: bigint
@@ -63,6 +77,13 @@ cargo test -q --offline -p snowflake-bigint --test props
 cargo test -q --offline -p snowflake-crypto --test batch_props
 cargo test -q --offline -p snowflake-core --test chain_memo
 cargo test -q --offline -p snowflake-core --test provenance
+# Decode proves subgroup membership once per key and is not a verify
+# sighting; an off-subgroup key is refused on every surface however warm
+# the key cache; a memo hit hashes only revalidation leaves.
+cargo test -q --offline -p snowflake-crypto --test decode_membership
+cargo test -q --offline -p snowflake --test off_subgroup_keys
+cargo test -q --offline -p snowflake-core --lib -- --exact \
+    verify::tests::memo_hit_hashes_only_revalidation_leaves
 
 echo "==> broker suites (authz facade, subscribe-as-action, revocation-push cuts)"
 # The broker's claims — authz answers fail closed on malformed bodies,
