@@ -254,7 +254,7 @@ fn http_servlet_mac_and_shed_surfaces_audited() {
             validity: Validity::until(Time(2_000_000)),
             delegable: false,
         };
-        servlet.surface().base_ctx().assume(&stmt);
+        servlet.surface().assume(&stmt);
         snowflake_http::auth::attach_proof(
             &mut req,
             &Proof::Assumption {
@@ -277,7 +277,7 @@ fn http_servlet_mac_and_shed_surfaces_audited() {
         validity: Validity::until(Time(1_003_000)),
         delegable: false,
     };
-    servlet.surface().base_ctx().assume(&stmt);
+    servlet.surface().assume(&stmt);
     snowflake_http::auth::attach_proof(
         &mut est,
         &Proof::Assumption {

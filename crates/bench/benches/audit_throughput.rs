@@ -61,7 +61,7 @@ fn mac_rig() -> MacRig {
         validity: Validity::until(Time(1_003_000)),
         delegable: false,
     };
-    servlet.surface().base_ctx().assume(&stmt);
+    servlet.surface().assume(&stmt);
     snowflake_http::auth::attach_proof(
         &mut est,
         &Proof::Assumption {

@@ -7,7 +7,11 @@
 //! Row 6 comes in two speeds: the cold verify (every request re-proves the
 //! chain) and the memoized verify (the verified-chain memo answers a
 //! re-presented proof without redoing the exponentiations) — the servlet
-//! steady state once a client's chain has been seen.
+//! steady state once a client's chain has been seen.  Row 6c is that
+//! memo hit as a server takes it — through a `Surface`'s per-decision
+//! context — on a chain governed by a CRL with 10,000 revoked entries
+//! attached: the per-decision context shares the list, so the row must
+//! not grow with its length.
 //!
 //! Set `SF_BENCH_SMOKE=1` to run each phase once (CI smoke mode: proves
 //! the rigs still build and verify, measures nothing).
@@ -15,7 +19,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use snowflake_bench::rigs::{self, HttpKind, Tier};
 use snowflake_bench::{report_json, time_it};
-use snowflake_core::{ChainMemo, Proof, Time, VerifyCtx};
+use snowflake_core::{
+    Certificate, ChainMemo, Crl, Delegation, HashVal, Principal, Proof, RevocationPolicy,
+    RevocationTable, Tag, Time, Validity, VerifyCtx,
+};
+use snowflake_crypto::{DetRng, Group, KeyPair};
 use snowflake_crypto::hmac::hmac_sha256;
 use snowflake_http::HttpRequest;
 use snowflake_sexpr::Sexp;
@@ -36,6 +44,8 @@ fn phases(c: &mut Criterion) {
     let memo = Arc::new(ChainMemo::new(64));
     let memo_ctx = VerifyCtx::at(Time(1_000_000)).with_chain_memo(Arc::clone(&memo));
     memo_ctx.verify_cached(&proof).expect("warm the memo");
+    let crl_rig = CrlRig::new(10_000);
+    crl_rig.hit();
 
     if smoke {
         let mut mini = rigs::http_rig(HttpKind::Mini);
@@ -47,7 +57,20 @@ fn phases(c: &mut Criterion) {
         proof.verify(&ctx).expect("cold verify");
         memo_ctx.verify_cached(&proof).expect("memo hit");
         assert!(memo.stats().hits >= 1, "memo hit counter must move");
-        println!("table1/smoke ok (rigs, cold verify, and memo hit all pass)");
+        crl_rig.hit();
+        assert!(crl_rig.surface.chain_memo().stats().hits >= 1, "CRL row must hit");
+        let now = crl_rig.surface.now();
+        let resolved = crl_rig
+            .surface
+            .verify_ctx(now)
+            .revocation_source()
+            .crl(&crl_rig.validator, now)
+            .expect("the attached list is current");
+        assert!(
+            Arc::ptr_eq(&resolved, &crl_rig.list),
+            "the per-decision context shares the attached list"
+        );
+        println!("table1/smoke ok (rigs, cold verify, memo hit and CRL memo hit all pass)");
         return;
     }
 
@@ -87,6 +110,10 @@ fn phases(c: &mut Criterion) {
         b.iter(|| memo_ctx.verify_cached(&proof).expect("memo hit"));
     });
 
+    group.bench_function("row6c_memo_hit_crl10k", |b| {
+        b.iter(|| crl_rig.hit());
+    });
+
     let mut req = HttpRequest::get("/doc");
     req.set_header("Connection", "keep-alive");
     let secret = [7u8; 32];
@@ -112,6 +139,7 @@ fn phases(c: &mut Criterion) {
     let hit = time_it(10, 2000, || {
         memo_ctx.verify_cached(&proof).expect("memo hit");
     });
+    let hit_crl = time_it(10, 2000, || crl_rig.hit());
     let stats = memo.stats();
     report_json(
         "table1_breakdown",
@@ -120,16 +148,76 @@ fn phases(c: &mut Criterion) {
             ("unmarshal_ns", ns(unmarshal)),
             ("cold_verify_ns", ns(cold)),
             ("memo_hit_verify_ns", ns(hit)),
+            ("memo_hit_crl10k_ns", ns(hit_crl)),
             ("memo_hits", stats.hits.to_string()),
             ("memo_misses", stats.misses.to_string()),
         ],
     );
 }
 
+/// Row 6c's rig: a surface with a CRL of `revoked` entries attached, and
+/// a one-certificate chain that list governs (and spares).
+struct CrlRig {
+    surface: snowflake_runtime::Surface,
+    proof: Proof,
+    subject: Principal,
+    issuer: Principal,
+    validator: HashVal,
+    list: Arc<Crl>,
+}
+
+impl CrlRig {
+    fn new(revoked: u64) -> CrlRig {
+        fn at_1m() -> Time {
+            Time(1_000_000)
+        }
+        let mut rng = DetRng::new(b"bench-crl");
+        let mut rb = move |b: &mut [u8]| rng.fill(b);
+        let owner = KeyPair::generate(Group::test512(), &mut rb);
+        let validator = KeyPair::generate(Group::test512(), &mut rb);
+        let subject = Principal::message(b"the request");
+        let issuer = Principal::key(&owner.public);
+        let cert = Certificate::issue_with_revocation(
+            &owner,
+            Delegation {
+                subject: subject.clone(),
+                issuer: issuer.clone(),
+                tag: Tag::Star,
+                validity: Validity::always(),
+                delegable: false,
+            },
+            Some(RevocationPolicy::Crl {
+                validator: validator.public.hash(),
+            }),
+            &mut rb,
+        );
+        let entries = (0..revoked).map(|i| HashVal::of(&i.to_be_bytes())).collect();
+        let list = Arc::new(Crl::issue(&validator, entries, Validity::until(Time(2_000_000)), &mut rb));
+        let mut table = RevocationTable::default();
+        table.install_crl(Arc::clone(&list));
+        let surface = snowflake_runtime::Surface::new("table1-crl").with_clock(at_1m);
+        surface.set_revocation_source(Arc::new(table));
+        CrlRig {
+            surface,
+            proof: Proof::signed_cert(cert),
+            subject,
+            issuer,
+            validator: validator.public.hash(),
+            list,
+        }
+    }
+
+    /// One decision as a server takes it: a fresh per-decision context,
+    /// then the memoized authorization.
+    fn hit(&self) {
+        let ctx = self.surface.verify_ctx(self.surface.now());
+        ctx.authorize(&self.proof, &self.subject, &self.issuer, &Tag::Star)
+            .expect("the list spares the chain");
+    }
+}
+
 /// A two-certificate chain like the one a server verifies per request.
 fn representative_wire() -> Vec<u8> {
-    use snowflake_core::{Certificate, Delegation, Principal, Tag, Validity};
-    use snowflake_crypto::{DetRng, Group, KeyPair};
     let mut rng = DetRng::new(b"bench-wire");
     let mut rb = move |b: &mut [u8]| rng.fill(b);
     let owner = KeyPair::generate(Group::test512(), &mut rb);

@@ -95,9 +95,9 @@ pub struct DecisionEvent {
     /// proof's speaks-for provenance (empty for sheds and proof-less
     /// denials).
     pub cert_hashes: Vec<HashVal>,
-    /// The revocation epoch the decider held (highest installed CRL
-    /// serial; 0 when it held none), recording *against which revocation
-    /// state* the verdict was reached.
+    /// The revocation epoch the decider held (the highest CRL serial its
+    /// revocation source holds; 0 when it held none), recording *against
+    /// which revocation state* the verdict was reached.
     pub revocation_epoch: u64,
 }
 

@@ -81,7 +81,7 @@ pub use memo::{ChainMemo, MemoStats};
 pub use principal::{ChannelId, Principal};
 pub use proof::{Proof, ProofError};
 pub use provenance::{Epoch, ProvenanceMap};
-pub use revocation::{Crl, Revalidation, RevocationPolicy};
+pub use revocation::{Crl, Revalidation, RevocationPolicy, RevocationTable};
 pub use sequence::Sequence;
 pub use statement::{Delegation, Time, Validity};
 pub use verify::{RevocationSource, VerifyCtx};

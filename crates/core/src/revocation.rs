@@ -14,10 +14,11 @@
 
 use snowflake_crypto::{HashVal, KeyPair, PublicKey, Signature};
 use snowflake_sexpr::{ParseError, Sexp};
-use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 use crate::statement::{Time, Validity};
+use crate::verify::RevocationSource;
 
 /// The revocation regime a certificate opts into.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -377,6 +378,68 @@ impl Revalidation {
             signer: PublicKey::from_sexp(&body[1])?,
             signature: Signature::from_sexp(&body[2])?,
         })
+    }
+}
+
+/// Hand-installed revocation data: the [`RevocationSource`] of a verifier
+/// that runs no freshness agent.
+///
+/// A plain value: build it with [`RevocationTable::install_crl`] and
+/// [`RevocationTable::install_revalidation`], then attach it behind an
+/// `Arc` ([`crate::VerifyCtx::set_revocation_source`]).  An attached table
+/// is never mutated — changing the installed lists means attaching a new
+/// table — so every decision shares its lists (and their built-once
+/// membership indexes) instead of copying them, and a decision's memo
+/// fingerprint and cold path resolve the same artifact.
+#[derive(Debug, Clone, Default)]
+pub struct RevocationTable {
+    crls: HashMap<HashVal, Arc<Crl>>,
+    revalidations: HashMap<HashVal, Revalidation>,
+}
+
+impl RevocationTable {
+    /// Installs a CRL, replacing any previous list from the same validator.
+    pub fn install_crl(&mut self, crl: impl Into<Arc<Crl>>) -> &mut RevocationTable {
+        let crl = crl.into();
+        self.crls.insert(crl.signer.hash(), crl);
+        self
+    }
+
+    /// Installs a revalidation, replacing any previous one of the same
+    /// certificate.
+    pub fn install_revalidation(&mut self, r: Revalidation) -> &mut RevocationTable {
+        self.revalidations.insert(r.cert_hash.clone(), r);
+        self
+    }
+}
+
+#[cfg(test)]
+impl RevocationTable {
+    /// A table holding one CRL and one revalidation.
+    pub(crate) fn of(crl: Crl, reval: Revalidation) -> RevocationTable {
+        let mut table = RevocationTable::default();
+        table.install_crl(crl).install_revalidation(reval);
+        table
+    }
+}
+
+impl RevocationSource for RevocationTable {
+    fn crl(&self, validator: &HashVal, now: Time) -> Option<Arc<Crl>> {
+        self.crls
+            .get(validator)
+            .filter(|c| c.validity.contains(now))
+            .cloned()
+    }
+
+    fn revalidation(&self, cert_hash: &HashVal, now: Time) -> Option<Revalidation> {
+        self.revalidations
+            .get(cert_hash)
+            .filter(|r| r.validity.contains(now))
+            .cloned()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.crls.values().map(|c| c.serial).max().unwrap_or(0)
     }
 }
 

@@ -7,25 +7,23 @@
 //! exactly that knowledge, keeping the proof-checking engine minimal — the
 //! paper's "minimal verification engine" design goal.
 //!
-//! Revocation data reaches the context two ways: artifacts can be
-//! *installed* directly ([`VerifyCtx::install_crl`],
-//! [`VerifyCtx::install_revalidation`]), or a pluggable
-//! [`RevocationSource`] can be attached whose cache the context consults on
-//! demand.  Sources answer from local state only — a verifier-side
-//! freshness agent refreshes them *outside* the verify path, so proof
-//! checking never blocks on a network fetch.
+//! Revocation data reaches the context one way: an attached
+//! [`RevocationSource`] — a verifier-side freshness agent, or a
+//! [`RevocationTable`] of hand-installed lists.  Sources answer from local
+//! state only — a freshness agent refreshes its cache *outside* the verify
+//! path, so proof checking never blocks on a network fetch.
 
 use crate::cert::Certificate;
 use crate::memo::ChainMemo;
 use crate::principal::Principal;
 use crate::proof::{Proof, ProofError};
-use crate::revocation::{Crl, Revalidation, RevocationPolicy};
+use crate::revocation::{Crl, Revalidation, RevocationPolicy, RevocationTable};
 use crate::statement::{Delegation, Time, Validity};
 use snowflake_crypto::HashVal;
 use snowflake_tags::Tag;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A cache-backed supplier of revocation artifacts.
 ///
@@ -45,10 +43,15 @@ pub trait RevocationSource: Send + Sync {
     /// A current revalidation of the certificate with this hash, if one is
     /// cached and valid at `now`.
     fn revalidation(&self, cert_hash: &HashVal, now: Time) -> Option<Revalidation>;
+
+    /// The revocation epoch: the highest CRL serial this source holds
+    /// (0 when it holds none).  Audit records carry it, and the memo
+    /// fingerprint folds it.
+    fn epoch(&self) -> u64;
 }
 
 /// Trusted local state used while verifying proofs.
-#[derive(Default, Clone)]
+#[derive(Clone)]
 pub struct VerifyCtx {
     /// The verification time (conclusions must be valid at this instant).
     pub now: Time,
@@ -56,48 +59,22 @@ pub struct VerifyCtx {
     /// (channel bindings, utterances witnessed on channels, local-broker
     /// vouchers, MAC-session bindings).
     assumptions: HashSet<HashVal>,
-    /// Current CRLs, keyed by validator key hash.
-    crls: HashMap<HashVal, Crl>,
-    /// Current revalidations, keyed by certificate hash.
-    revalidations: HashMap<HashVal, Revalidation>,
-    /// Pluggable supplier consulted when no (current) artifact is installed.
-    source: Option<Arc<dyn RevocationSource>>,
+    /// Where every revocation artifact comes from; an empty
+    /// [`RevocationTable`] until one is attached.
+    revocation: Arc<dyn RevocationSource>,
     /// Verified-chain memo consulted by [`VerifyCtx::verify_cached`];
     /// absent, every verification runs cold.
     memo: Option<Arc<ChainMemo>>,
 }
 
-/// A resolved CRL: either borrowed from the context's installed map or
-/// shared out of a [`RevocationSource`] cache.  One resolution routine
-/// feeds *both* [`VerifyCtx::check_revocation`] and the memo fingerprint,
-/// so the artifact the fingerprint names is exactly the artifact the cold
-/// path would consult — any divergence there would let a memo hit answer
-/// for a different revocation state than a cold verify.
-enum CrlRef<'a> {
-    Installed(&'a Crl),
-    Fetched(Arc<Crl>),
-}
-
-impl CrlRef<'_> {
-    fn get(&self) -> &Crl {
-        match self {
-            CrlRef::Installed(c) => c,
-            CrlRef::Fetched(c) => c,
-        }
-    }
-}
-
-/// A resolved revalidation (see [`CrlRef`]).
-enum RevalRef<'a> {
-    Installed(&'a Revalidation),
-    Fetched(Revalidation),
-}
-
-impl RevalRef<'_> {
-    fn get(&self) -> &Revalidation {
-        match self {
-            RevalRef::Installed(r) => r,
-            RevalRef::Fetched(r) => r,
+impl Default for VerifyCtx {
+    fn default() -> VerifyCtx {
+        static EMPTY: OnceLock<Arc<RevocationTable>> = OnceLock::new();
+        VerifyCtx {
+            now: Time::default(),
+            assumptions: HashSet::new(),
+            revocation: EMPTY.get_or_init(Default::default).clone(),
+            memo: None,
         }
     }
 }
@@ -107,9 +84,7 @@ impl fmt::Debug for VerifyCtx {
         f.debug_struct("VerifyCtx")
             .field("now", &self.now)
             .field("assumptions", &self.assumptions.len())
-            .field("crls", &self.crls.len())
-            .field("revalidations", &self.revalidations.len())
-            .field("source", &self.source.is_some())
+            .field("revocation_epoch", &self.revocation_epoch())
             .field("memo", &self.memo.is_some())
             .finish()
     }
@@ -149,20 +124,10 @@ impl VerifyCtx {
         self.assumptions.contains(&stmt.hash())
     }
 
-    /// Installs a CRL (replacing any previous list from the same validator).
-    pub fn install_crl(&mut self, crl: Crl) {
-        self.crls.insert(crl.signer.hash(), crl);
-    }
-
-    /// Installs a revalidation.
-    pub fn install_revalidation(&mut self, r: Revalidation) {
-        self.revalidations.insert(r.cert_hash.clone(), r);
-    }
-
-    /// Attaches a pluggable revocation source (e.g. a freshness agent)
-    /// consulted when no current artifact is installed directly.
+    /// Attaches the revocation source (a freshness agent, or a
+    /// [`RevocationTable`]), replacing any previous one.
     pub fn set_revocation_source(&mut self, source: Arc<dyn RevocationSource>) {
-        self.source = Some(source);
+        self.revocation = source;
     }
 
     /// Builder form of [`VerifyCtx::set_revocation_source`].
@@ -171,54 +136,9 @@ impl VerifyCtx {
         self
     }
 
-    /// Resolves which CRL from `validator` governs verification right now.
-    ///
-    /// Between a directly installed, still-current list and one the
-    /// pluggable source holds, the *newer* (higher-serial) list wins: a
-    /// pushed revocation must not be shadowed by a hand-installed list
-    /// that happens to still be inside its window.  A stale installed
-    /// list only surfaces when nothing current exists (its currency check
-    /// will then fail downstream with an error naming currency, not
-    /// absence).  Shared by [`VerifyCtx::check_revocation`] and the memo
-    /// fingerprint — see [`CrlRef`].
-    fn resolve_crl(&self, validator: &HashVal) -> Option<CrlRef<'_>> {
-        let installed = self.crls.get(validator);
-        let fetched = self
-            .source
-            .as_ref()
-            .and_then(|s| s.crl(validator, self.now));
-        let installed_current = installed.filter(|c| c.validity.contains(self.now));
-        let fetched_current = fetched
-            .clone()
-            .filter(|c| c.validity.contains(self.now));
-        match (installed_current, fetched_current) {
-            (Some(i), Some(f)) => Some(if f.serial > i.serial {
-                CrlRef::Fetched(f)
-            } else {
-                CrlRef::Installed(i)
-            }),
-            (Some(i), None) => Some(CrlRef::Installed(i)),
-            (None, Some(f)) => Some(CrlRef::Fetched(f)),
-            (None, None) => installed.map(CrlRef::Installed),
-        }
-    }
-
-    /// Resolves which revalidation of the certificate hashed `hash`
-    /// governs verification right now (installed-and-current first, then
-    /// the source, then a stale installed one for its currency error).
-    fn resolve_revalidation(&self, hash: &HashVal) -> Option<RevalRef<'_>> {
-        let installed = self.revalidations.get(hash);
-        if let Some(r) = installed.filter(|r| r.validity.contains(self.now)) {
-            return Some(RevalRef::Installed(r));
-        }
-        if let Some(f) = self
-            .source
-            .as_ref()
-            .and_then(|s| s.revalidation(hash, self.now))
-        {
-            return Some(RevalRef::Fetched(f));
-        }
-        installed.map(RevalRef::Installed)
+    /// The attached revocation source.
+    pub fn revocation_source(&self) -> &Arc<dyn RevocationSource> {
+        &self.revocation
     }
 
     /// Enforces a certificate's revocation policy, if any.
@@ -228,12 +148,11 @@ impl VerifyCtx {
         };
         match policy {
             RevocationPolicy::Crl { validator } => {
-                let Some(resolved) = self.resolve_crl(validator) else {
+                let Some(crl) = self.revocation.crl(validator, self.now) else {
                     return Err(ProofError::Revoked(
                         "no current CRL from required validator".into(),
                     ));
                 };
-                let crl = resolved.get();
                 crl.check(validator, self.now)
                     .map_err(ProofError::Revoked)?;
                 if crl.revokes(&cert.hash()) {
@@ -243,13 +162,12 @@ impl VerifyCtx {
             }
             RevocationPolicy::Revalidate { validator } => {
                 let hash = cert.hash();
-                let Some(resolved) = self.resolve_revalidation(&hash) else {
+                let Some(reval) = self.revocation.revalidation(&hash, self.now) else {
                     return Err(ProofError::Revoked(
                         "no current revalidation for certificate".into(),
                     ));
                 };
-                resolved
-                    .get()
+                reval
                     .check(validator, &hash, self.now)
                     .map_err(ProofError::Revoked)?;
                 Ok(())
@@ -337,9 +255,10 @@ impl VerifyCtx {
     /// revocation-policy tag, its validator, and the **content hash**
     /// (the full signed wire bytes — body, signer, and signature) of the
     /// revocation artifact [`VerifyCtx::check_revocation`] would resolve
-    /// — through the *same* `VerifyCtx::resolve_crl` /
-    /// `VerifyCtx::resolve_revalidation` helpers, so fingerprint and cold
-    /// path can never disagree about which artifact governs.  Hashing the artifact's *content*, not its
+    /// — by the *same* query to the attached source, so fingerprint and
+    /// cold path agree about which artifact governs (an attached
+    /// [`RevocationTable`] never changes under them).  Hashing the
+    /// artifact's *content*, not its
     /// (signer, serial, window) identity, is load-bearing: a validator
     /// that reissues a different revoked-set under a reused serial and
     /// window (or a source that swaps a same-serial list) must change the
@@ -347,8 +266,7 @@ impl VerifyCtx {
     /// while the cold path enforces the new one.  `valid_until` is the
     /// minimum validity end of every consulted artifact: past it, a
     /// then-current artifact may have lapsed (and the cold path would
-    /// fail or fall back to a stale list), so a memo hit must not outlive
-    /// it.  Certificate-conclusion expiry needs no folding —
+    /// fail), so a memo hit must not outlive it.  Certificate-conclusion expiry needs no folding —
     /// `Proof::verify` is time-dependent only through artifact currency,
     /// and conclusion expiry is re-checked on every request by
     /// [`Proof::check_conclusion`].
@@ -383,9 +301,8 @@ impl VerifyCtx {
                     Some(RevocationPolicy::Crl { validator }) => {
                         buf.push(b'L');
                         buf.extend_from_slice(&validator.bytes);
-                        match self.resolve_crl(validator) {
-                            Some(resolved) => {
-                                let crl = resolved.get();
+                        match self.revocation.crl(validator, self.now) {
+                            Some(crl) => {
                                 buf.extend_from_slice(&crl.content_hash().bytes);
                                 min_end(&mut valid_until, &crl.validity);
                             }
@@ -397,9 +314,8 @@ impl VerifyCtx {
                         buf.extend_from_slice(&validator.bytes);
                         let hash = cert.hash();
                         buf.extend_from_slice(&hash.bytes);
-                        match self.resolve_revalidation(&hash) {
-                            Some(resolved) => {
-                                let reval = resolved.get();
+                        match self.revocation.revalidation(&hash, self.now) {
+                            Some(reval) => {
                                 buf.extend_from_slice(&reval.content_hash().bytes);
                                 min_end(&mut valid_until, &reval.validity);
                             }
@@ -418,14 +334,12 @@ impl VerifyCtx {
         self.assumptions.len()
     }
 
-    /// The revocation epoch this verifier holds: the highest serial among
-    /// its directly installed CRLs (0 when none are installed).  Audit
+    /// The revocation epoch this verifier decides against: the highest
+    /// CRL serial its source holds ([`RevocationSource::epoch`]).  Audit
     /// records carry this so a historical decision can be matched to the
-    /// revocation state it was made against.  CRLs held only by a
-    /// pluggable [`RevocationSource`] are not enumerable here; deciders
-    /// that rely on a source exclusively record epoch 0.
+    /// revocation state it was made against.
     pub fn revocation_epoch(&self) -> u64 {
-        self.crls.values().map(|c| c.serial).max().unwrap_or(0)
+        self.revocation.epoch()
     }
 }
 
@@ -471,9 +385,13 @@ mod tests {
         let revalidated =
             Certificate::issue_with_revocation(&alice, deleg(&bob, &alice), Some(reval_policy), &mut r);
 
-        let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(Arc::new(ChainMemo::new(64)));
-        ctx.install_crl(Crl::issue(&validator, vec![], window, &mut r));
-        ctx.install_revalidation(Revalidation::issue(&validator, revalidated.hash(), window, &mut r));
+        let table = RevocationTable::of(
+            Crl::issue(&validator, vec![], window, &mut r),
+            Revalidation::issue(&validator, revalidated.hash(), window, &mut r),
+        );
+        let ctx = VerifyCtx::at(Time(100))
+            .with_chain_memo(Arc::new(ChainMemo::new(64)))
+            .with_revocation_source(Arc::new(table));
         let (speaker, issuer) = (Principal::key(&carol.public), Principal::key(&alice.public));
 
         for (top, revalidation_leaves) in [(on_crl, 0), (revalidated, 1)] {

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use snowflake_core::{
     Certificate, ChainMemo, Crl, Delegation, Principal, Proof, ProofError, Revalidation,
-    RevocationPolicy, Tag, Time, Validity, VerifyCtx,
+    RevocationPolicy, RevocationTable, Tag, Time, Validity, VerifyCtx,
 };
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use std::sync::{Arc, OnceLock};
@@ -52,6 +52,21 @@ fn two_cert_chain(seed: u64, tamper: usize) -> Proof {
         c2.delegation.tag = Tag::Star;
     }
     Proof::signed_cert(c1).then(Proof::signed_cert(c2))
+}
+
+/// Attaches a table holding just `crl` (a new table replaces the old one:
+/// an attached table is never mutated).
+fn attach_crl(ctx: &mut VerifyCtx, crl: Crl) {
+    let mut table = RevocationTable::default();
+    table.install_crl(crl);
+    ctx.set_revocation_source(Arc::new(table));
+}
+
+/// Attaches a table holding just `reval`.
+fn attach_revalidation(ctx: &mut VerifyCtx, reval: Revalidation) {
+    let mut table = RevocationTable::default();
+    table.install_revalidation(reval);
+    ctx.set_revocation_source(Arc::new(table));
 }
 
 fn authorize_result(ctx: &VerifyCtx, proof: &Proof) -> String {
@@ -114,8 +129,8 @@ fn governed_chain(seed: u64, policy: usize) -> (Proof, VerifyCtx) {
     let window = Validity::until(Time(10_000));
     let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(Arc::new(ChainMemo::new(64)));
     match policy {
-        1 => ctx.install_crl(Crl::issue_with_serial(validator, 3, vec![], window, &mut r)),
-        2 => ctx.install_revalidation(Revalidation::issue(validator, c2.hash(), window, &mut r)),
+        1 => attach_crl(&mut ctx, Crl::issue_with_serial(validator, 3, vec![], window, &mut r)),
+        2 => attach_revalidation(&mut ctx, Revalidation::issue(validator, c2.hash(), window, &mut r)),
         _ => {}
     }
     (Proof::signed_cert(c1).then(Proof::signed_cert(c2)), ctx)
@@ -152,7 +167,7 @@ proptest! {
         match policy {
             // Same serial and window, a different revoked set (one that
             // still spares this chain).
-            1 => ctx.install_crl(Crl::issue_with_serial(
+            1 => attach_crl(&mut ctx, Crl::issue_with_serial(
                 validator,
                 3,
                 vec![snowflake_crypto::HashVal::of(&seed.to_be_bytes())],
@@ -160,7 +175,7 @@ proptest! {
                 &mut r,
             )),
             // A fresh revalidation of the same certificate, same window.
-            2 => ctx.install_revalidation(Revalidation::issue(
+            2 => attach_revalidation(&mut ctx, Revalidation::issue(
                 validator,
                 expected[1].clone(),
                 window,
@@ -218,7 +233,7 @@ fn push_eviction_fails_closed_mid_session() {
     let memo = Arc::new(ChainMemo::new(64));
     let empty_crl = Crl::issue(validator, vec![], Validity::until(Time(10_000)), &mut r);
     let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(memo.clone());
-    ctx.install_crl(empty_crl);
+    attach_crl(&mut ctx, empty_crl);
     assert!(ctx.verify_cached(&proof).is_ok());
     assert!(ctx.verify_cached(&proof).is_ok());
     assert_eq!(memo.stats().hits, 1);
@@ -229,7 +244,7 @@ fn push_eviction_fails_closed_mid_session() {
     // ...and the freshness machinery installs the revoking CRL.
     let revoking =
         Crl::issue_with_serial(validator, 1, vec![c2_hash], Validity::until(Time(10_000)), &mut r);
-    ctx.install_crl(revoking);
+    attach_crl(&mut ctx, revoking);
     match ctx.verify_cached(&proof) {
         Err(ProofError::Revoked(_)) => {}
         other => panic!("revoked chain must be denied, got {other:?}"),
@@ -252,13 +267,13 @@ fn new_crl_serial_misses_even_without_push() {
 
     let memo = Arc::new(ChainMemo::new(64));
     let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(memo.clone());
-    ctx.install_crl(Crl::issue(validator, vec![], Validity::until(Time(10_000)), &mut r));
+    attach_crl(&mut ctx, Crl::issue(validator, vec![], Validity::until(Time(10_000)), &mut r));
     assert!(ctx.verify_cached(&proof).is_ok());
 
     // No evict_cert call — only the context learns of the revocation.
     let revoking =
         Crl::issue_with_serial(validator, 7, vec![c2_hash], Validity::until(Time(10_000)), &mut r);
-    ctx.install_crl(revoking);
+    attach_crl(&mut ctx, revoking);
     assert!(ctx.verify_cached(&proof).is_err(), "stale memo entry must not answer");
 }
 
@@ -281,13 +296,13 @@ fn same_serial_reissue_misses() {
     let memo = Arc::new(ChainMemo::new(64));
     let mut ctx = VerifyCtx::at(Time(100)).with_chain_memo(memo.clone());
     let window = Validity::until(Time(10_000));
-    ctx.install_crl(Crl::issue_with_serial(validator, 5, vec![], window.clone(), &mut r));
+    attach_crl(&mut ctx, Crl::issue_with_serial(validator, 5, vec![], window.clone(), &mut r));
     assert!(ctx.verify_cached(&proof).is_ok());
     assert!(ctx.verify_cached(&proof).is_ok());
     assert_eq!(memo.stats().hits, 1);
 
     // Reissue under the *same* serial and window, now revoking c2.
-    ctx.install_crl(Crl::issue_with_serial(validator, 5, vec![c2_hash], window, &mut r));
+    attach_crl(&mut ctx, Crl::issue_with_serial(validator, 5, vec![c2_hash], window, &mut r));
     match ctx.verify_cached(&proof) {
         Err(ProofError::Revoked(_)) => {}
         other => panic!("reissued list must govern, got {other:?}"),
@@ -310,7 +325,7 @@ fn memo_hit_cannot_outlive_consulted_artifact() {
 
     let memo = Arc::new(ChainMemo::new(64));
     let mut ctx = VerifyCtx::at(Time(50)).with_chain_memo(memo.clone());
-    ctx.install_crl(Crl::issue(
+    attach_crl(&mut ctx, Crl::issue(
         validator,
         vec![],
         Validity::between(Time(0), Time(100)),

@@ -602,40 +602,51 @@ fn revocation_crl_flow() {
     assert!(matches!(proof.verify(&ctx), Err(ProofError::Revoked(_))));
 
     // Clean CRL: verifies.
-    let mut ctx_ok = VerifyCtx::at(Time(100));
-    ctx_ok.install_crl(Crl::issue(
-        &validator,
-        vec![],
-        Validity::until(Time(1_000)),
-        &mut r,
-    ));
+    let ctx_ok = ctx_with(
+        Time(100),
+        RevocationTable::default().install_crl(Crl::issue(
+            &validator,
+            vec![],
+            Validity::until(Time(1_000)),
+            &mut r,
+        )),
+    );
     proof.verify(&ctx_ok).unwrap();
 
     // CRL listing the cert: revoked.
-    let mut ctx_revoked = VerifyCtx::at(Time(100));
-    ctx_revoked.install_crl(Crl::issue(
-        &validator,
-        vec![cert_hash],
-        Validity::until(Time(1_000)),
-        &mut r,
-    ));
+    let ctx_revoked = ctx_with(
+        Time(100),
+        RevocationTable::default().install_crl(Crl::issue(
+            &validator,
+            vec![cert_hash],
+            Validity::until(Time(1_000)),
+            &mut r,
+        )),
+    );
     assert!(matches!(
         proof.verify(&ctx_revoked),
         Err(ProofError::Revoked(_))
     ));
 
     // Stale CRL: not acceptable.
-    let mut ctx_stale = VerifyCtx::at(Time(5_000));
-    ctx_stale.install_crl(Crl::issue(
-        &validator,
-        vec![],
-        Validity::until(Time(1_000)),
-        &mut r,
-    ));
+    let ctx_stale = ctx_with(
+        Time(5_000),
+        RevocationTable::default().install_crl(Crl::issue(
+            &validator,
+            vec![],
+            Validity::until(Time(1_000)),
+            &mut r,
+        )),
+    );
     assert!(matches!(
         proof.verify(&ctx_stale),
         Err(ProofError::Revoked(_))
     ));
+}
+
+/// A context at `now` with `table` attached as its revocation source.
+fn ctx_with(now: Time, table: &RevocationTable) -> VerifyCtx {
+    VerifyCtx::at(now).with_revocation_source(std::sync::Arc::new(table.clone()))
 }
 
 #[test]
@@ -663,25 +674,22 @@ fn revocation_revalidation_flow() {
     // Without a fresh revalidation: rejected.
     assert!(proof.verify(&VerifyCtx::at(Time(100))).is_err());
 
-    // With a fresh one-time revalidation: accepted.
-    let mut ctx = VerifyCtx::at(Time(100));
-    ctx.install_revalidation(Revalidation::issue(
+    // With a fresh one-time revalidation of this certificate: accepted
+    // inside its window…
+    let mut table = RevocationTable::default();
+    table.install_revalidation(Revalidation::issue(
         &validator,
         cert_hash,
         Validity::between(Time(90), Time(110)),
         &mut r,
     ));
-    proof.verify(&ctx).unwrap();
+    proof.verify(&ctx_with(Time(100), &table)).unwrap();
 
-    // Once the revalidation window passes, the proof no longer verifies.
-    let mut ctx_late = VerifyCtx::at(Time(200));
-    ctx_late.install_revalidation(Revalidation::issue(
-        &validator,
-        proof.hash(), // wrong target hash on purpose? No — reuse correct one below
-        Validity::between(Time(90), Time(110)),
-        &mut r,
+    // …and refused once the same artifact's window has passed.
+    assert!(matches!(
+        proof.verify(&ctx_with(Time(200), &table)),
+        Err(ProofError::Revoked(_))
     ));
-    assert!(proof.verify(&ctx_late).is_err());
 }
 
 #[test]

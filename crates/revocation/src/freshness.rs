@@ -19,10 +19,11 @@ use crate::delta::RevocationDelta;
 use crate::service::{PushSink, ValidatorService};
 use snowflake_channel::Transport;
 use snowflake_core::sync::LockExt;
-use snowflake_core::{Crl, Revalidation, RevocationSource, Time, VerifyCtx};
+use snowflake_core::{Crl, Revalidation, RevocationSource, Time};
 use snowflake_crypto::{verify_batch, BatchEntry, BatchOutcome, HashVal};
 use snowflake_rmi::{RmiClient, RmiError};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Default refresh lead (seconds): how long before a CRL's window closes
@@ -129,6 +130,9 @@ pub struct FreshnessAgent {
     max_jitter: u64,
     jitter_seed: u64,
     state: Mutex<AgentState>,
+    /// The highest CRL serial installed, read lock-free by every audit
+    /// record and memo fingerprint ([`RevocationSource::epoch`]).
+    epoch: AtomicU64,
     buses: Mutex<Vec<Arc<dyn RevocationBus>>>,
     stats: Mutex<FreshnessStats>,
 }
@@ -165,6 +169,7 @@ impl FreshnessAgent {
                 validators: HashMap::new(),
                 revalidations: HashMap::new(),
             }),
+            epoch: AtomicU64::new(0),
             buses: Mutex::new(Vec::new()),
             stats: Mutex::new(FreshnessStats::default()),
         })
@@ -298,7 +303,7 @@ impl FreshnessAgent {
         for (validator, client) in due {
             match client.fetch_crl() {
                 Ok(crl) => {
-                    if self.install_crl(&validator, crl, now) {
+                    if self.admit_crl(&validator, crl, now) {
                         refreshed += 1;
                         self.stats.plock().refreshes += 1;
                     } else {
@@ -313,17 +318,17 @@ impl FreshnessAgent {
 
     /// Installs a CRL after checking signature, signer identity, currency,
     /// and serial monotonicity.  Returns whether it was accepted.
-    fn install_crl(&self, validator: &HashVal, crl: Crl, now: Time) -> bool {
+    fn admit_crl(&self, validator: &HashVal, crl: Crl, now: Time) -> bool {
         if crl.check(validator, now).is_err() {
             return false;
         }
-        self.install_checked_crl(validator, crl)
+        self.admit_checked_crl(validator, crl)
     }
 
     /// Installs a CRL whose signature has already been verified (the
     /// batched delta path checks a whole burst in one multi-exponentiation
     /// first); still enforces serial monotonicity.
-    fn install_checked_crl(&self, validator: &HashVal, crl: Crl) -> bool {
+    fn admit_checked_crl(&self, validator: &HashVal, crl: Crl) -> bool {
         let mut state = self.state.plock();
         let Some(entry) = state.validators.get_mut(validator) else {
             return false;
@@ -334,6 +339,9 @@ impl FreshnessAgent {
                 return false;
             }
         }
+        // Raised under the state lock: a reader that sees the new epoch
+        // and then asks for the list waits for the lock and finds it.
+        self.epoch.fetch_max(crl.serial, Ordering::SeqCst);
         entry.crl = Some(Arc::new(crl));
         true
     }
@@ -443,7 +451,7 @@ impl FreshnessAgent {
     /// The post-signature-check tail of delta application: install the
     /// CRL, drop dependent revalidations, fan out to the buses.
     fn apply_checked_delta(&self, delta: &RevocationDelta, validator: &HashVal) -> usize {
-        self.install_checked_crl(validator, delta.crl.clone());
+        self.admit_checked_crl(validator, delta.crl.clone());
         // A revoked certificate's cached revalidations must die with it.
         {
             let mut state = self.state.plock();
@@ -502,7 +510,6 @@ impl FreshnessAgent {
         runtime
             .scheduler()
             .schedule_repeating(std::time::Duration::ZERO, move || {
-                use std::sync::atomic::Ordering;
                 let agent = weak.upgrade()?;
                 if !in_flight.swap(true, Ordering::SeqCst) {
                     let job_agent = Arc::clone(&agent);
@@ -513,7 +520,7 @@ impl FreshnessAgent {
                         struct Reset(Arc<std::sync::atomic::AtomicBool>);
                         impl Drop for Reset {
                             fn drop(&mut self) {
-                                self.0.store(false, std::sync::atomic::Ordering::SeqCst);
+                                self.0.store(false, Ordering::SeqCst);
                             }
                         }
                         let _reset = Reset(job_flag);
@@ -533,21 +540,6 @@ impl FreshnessAgent {
                 };
                 Some(delay.clamp(min, max))
             })
-    }
-
-    /// Copies every cached current artifact into `ctx` (the hand-loading
-    /// path; attaching the agent as a [`RevocationSource`] is equivalent
-    /// and stays live).
-    pub fn populate(&self, ctx: &mut VerifyCtx) {
-        let state = self.state.plock();
-        for entry in state.validators.values() {
-            if let Some(crl) = &entry.crl {
-                ctx.install_crl((**crl).clone());
-            }
-        }
-        for reval in state.revalidations.values() {
-            ctx.install_revalidation(reval.clone());
-        }
     }
 }
 
@@ -569,6 +561,10 @@ impl RevocationSource for FreshnessAgent {
             .get(cert_hash)
             .filter(|r| r.validity.contains(now))
             .cloned()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
     }
 }
 
@@ -736,22 +732,5 @@ mod tests {
             "revoking must drop the cached revalidation"
         );
         assert!(agent.fetch_revalidation(&v.validator_hash(), &cert).is_err());
-    }
-
-    #[test]
-    fn populate_matches_source() {
-        let v = validator("populate");
-        let agent = FreshnessAgent::with_pacing(fixed_clock, 30, 0, 0);
-        agent.register_validator(v.validator_hash(), Arc::new(InProcessValidator(Arc::clone(&v))));
-        agent.refresh_due();
-        let mut hand_loaded = VerifyCtx::at(fixed_clock());
-        agent.populate(&mut hand_loaded);
-        // Installed map and source return the same CRL.
-        let from_source = agent.crl(&v.validator_hash(), fixed_clock()).unwrap();
-        let sourced_ctx =
-            VerifyCtx::at(fixed_clock()).with_revocation_source(Arc::clone(&agent) as _);
-        // Both contexts exist; equivalence over certificates is covered by
-        // the property test in tests/freshness_props.rs.
-        drop((hand_loaded, sourced_ctx, from_source));
     }
 }

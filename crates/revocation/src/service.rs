@@ -20,10 +20,10 @@ use snowflake_core::sync::LockExt;
 use snowflake_core::{Crl, Principal, Revalidation, Time, Validity};
 use snowflake_crypto::{HashVal, KeyPair, PublicKey};
 use snowflake_rmi::{CallerInfo, Invocation, RemoteObject, RmiFault};
-use snowflake_runtime::Surface;
+use snowflake_runtime::{CloseFn, Surface};
 use snowflake_sexpr::Sexp;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default CRL validity window (seconds).  Short enough that a verifier
 /// cut off from both push and pull fails closed quickly; long enough that
@@ -47,6 +47,12 @@ pub const VALIDATOR_OBJECT: &str = "revocation-validator";
 pub trait PushSink: Send {
     /// Delivers one delta; `false` drops the subscription.
     fn push(&mut self, delta: &RevocationDelta) -> bool;
+
+    /// Is the subscriber still connected?  A sink that reports `false`
+    /// is pruned without waiting for the next push.
+    fn is_open(&self) -> bool {
+        true
+    }
 }
 
 /// A sink delivering deltas through the connection reactor: the socket
@@ -58,21 +64,26 @@ pub trait PushSink: Send {
 /// expects on the verifier side.  A remote that stalls past the
 /// reactor's per-sink buffer cap is shed (counted and audited by the
 /// reactor on its service's `revocation-push` surface) and its socket
-/// closed; the next broadcast then sees `push` fail and drops the
-/// subscription.
+/// closed.  However the connection ends — stall, hangup, drain — the
+/// close callback prunes the subscription at once; revocations are rare,
+/// and a hung-up verifier must not wait for one to leave the list.
 pub struct ReactorSink {
     handle: snowflake_runtime::SinkHandle,
 }
 
 impl ReactorSink {
     /// Parks `stream` in `runtime`'s reactor as a write-only push sink
-    /// under `surface`, shared by every sink of one service.
+    /// under `surface`, shared by every sink of one service; `on_close`
+    /// runs once when the reactor drops the connection.
     pub fn new(
         stream: std::net::TcpStream,
         runtime: &Arc<snowflake_runtime::ServerRuntime>,
         surface: &Arc<Surface>,
+        on_close: CloseFn,
     ) -> std::io::Result<ReactorSink> {
-        let handle = runtime.reactor().adopt_sink(stream, Arc::clone(surface), None)?;
+        let handle = runtime
+            .reactor()
+            .adopt_sink(stream, Arc::clone(surface), Some(on_close))?;
         Ok(ReactorSink { handle })
     }
 }
@@ -84,6 +95,10 @@ impl PushSink for ReactorSink {
         buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
         buf.extend_from_slice(&frame);
         self.handle.send(&buf)
+    }
+
+    fn is_open(&self) -> bool {
+        self.handle.is_open()
     }
 }
 
@@ -98,7 +113,7 @@ pub struct ValidatorStats {
     pub revalidations: u64,
     /// Deltas delivered to subscribers (one per subscriber per event).
     pub deltas_pushed: u64,
-    /// Subscribers dropped after a failed push.
+    /// Subscribers dropped: a failed push, or a pruned closed sink.
     pub subscribers_dropped: u64,
 }
 
@@ -117,7 +132,11 @@ pub struct ValidatorService {
     crl_window: u64,
     reval_window: u64,
     state: Mutex<State>,
+    /// Only ever locked through [`ValidatorService::with_subscribers`].
     subscribers: Mutex<Vec<Box<dyn PushSink>>>,
+    /// Set by a sink's close callback: the next holder of `subscribers`
+    /// prunes closed sinks.
+    prune_due: Mutex<bool>,
     stats: Mutex<ValidatorStats>,
     rng: Mutex<Box<dyn FnMut(&mut [u8]) + Send>>,
     /// The `revocation-push` surface every [`ReactorSink`] is adopted
@@ -191,6 +210,7 @@ impl ValidatorService {
                 store,
             }),
             subscribers: Mutex::new(Vec::new()),
+            prune_due: Mutex::new(false),
             stats: Mutex::new(ValidatorStats::default()),
             rng: Mutex::new(rng),
             push: Arc::new(Surface::new("revocation-push").with_clock(clock)),
@@ -359,25 +379,26 @@ impl ValidatorService {
     /// read it) or broadcast to the now-registered sink afterwards —
     /// never lost in between.
     pub fn subscribe(&self, mut sink: Box<dyn PushSink>) {
-        let mut sinks = self.subscribers.plock();
-        let snapshot = {
-            let now = (self.clock)();
-            let mut state = self.state.plock();
-            let crl = match &state.cached {
-                Some(c) if c.validity.contains(now) => c.clone(),
-                _ => self.issue_locked(&mut state, now),
+        self.with_subscribers(|sinks| {
+            let snapshot = {
+                let now = (self.clock)();
+                let mut state = self.state.plock();
+                let crl = match &state.cached {
+                    Some(c) if c.validity.contains(now) => c.clone(),
+                    _ => self.issue_locked(&mut state, now),
+                };
+                RevocationDelta {
+                    newly_revoked: state.revoked.iter().cloned().collect(),
+                    crl,
+                }
             };
-            RevocationDelta {
-                newly_revoked: state.revoked.iter().cloned().collect(),
-                crl,
+            if sink.push(&snapshot) {
+                self.stats.plock().deltas_pushed += 1;
+                sinks.push(sink);
+            } else {
+                self.stats.plock().subscribers_dropped += 1;
             }
-        };
-        if sink.push(&snapshot) {
-            self.stats.plock().deltas_pushed += 1;
-            sinks.push(sink);
-        } else {
-            self.stats.plock().subscribers_dropped += 1;
-        }
+        });
     }
 
     /// Subscribes a remote verifier's TCP connection through the
@@ -385,29 +406,81 @@ impl ValidatorService {
     /// written nonblocking, so the subscription holds no thread and no
     /// pool worker.
     pub fn subscribe_reactor(
-        &self,
+        self: &Arc<Self>,
         stream: std::net::TcpStream,
         runtime: &Arc<snowflake_runtime::ServerRuntime>,
     ) -> std::io::Result<()> {
-        let sink = ReactorSink::new(stream, runtime, &self.push)?;
+        let svc = Arc::downgrade(self);
+        let on_close: CloseFn = Box::new(move || {
+            if let Some(svc) = svc.upgrade() {
+                svc.sink_closed();
+            }
+        });
+        let sink = ReactorSink::new(stream, runtime, &self.push, on_close)?;
         self.subscribe(Box::new(sink));
         Ok(())
     }
 
     /// Number of live subscribers.
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.plock().len()
+        self.with_subscribers(|sinks| sinks.len())
     }
 
     fn broadcast(&self, delta: &RevocationDelta) {
+        self.with_subscribers(|sinks| {
+            let before = sinks.len();
+            sinks.retain_mut(|s| s.push(delta));
+            let mut stats = self.stats.plock();
+            stats.deltas_pushed += sinks.len() as u64;
+            stats.subscribers_dropped += (before - sinks.len()) as u64;
+        })
+    }
+
+    /// Runs `f` on the subscriber list, pruning closed sinks first and
+    /// again on the way out (see [`ValidatorService::release`]).
+    fn with_subscribers<R>(&self, f: impl FnOnce(&mut Vec<Box<dyn PushSink>>) -> R) -> R {
         let mut sinks = self.subscribers.plock();
-        let before = sinks.len();
-        sinks.retain_mut(|s| s.push(delta));
-        let delivered = sinks.len() as u64;
-        let dropped = (before - sinks.len()) as u64;
-        let mut stats = self.stats.plock();
-        stats.deltas_pushed += delivered;
-        stats.subscribers_dropped += dropped;
+        self.prune_closed(&mut sinks);
+        let out = f(&mut sinks);
+        self.release(sinks);
+        out
+    }
+
+    /// A reactor sink's close callback.  It may run on a thread that holds
+    /// the subscriber list (a push that finds its connection gone), so it
+    /// never waits for the list: when the list is busy, its holder prunes
+    /// on the way out.
+    fn sink_closed(&self) {
+        *self.prune_due.plock() = true;
+        if let Ok(sinks) = self.subscribers.try_lock() {
+            self.release(sinks);
+        }
+    }
+
+    /// Unlocks the subscriber list, pruning closed sinks first; re-takes
+    /// it when a close callback found it locked meanwhile (the flag is
+    /// read after the unlock, so no callback's request is lost).
+    fn release<'a>(&'a self, mut sinks: MutexGuard<'a, Vec<Box<dyn PushSink>>>) {
+        loop {
+            self.prune_closed(&mut sinks);
+            drop(sinks);
+            if !*self.prune_due.plock() {
+                return;
+            }
+            match self.subscribers.try_lock() {
+                Ok(next) => sinks = next,
+                // Its holder prunes on the way out.
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn prune_closed(&self, sinks: &mut Vec<Box<dyn PushSink>>) {
+        if std::mem::take(&mut *self.prune_due.plock()) {
+            let before = sinks.len();
+            sinks.retain(|s| s.is_open());
+            self.stats.plock().subscribers_dropped += (before - sinks.len()) as u64;
+        }
     }
 }
 

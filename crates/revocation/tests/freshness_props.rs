@@ -1,12 +1,13 @@
 //! Property: a `VerifyCtx` fed by a [`FreshnessAgent`] (attached as its
-//! pluggable `RevocationSource`) answers `check_revocation` identically to
-//! a context hand-loaded with the same CRLs and revalidations — for every
-//! mix of revoked/live certificates, both policy kinds, and instants
-//! inside and outside the freshness windows.
+//! `RevocationSource`) answers `check_revocation` identically to one fed
+//! a hand-installed [`RevocationTable`] of the validator's own artifacts —
+//! for every mix of revoked/live certificates, both policy kinds, and
+//! instants inside and outside the freshness windows.
 
 use proptest::prelude::*;
 use snowflake_core::{
-    Certificate, Delegation, Principal, RevocationPolicy, Time, Validity, VerifyCtx,
+    Certificate, Delegation, Principal, RevocationPolicy, RevocationTable, Time, Validity,
+    VerifyCtx,
 };
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use snowflake_revocation::{AgentSink, FreshnessAgent, InProcessValidator, ValidatorService};
@@ -60,12 +61,10 @@ fn cert(i: usize, crl_policy: bool) -> Certificate {
     )
 }
 
-/// Regression: an installed, still-current CRL must not shadow a *newer*
-/// list the attached source holds — the common shape after `populate`
-/// followed by a push — or a pushed revocation would be ignored for the
-/// rest of the installed list's window.
+/// A push that lands after the agent is attached is seen by the same
+/// context: the context holds the agent, not a copy of its lists.
 #[test]
-fn installed_crl_does_not_shadow_newer_pushed_crl() {
+fn push_after_attach_is_seen_by_the_same_ctx() {
     let validator = ValidatorService::with_clock(validator_key().clone(), fixed_clock, {
         let mut r = DetRng::new(b"shadow-rng");
         Box::new(move |b: &mut [u8]| r.fill(b))
@@ -78,19 +77,16 @@ fn installed_crl_does_not_shadow_newer_pushed_crl() {
     validator.subscribe(Box::new(AgentSink::new(&agent)));
 
     let c = cert(0, true);
-    // Hand-load the pre-revocation list AND attach the agent as source.
-    let mut ctx = VerifyCtx::at(fixed_clock());
-    agent.populate(&mut ctx);
-    let ctx = ctx.with_revocation_source(agent.clone());
+    let ctx = VerifyCtx::at(fixed_clock()).with_revocation_source(agent.clone());
     assert!(ctx.check_revocation(&c).is_ok());
+    let before = ctx.revocation_epoch();
 
-    // The push installs a newer list at the agent; the same ctx (whose
-    // installed copy is still inside its window) must reject now.
     validator.revoke(c.hash());
     assert!(
         ctx.check_revocation(&c).is_err(),
-        "newer pushed CRL must win over the older installed one"
+        "the pushed CRL must govern the already-attached context"
     );
+    assert!(ctx.revocation_epoch() > before, "the epoch follows the push");
 }
 
 proptest! {
@@ -119,9 +115,13 @@ proptest! {
         validator.subscribe(Box::new(AgentSink::new(&agent)));
 
         // Build the world: certs with either policy, a random subset
-        // revoked, a random subset pre-fetched as revalidations.
+        // revoked, a random subset pre-fetched as revalidations.  The
+        // hand-installed table gets the validator's own artifacts: the
+        // revalidations it minted for certificates it has not revoked
+        // since, and its current CRL.
         let certs: Vec<Certificate> =
             (0..crl_flags.len()).map(|i| cert(i, crl_flags[i])).collect();
+        let mut table = RevocationTable::default();
         for (i, c) in certs.iter().enumerate() {
             // Fetch revalidations before revoking (a revoked cert cannot
             // be revalidated), mirroring a verifier that cached them.
@@ -129,6 +129,9 @@ proptest! {
                 agent
                     .fetch_revalidation(&validator.validator_hash(), &c.hash())
                     .unwrap();
+                if !revoke_flags[i] {
+                    table.install_revalidation(validator.revalidate(&c.hash()).unwrap());
+                }
             }
         }
         for (i, c) in certs.iter().enumerate() {
@@ -136,14 +139,15 @@ proptest! {
                 validator.revoke(c.hash());
             }
         }
+        table.install_crl(validator.current_crl());
 
         // The two contexts under comparison, at an instant possibly past
         // the freshness windows (time_skew pushes beyond the 300 s CRL
         // window and 30 s revalidation window in some cases).
         let now = Time(fixed_clock().0 + time_skew);
         let sourced = VerifyCtx::at(now).with_revocation_source(agent.clone());
-        let mut hand_loaded = VerifyCtx::at(now);
-        agent.populate(&mut hand_loaded);
+        let hand_loaded = VerifyCtx::at(now).with_revocation_source(Arc::new(table));
+        prop_assert_eq!(sourced.revocation_epoch(), hand_loaded.revocation_epoch());
 
         for c in &certs {
             let a = sourced.check_revocation(c);

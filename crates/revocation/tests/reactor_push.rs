@@ -2,7 +2,8 @@
 //! is a parked write-only socket (no forwarder thread), each delta is
 //! one length-prefixed frame `read_delta` understands, a subscriber that
 //! stalls past the reactor's buffer cap is shed into the runtime's ledger
-//! and dropped, and shutdown closes the sink sockets.
+//! and dropped, a subscriber that hangs up is pruned without waiting for
+//! a revocation, and shutdown closes the sink sockets.
 
 use snowflake_channel::TcpTransport;
 use snowflake_core::Time;
@@ -11,6 +12,7 @@ use snowflake_revocation::{read_delta, ValidatorService};
 use snowflake_runtime::{PoolConfig, ServerRuntime};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn validator() -> Arc<ValidatorService> {
     let mut rng = DetRng::new(b"reactor-push-validator");
@@ -102,6 +104,34 @@ fn stalled_reactor_subscriber_is_shed_and_dropped() {
         "the stall is one counted shed on the push surface: {:?}",
         runtime.sheds_by_surface()
     );
+    assert_eq!(runtime.reactor_stats().open_sinks, 0);
+    runtime.shutdown();
+}
+
+/// Verifiers that subscribe and hang up leave the subscriber list on
+/// their own: the sink's close callback prunes them (counted as dropped)
+/// with no revocation broadcast to discover the dead sockets.
+#[test]
+fn hung_up_reactor_subscribers_are_pruned_without_a_revocation() {
+    const N: usize = 20;
+    let v = validator();
+    let runtime = ServerRuntime::new(PoolConfig::new("push-hangup", 2, 4));
+    let clients: Vec<TcpStream> = (0..N).map(|_| subscribe_one(&v, &runtime)).collect();
+    assert_eq!(v.subscriber_count(), N);
+
+    drop(clients);
+    let start = Instant::now();
+    while v.subscriber_count() != 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "{} hung-up subscribers still listed",
+            v.subscriber_count()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = v.stats();
+    assert_eq!(stats.revocations, 0, "nothing was broadcast");
+    assert_eq!(stats.subscribers_dropped, N as u64);
     assert_eq!(runtime.reactor_stats().open_sinks, 0);
     runtime.shutdown();
 }

@@ -8,6 +8,7 @@ use snowflake_apps::emaildb::{EmailDb, EMAIL_DB_OBJECT};
 use snowflake_apps::vfs::Vfs;
 use snowflake_apps::webserver::ProtectedWebService;
 use snowflake_channel::LocalBroker;
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::{
     Certificate, Delegation, Principal, Proof, RevocationPolicy, Time, Validity,
 };
@@ -177,6 +178,63 @@ fn webserver_denies_next_request_after_push() {
     let before = servlet.stats().ident_hits;
     assert_eq!(servlet.handle(&bob_req).status, 200);
     assert_eq!(servlet.stats().ident_hits, before + 1, "bob stayed warm");
+}
+
+/// An agent-fed surface audits each decision with the serial of the list
+/// it was reached against: after a push of serial N, a grant carries
+/// epoch N, and the denial after the next push carries N + 1.
+#[test]
+fn decisions_after_a_push_are_audited_with_its_serial() {
+    #[derive(Default)]
+    struct Capture(std::sync::Mutex<Vec<DecisionEvent>>);
+    impl AuditEmitter for Capture {
+        fn emit(&self, event: DecisionEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+    impl Capture {
+        fn last(&self) -> (Decision, u64) {
+            let events = self.0.lock().unwrap();
+            let e = events.last().expect("the decision was audited");
+            (e.decision, e.revocation_epoch)
+        }
+    }
+
+    let owner = kp("epoch-owner");
+    let issuer = Principal::key(&owner.public);
+    let (validator, agent) = validator_and_agent("epoch-validator");
+    let vfs = Arc::new(Vfs::new());
+    vfs.write("/docs/a.html", b"<p>a</p>".to_vec());
+    let service = ProtectedWebService::new(issuer.clone(), "files", vfs);
+    let subtree = service.subtree_tag("/docs/");
+    let servlet = ProtectedServlet::with_clock(service, fixed_clock, det("epoch-servlet"));
+    servlet.surface().set_revocation_source(agent.clone());
+    agent.add_bus(servlet.clone());
+    let audit = Arc::new(Capture::default());
+    servlet.surface().set_audit_emitter(audit.clone());
+
+    let (alice_cert, alice_prover) = revocable_grant(
+        &owner,
+        &kp("alice"),
+        subtree,
+        Validity::always(),
+        &validator,
+        "epoch-alice",
+    );
+    let min_tag = auth::web_tag("GET", "files", "/docs/a.html");
+
+    // A push that spares alice: her next request is granted against it.
+    let pushed = validator.revoke(HashVal::of(b"someone else")).crl.serial;
+    assert!(pushed > 0);
+    let req = signed_get("/docs/a.html", "alice", &alice_prover, &issuer, &min_tag);
+    assert_eq!(servlet.handle(&req).status, 200);
+    assert_eq!(audit.last(), (Decision::Grant, pushed));
+
+    // A push that revokes her: the denial names the newer list.
+    let revoking = validator.revoke(alice_cert).crl.serial;
+    assert_eq!(revoking, pushed + 1);
+    assert_eq!(servlet.handle(&req).status, 403);
+    assert_eq!(audit.last(), (Decision::Deny, revoking));
 }
 
 // ======================================================================

@@ -61,6 +61,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -874,7 +875,13 @@ impl Reactor {
         let Some(driver) = conn.driver.as_mut() else {
             return;
         };
-        match driver.scan(&conn.rbuf) {
+        // `scan` and `busy_reply` run here, on the reactor thread, under
+        // the state lock.  A panic in either closes this one connection,
+        // as an invalid frame does; caught inside the lock scope, the
+        // unwind never drops the guard, so the lock is not poisoned.
+        let scan = catch_unwind(AssertUnwindSafe(|| driver.scan(&conn.rbuf)))
+            .unwrap_or(FrameScan::Invalid("frame scan panicked"));
+        match scan {
             FrameScan::Partial => {}
             FrameScan::Invalid(_why) => {
                 Self::close_token(&self.epoll, st, token);
@@ -899,7 +906,8 @@ impl Reactor {
                         // reply and close once it flushes.
                         conn.surface
                             .audit_shed("connection", "dispatch", "worker pool saturated");
-                        match driver.busy_reply() {
+                        let reply = catch_unwind(AssertUnwindSafe(|| driver.busy_reply()));
+                        match reply.unwrap_or(None) {
                             Some(reply) => self.start_reply(st, token, reply, true),
                             None => Self::close_token(&self.epoll, st, token),
                         }
@@ -1292,6 +1300,58 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(pool.stats().completed, 1, "the pool survived the panic");
+
+        assert!(shutdown_returns_within(&reactor, Duration::from_secs(10)));
+        pool.shutdown();
+    }
+
+    /// Echoes, but its frame scan panics on a `!` byte.
+    struct PanickingScan;
+
+    impl ConnDriver for PanickingScan {
+        fn scan(&mut self, buf: &[u8]) -> FrameScan {
+            assert!(!buf.contains(&b'!'), "scan panics on '!'");
+            EchoDriver.scan(buf)
+        }
+
+        fn handle(&mut self, frame: Vec<u8>) -> ReadyOutcome {
+            EchoDriver.handle(frame)
+        }
+
+        fn busy_reply(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    /// A frame scan that panics on the reactor thread costs its own
+    /// connection and nothing else: the peer sees EOF, the next
+    /// connection is still served, and shutdown returns (the state lock
+    /// was not poisoned).
+    #[test]
+    fn panicking_scan_closes_its_connection_and_the_reactor_serves_on() {
+        let (pool, _ledger, reactor) = rig(64, Duration::from_secs(10));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        reactor
+            .register_listener(
+                listener,
+                Arc::new(Surface::new("panicky-scan")),
+                Box::new(|| Accepted::Park(Box::new(PanickingScan))),
+            )
+            .expect("register");
+
+        let mut bad = ClientStream::connect(addr).expect("connect");
+        bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        bad.write_all(b"!\n").unwrap();
+        let mut eof = Vec::new();
+        bad.read_to_end(&mut eof).expect("the panicked connection is closed");
+        assert!(eof.is_empty());
+
+        let mut good = ClientStream::connect(addr).expect("connect");
+        good.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        good.write_all(b"hello\n").unwrap();
+        assert_eq!(read_line(&mut good), "HELLO\n");
+        drop(good);
 
         assert!(shutdown_returns_within(&reactor, Duration::from_secs(10)));
         pool.shutdown();

@@ -14,9 +14,12 @@
 //! * its **latency histogram**, `request_histogram(name)`, created on
 //!   first use so a surface that never serves adds no empty series;
 //! * its base **verification context**: a [`ChainMemo`] of
-//!   [`CHAIN_MEMO_CAPACITY`] entries plus whatever revocation data or
-//!   source is attached — every verification starts from a clone of it,
-//!   so a surface cannot verify outside the memo or without its CRLs;
+//!   [`CHAIN_MEMO_CAPACITY`] entries plus the attached
+//!   [`RevocationSource`] (a freshness agent, or a
+//!   [`snowflake_core::RevocationTable`] of installed lists) — every
+//!   verification starts from a clone of it, a few `Arc` bumps that copy
+//!   no list, so a surface cannot verify outside the memo or without its
+//!   revocation data;
 //! * its **shed reply**, the bytes a connection it refuses hears.
 //!
 //! The reactor audits every shed itself through the surface (one `Shed`
@@ -25,11 +28,11 @@
 
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
 use snowflake_core::sync::LockExt;
-use snowflake_core::{ChainMemo, RevocationSource, Time, VerifyCtx};
+use snowflake_core::{ChainMemo, Delegation, RevocationSource, Time, VerifyCtx};
 use snowflake_metrics::{LatencyHistogram, Registry};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Entries in every surface's verified-chain memo (roughly; the memo is
 /// sharded).
@@ -145,20 +148,22 @@ impl Surface {
             .get_or_init(|| snowflake_metrics::request_histogram(&self.name))
     }
 
-    /// The base verification context, for installing CRLs and
-    /// assumptions every later verification sees.
-    pub fn base_ctx(&self) -> MutexGuard<'_, VerifyCtx> {
-        self.ctx.plock()
+    /// Vouches for `stmt` in every later verification (a statement the
+    /// deployment's own machinery stands behind).
+    pub fn assume(&self, stmt: &Delegation) {
+        self.ctx.plock().assume(stmt);
     }
 
-    /// Attaches a revocation source (e.g. a freshness agent) to every
-    /// verification this surface performs.
+    /// Attaches the revocation source — a freshness agent, or a
+    /// [`snowflake_core::RevocationTable`] of installed lists — to every
+    /// verification this surface performs, replacing any previous one.
+    /// Changing installed lists means attaching a new table.
     pub fn set_revocation_source(&self, source: Arc<dyn RevocationSource>) {
         self.ctx.plock().set_revocation_source(source);
     }
 
     /// The context one decision verifies in: the base context (memo,
-    /// revocation data and source) at time `now`.
+    /// assumptions, revocation source) at time `now`.
     pub fn verify_ctx(&self, now: Time) -> VerifyCtx {
         let mut ctx = self.ctx.plock().clone();
         ctx.now = now;
@@ -370,6 +375,9 @@ mod tests {
             }
             fn revalidation(&self, _cert: &HashVal, _now: Time) -> Option<snowflake_core::Revalidation> {
                 None
+            }
+            fn epoch(&self) -> u64 {
+                0
             }
         }
         let mut rng = DetRng::new(b"surface-crl");

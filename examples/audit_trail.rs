@@ -60,7 +60,7 @@ fn main() {
         validity: Validity::until(Time::now().plus(300)),
         delegable: false,
     };
-    servlet.surface().base_ctx().assume(&stmt);
+    servlet.surface().assume(&stmt);
     snowflake::http::auth::attach_proof(
         &mut req,
         &Proof::Assumption {

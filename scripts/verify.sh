@@ -57,11 +57,14 @@ cargo test -q --offline -p snowflake-runtime --lib -- --exact \
     reactor::tests::keep_alive_requests_leave_one_wheel_entry_per_connection \
     reactor::tests::idle_connections_are_reaped_by_the_timer_wheel \
     reactor::tests::panicking_driver_closes_its_connection_and_shutdown_returns \
+    reactor::tests::panicking_scan_closes_its_connection_and_the_reactor_serves_on \
     reactor::tests::drain_force_closes_a_frame_stuck_past_the_grace \
     reactor::tests::sink_hangup_runs_the_close_callback_once
 cargo test -q --offline -p snowflake-broker --test broker -- --exact \
     hung_up_subscribers_are_pruned_without_a_publish \
     stalled_subscriber_is_shed_without_harming_healthy_ones
+cargo test -q --offline -p snowflake-revocation --test reactor_push -- --exact \
+    hung_up_reactor_subscribers_are_pruned_without_a_revocation
 
 echo "==> verification fast-path suites (modpow vs reference, batch pinpointing, memo soundness, the revocation guard)"
 # The fast paths are optimizations of an unchanged acceptance predicate,
@@ -84,6 +87,13 @@ cargo test -q --offline -p snowflake-crypto --test decode_membership
 cargo test -q --offline -p snowflake --test off_subgroup_keys
 cargo test -q --offline -p snowflake-core --lib -- --exact \
     verify::tests::memo_hit_hashes_only_revalidation_leaves
+# Revocation data reaches a verifier one way (an attached source): an
+# agent-fed context answers as a table of the validator's own artifacts
+# does, a push after attaching is seen, audited epochs follow the pushed
+# serial, and the CRL/revalidation proof rules hold on installed tables.
+cargo test -q --offline -p snowflake-revocation --test freshness_props
+cargo test -q --offline -p snowflake-revocation --test revoke_mid_session
+cargo test -q --offline -p snowflake-core --test proof_rules
 
 echo "==> broker suites (authz facade, subscribe-as-action, revocation-push cuts)"
 # The broker's claims — authz answers fail closed on malformed bodies,

@@ -3,8 +3,8 @@
 //! HTTP, thresholds in live proofs, MD5 interop, the 1024-bit group).
 
 use snowflake_core::{
-    Certificate, Crl, Delegation, HashAlg, Principal, Proof, RevocationPolicy, Tag, Time, Validity,
-    VerifyCtx,
+    Certificate, Crl, Delegation, HashAlg, Principal, Proof, RevocationPolicy, RevocationTable,
+    Tag, Time, Validity, VerifyCtx,
 };
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use snowflake_http::{
@@ -86,12 +86,14 @@ fn crl_revocation_over_http() {
     let servlet =
         ProtectedServlet::with_clock(Echo { issuer }, fixed_clock, Box::new(det("rev-servlet")));
     // A clean, current CRL: requests work.
-    servlet.surface().base_ctx().install_crl(Crl::issue(
+    let mut table = RevocationTable::default();
+    table.install_crl(Crl::issue(
         &validator,
         vec![],
         Validity::until(Time(2_000_000)),
         &mut rng,
     ));
+    servlet.surface().set_revocation_source(Arc::new(table));
     let server = HttpServer::new();
     server.route(
         "/",
@@ -115,14 +117,16 @@ fn crl_revocation_over_http() {
     drop(client);
     t1.join().unwrap();
 
-    // The validator revokes the certificate; the servlet installs the new
-    // CRL; the same chain now fails.
-    servlet.surface().base_ctx().install_crl(Crl::issue(
+    // The validator revokes the certificate; the servlet attaches a table
+    // with the new CRL; the same chain now fails.
+    let mut table = RevocationTable::default();
+    table.install_crl(Crl::issue(
         &validator,
         vec![cert_hash],
         Validity::until(Time(2_000_000)),
         &mut rng,
     ));
+    servlet.surface().set_revocation_source(Arc::new(table));
     servlet.forget_verified();
 
     let (mut client, t2) = connect(&server);
