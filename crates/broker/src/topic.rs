@@ -23,6 +23,7 @@
 //! here, so a churned subscriber costs nothing once its connection is
 //! gone, publish or no publish.
 
+use snowflake_channel::transport::{length_prefixed, scan_frame};
 use snowflake_channel::{TcpTransport, Transport};
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::{Epoch, Principal, Proof, ProvenanceMap, Time};
@@ -30,19 +31,16 @@ use snowflake_crypto::HashVal;
 use snowflake_metrics::{Registry, Sample};
 use snowflake_prover::Prover;
 use snowflake_revocation::RevocationBus;
-use snowflake_runtime::{Accepted, ListenerHandle, ServerRuntime, SinkHandle, SubmitError, Surface};
+use snowflake_runtime::{
+    ConnDriver, FrameScan, ListenerHandle, ReadyOutcome, ServerRuntime, SinkHandle, SubmitError,
+    Surface,
+};
 use snowflake_sexpr::Sexp;
 use snowflake_tags::path_vector::{self, ActionTable};
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// How long the subscribe handshake may take before the worker gives up
-/// on the connection (the blocking window per subscriber; after it, the
-/// connection costs no thread at all).
-const SUBSCRIBE_TIMEOUT: Duration = Duration::from_secs(10);
+use std::sync::{Arc, Weak};
 
 /// A destination for published frames.
 ///
@@ -183,7 +181,7 @@ impl TopicBroker {
     ) -> Arc<TopicBroker> {
         let sub = Surface::new("broker-sub")
             .with_clock(clock)
-            .with_shed_reply(|detail| frame_with_len(&deny_sexp(detail).canonical()));
+            .with_shed_reply(deny_frame);
         Arc::new(TopicBroker {
             runtime,
             prover,
@@ -438,7 +436,7 @@ impl TopicBroker {
         let broker = Arc::clone(self);
         // Sinks write raw bytes (the reactor adds no framing), so the
         // wire frame carries its own length prefix.
-        let frame = frame_with_len(&publish_frame(&owned, data));
+        let frame = length_prefixed(&publish_frame(&owned, data));
         permit.submit(move || broker.fan_out(&owned, &frame));
         Ok(())
     }
@@ -484,10 +482,9 @@ impl TopicBroker {
     }
 
     /// Registers a subscribe listener on the runtime's reactor.  Each
-    /// accepted connection is offloaded to a pool worker for the framed
-    /// handshake — `(subscribe (path s…) (subject P) (proof …))` — and,
-    /// on grant, parked write-only as a reactor sink; the worker is
-    /// released the moment the handshake ends.
+    /// accepted connection parks until its one framed `(subscribe (path
+    /// s…) (subject P) (proof …))` arrives, decided as an ordinary frame
+    /// job; on grant the reactor turns it into a write-only sink in place.
     pub fn attach_subscribe_listener(
         self: &Arc<Self>,
         listener: TcpListener,
@@ -498,26 +495,15 @@ impl TopicBroker {
         self.runtime.reactor().register_listener(
             listener,
             Arc::clone(&self.sub),
-            Box::new(move || {
-                let broker = broker.clone();
-                Accepted::Offload(Box::new(move |stream, reactor, _surface| {
-                    let Some(broker) = broker.upgrade() else { return };
-                    broker.handshake(stream, &reactor);
-                }))
-            }),
+            Box::new(move || Box::new(SubscribeDriver(broker.clone()))),
         )
     }
 
-    /// Runs one subscribe handshake on a pool worker.  The transport
-    /// reads ride a dup of the socket so the original fd can be adopted
-    /// into the reactor once the grant is decided.
-    fn handshake(self: &Arc<Self>, stream: std::net::TcpStream, reactor: &Arc<snowflake_runtime::Reactor>) {
+    /// Decides one wire subscribe frame: a refusal is `(sub-deny reason)`,
+    /// a grant `sub-ok` and a sink, registered once the reactor hands it over.
+    fn admit(self: &Arc<Self>, frame: &[u8]) -> ReadyOutcome {
         let _timer = self.sub.latency().start_timer();
-        let Ok(dup) = stream.try_clone() else { return };
-        let mut transport = TcpTransport::new(dup);
-        let _ = transport.set_read_timeout(Some(SUBSCRIBE_TIMEOUT));
-        let Ok(frame) = transport.recv() else { return };
-        let (subject, path, proof) = match parse_subscribe(&frame) {
+        let (subject, path, proof) = match parse_subscribe(frame) {
             Ok(parts) => parts,
             Err(reason) => {
                 self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
@@ -531,24 +517,19 @@ impl TopicBroker {
                         &format!("rejected unparseable subscribe frame: {reason}"),
                     )
                 });
-                let _ = transport.send(&deny_sexp(&reason).canonical());
-                return;
+                return ReadyOutcome::ReplyClose(deny_frame(&reason));
             }
         };
         let refs: Vec<&str> = path.iter().map(String::as_str).collect();
-        // Decide BEFORE the connection touches the reactor: an
-        // unauthorized peer never occupies a parked-sink slot.
+        // Decide BEFORE the connection becomes a sink: an unauthorized
+        // peer never occupies a sink slot.
         let grant = match self.decide(&subject, &refs, &proof) {
             Ok(grant) => grant,
-            Err(e) => {
-                let _ = transport.send(&deny_sexp(&e.to_string()).canonical());
-                return;
-            }
+            Err(e) => return ReadyOutcome::ReplyClose(deny_frame(&e.to_string())),
         };
-        // Park the original fd write-only under the shared push surface;
-        // the reactor counts and audits a stall there, and whenever it
-        // drops the sink (hangup, stall, drain) the callback prunes the
-        // subscription.
+        // Whenever the reactor drops the sink (hangup, stall, drain) the
+        // callback prunes the subscription; a stall is counted and
+        // audited on the push surface.
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let close_broker = Arc::downgrade(self);
         let on_close = Box::new(move || {
@@ -556,33 +537,53 @@ impl TopicBroker {
                 b.prune(id);
             }
         });
-        let sink = match reactor.adopt_sink(stream, Arc::clone(&self.push), Some(on_close)) {
-            Ok(s) => Arc::new(s),
-            Err(_) => {
-                let _ = transport.send(&deny_sexp("shutting down").canonical());
-                return;
-            }
-        };
-        // Confirm over the dup *before* registering: once the
-        // subscription is visible, publishes write to the same socket
-        // from the reactor thread, and the two writers must not
-        // interleave.
-        let _ = transport.send(&Sexp::tagged("sub-ok", vec![]).canonical());
-        drop(transport);
-        // A grant overtaken by a revocation is cut like any stream built
-        // on the dead certificate: the peer sees EOF after `sub-ok`.  A
-        // peer that hung up before registration had its close callback
-        // run too early to find the subscription; prune it here instead.
-        if self
-            .register(grant, id, subject, &refs, Arc::clone(&sink) as _)
-            .is_err()
-        {
-            sink.close();
-        } else if !sink.is_open() {
-            self.prune(id);
+        let broker = Arc::downgrade(self);
+        ReadyOutcome::Sink {
+            reply: length_prefixed(&Sexp::tagged("sub-ok", vec![]).canonical()),
+            surface: Arc::clone(&self.push),
+            on_close,
+            adopted: Box::new(move |sink| {
+                let sink = Arc::new(sink);
+                let Some(broker) = broker.upgrade() else {
+                    return sink.close();
+                };
+                let refs: Vec<&str> = path.iter().map(String::as_str).collect();
+                // A grant overtaken by a revocation is cut like any stream
+                // built on the dead certificate: the peer sees EOF after
+                // `sub-ok`.  A peer that hung up before registration had
+                // its close callback run too early to find the
+                // subscription; prune it here instead.
+                if broker
+                    .register(grant, id, subject, &refs, Arc::clone(&sink) as _)
+                    .is_err()
+                {
+                    sink.close();
+                } else if !sink.is_open() {
+                    broker.prune(id);
+                }
+            }),
         }
-        // The dup fd is gone; the reactor owns the original and the
-        // worker is free.
+    }
+}
+
+/// A subscribe connection before its grant: scans one length-prefixed
+/// frame and hands it to [`TopicBroker::admit`].
+struct SubscribeDriver(Weak<TopicBroker>);
+
+impl ConnDriver for SubscribeDriver {
+    fn scan(&mut self, buf: &[u8]) -> FrameScan {
+        scan_frame(buf).into()
+    }
+
+    fn handle(&mut self, frame: Vec<u8>) -> ReadyOutcome {
+        match self.0.upgrade() {
+            Some(broker) => broker.admit(&frame[4..]),
+            None => ReadyOutcome::Close,
+        }
+    }
+
+    fn busy_reply(&mut self) -> Option<Vec<u8>> {
+        Some(deny_frame("worker pool saturated"))
     }
 }
 
@@ -619,18 +620,10 @@ impl RevocationBus for TopicBroker {
     }
 }
 
-fn deny_sexp(reason: &str) -> Sexp {
-    Sexp::tagged("sub-deny", vec![Sexp::atom(reason.as_bytes().to_vec())])
-}
-
-/// Wraps one encoded frame in the transport's `[u32 BE len]` prefix,
-/// for bytes written raw to a socket (sink pushes, shed replies) that a
-/// [`TcpTransport`] on the other end will `recv`.
-fn frame_with_len(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body);
-    out
+/// `(sub-deny reason)`, framed for a [`TcpTransport`] on the other end.
+fn deny_frame(reason: &str) -> Vec<u8> {
+    let deny = Sexp::tagged("sub-deny", vec![Sexp::atom(reason.as_bytes().to_vec())]);
+    length_prefixed(&deny.canonical())
 }
 
 /// Encodes one publish frame, `(publish (path s…) (data bytes))`.

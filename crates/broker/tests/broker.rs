@@ -5,7 +5,7 @@
 //! being shed without harming healthy ones, and a presence-style
 //! in-memory scale run.
 
-use snowflake_broker::topic::{read_publish, subscribe_stream};
+use snowflake_broker::topic::{read_publish, subscribe_frame, subscribe_stream};
 use snowflake_broker::{
     subject_principal, AuthzEndpoint, NamespaceAuthority, SubscribeError, SubscriberSink,
     TopicBroker,
@@ -18,9 +18,11 @@ use snowflake_prover::Prover;
 use snowflake_revocation::{
     FreshnessAgent, InProcessValidator, RevocationBus, ValidatorService, DEFAULT_CRL_WINDOW,
 };
-use snowflake_runtime::{PoolConfig, ServerRuntime};
+use snowflake_runtime::{PoolConfig, ReactorConfig, ServerRuntime};
+use snowflake_sexpr::Sexp;
 use snowflake_crypto::HashVal;
 use snowflake_tags::path_vector::{grant_tag, request_tag, ActionTable, PathPattern};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -457,6 +459,200 @@ fn hung_up_subscribers_are_pruned_without_a_publish() {
     );
 
     runtime.shutdown();
+}
+
+/// One subscriber's chain and a broker serving subscribe on `runtime`
+/// under `clock`, audited into the returned collector.
+fn subscribe_rig(
+    runtime: &Arc<ServerRuntime>,
+    seed: &str,
+    clock: fn() -> Time,
+) -> (
+    Arc<TopicBroker>,
+    std::net::SocketAddr,
+    Principal,
+    Proof,
+    Arc<Collector>,
+) {
+    let issuer_kp = kp(format!("{seed}-issuer").as_bytes());
+    let issuer = Principal::key(&issuer_kp.public);
+    let mut rng = DetRng::new(format!("{seed}-prover").as_bytes());
+    let prover = Arc::new(Prover::with_rng(Box::new(move |b| rng.fill(b))));
+    prover.add_key(issuer_kp);
+    let subscriber = account(seed);
+    let grant = grant_tag(
+        OBJECT_NS,
+        &PathPattern::parse(&["rooms", "*", "events"]),
+        &["subscribe"],
+    );
+    let proof = prover
+        .delegate(&subscriber, &issuer, grant, Validity::always(), false)
+        .unwrap();
+    let broker = TopicBroker::with_clock(
+        Arc::clone(runtime),
+        prover,
+        OBJECT_NS,
+        issuer,
+        conference_table(),
+        clock,
+    );
+    let audit = Arc::new(Collector::default());
+    broker.set_audit_emitter(Arc::clone(&audit) as Arc<dyn AuditEmitter>);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    broker.attach_subscribe_listener(listener).unwrap();
+    (broker, addr, subscriber, proof, audit)
+}
+
+/// A subscribe that meets a saturated pool hears the `broker-sub`
+/// surface's shed reply, the framed `(sub-deny "worker pool saturated")`,
+/// is counted once by the pool, audited once as a `Shed` on that
+/// surface, and never becomes a stream.
+#[test]
+fn saturated_pool_denies_a_subscribe_as_before() {
+    let runtime = ServerRuntime::new(PoolConfig::new("broker-busy", 1, 1));
+    let (broker, addr, subscriber, proof, audit) = subscribe_rig(&runtime, "busy", test_now);
+
+    // One job holds the only worker, a second fills the one queue slot;
+    // both end when the guard drops, even if an assertion fails first.
+    struct Release(Arc<AtomicBool>);
+    impl Drop for Release {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let release = Release(Arc::new(AtomicBool::new(false)));
+    for queued in 0..2 {
+        let release = Arc::clone(&release.0);
+        runtime
+            .pool()
+            .submit(move || {
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+            .unwrap();
+        wait_for(|| {
+            let stats = runtime.stats();
+            stats.in_flight == 1 && stats.queue_depth == queued
+        });
+    }
+
+    let topic = ["rooms", "busy", "events"];
+    let frame = subscribe_frame(&topic, &subscriber, &proof);
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    peer.write_all(&(frame.len() as u32).to_be_bytes()).unwrap();
+    peer.write_all(&frame).unwrap();
+    let mut reply = Vec::new();
+    peer.read_to_end(&mut reply)
+        .expect("the shed subscribe is closed");
+    let deny = Sexp::tagged(
+        "sub-deny",
+        vec![Sexp::atom(b"worker pool saturated".to_vec())],
+    );
+    let mut expected = (deny.canonical().len() as u32).to_be_bytes().to_vec();
+    expected.extend_from_slice(&deny.canonical());
+    assert_eq!(reply, expected);
+
+    assert_eq!(runtime.stats().shed, 1, "one counted pool drop");
+    let events = audit.events();
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(
+        (events[0].decision, events[0].surface.as_str()),
+        (Decision::Shed, "broker-sub")
+    );
+    assert_eq!(broker.stats().subscribers, 0);
+    assert_eq!(runtime.reactor_stats().open_sinks, 0);
+
+    drop(release);
+    runtime.shutdown();
+}
+
+/// A granted subscriber's connection becomes a sink in place and leaves
+/// the idle timer: idle for three idle timeouts, it is still an open
+/// sink and still receives a publish.
+#[test]
+fn a_granted_sink_outlives_the_idle_timer() {
+    let idle = Duration::from_millis(200);
+    let runtime = ServerRuntime::with_reactor_config(
+        PoolConfig::new("broker-idle", 2, 16),
+        ReactorConfig {
+            idle_timeout: idle,
+            ..ReactorConfig::default()
+        },
+    );
+    let (broker, addr, subscriber, proof, _audit) = subscribe_rig(&runtime, "idle", test_now);
+
+    let topic = ["rooms", "idle", "events"];
+    let mut stream = subscribe_stream(addr, &topic, &subscriber, &proof)
+        .unwrap()
+        .expect("the chain authorizes subscribe");
+    wait_for(|| broker.stats().subscribers == 1);
+
+    std::thread::sleep(idle * 3);
+    assert_eq!(runtime.reactor_stats().open_sinks, 1);
+    assert_eq!(runtime.reactor_stats().reaped_idle, 0);
+    broker
+        .publish(&topic, b"after three idle timeouts")
+        .unwrap();
+    assert_eq!(
+        read_publish(&mut stream).unwrap().1,
+        b"after three idle timeouts"
+    );
+    assert_eq!(broker.stats().subscribers, 1);
+
+    runtime.shutdown();
+}
+
+/// Closed while a subscribe decision must wait; [`held_clock`] parks the
+/// decision on it, so a test can begin drain with a grant in flight.
+static HELD: (Mutex<bool>, std::sync::Condvar) = (Mutex::new(true), std::sync::Condvar::new());
+static DECIDING: AtomicBool = AtomicBool::new(false);
+
+fn held_clock() -> Time {
+    DECIDING.store(true, Ordering::SeqCst);
+    let (held, released) = &HELD;
+    let mut held = held.lock().unwrap();
+    while *held {
+        held = released.wait(held).unwrap();
+    }
+    test_now()
+}
+
+/// A grant decided after drain began never becomes a stream: the peer
+/// hears the `broker-sub` shed reply, `(sub-deny "shutting down")`, and
+/// the refusal is counted and audited as a shed.
+#[test]
+fn a_grant_decided_during_drain_is_refused() {
+    let runtime = ServerRuntime::new(PoolConfig::new("broker-drain", 2, 16));
+    let (broker, addr, subscriber, proof, audit) = subscribe_rig(&runtime, "drain", held_clock);
+
+    let topic = ["rooms", "drain", "events"];
+    let client = std::thread::spawn(move || {
+        subscribe_stream(addr, &topic, &subscriber, &proof)
+            .unwrap()
+            .map(|_| ())
+    });
+    wait_for(|| DECIDING.load(Ordering::SeqCst));
+    let closer = {
+        let runtime = Arc::clone(&runtime);
+        std::thread::spawn(move || runtime.shutdown())
+    };
+    wait_for(|| runtime.is_shutting_down());
+    *HELD.0.lock().unwrap() = false;
+    HELD.1.notify_all();
+
+    assert_eq!(client.join().unwrap(), Err("shutting down".to_string()));
+    closer.join().unwrap();
+    assert_eq!(broker.stats().subscribers, 0);
+    assert!(runtime
+        .sheds_by_surface()
+        .contains(&("broker-sub".to_owned(), 1)));
+    assert!(audit
+        .events()
+        .iter()
+        .any(|e| e.decision == Decision::Shed && e.detail == "shutting down"));
 }
 
 /// An in-memory subscriber sink (no fd cost), for presence-style scale.

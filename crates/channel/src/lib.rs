@@ -28,7 +28,9 @@ pub mod secure;
 pub mod transport;
 
 pub use local::{LocalBroker, LocalChannel};
-pub use secure::{ChannelParts, RecordCrypto, SecureChannel, SessionCache};
+pub use secure::{
+    ChannelParts, RecordCrypto, SecureChannel, ServerHandshake, Session, SessionCache,
+};
 pub use transport::{PipeTransport, TcpTransport, Transport, DEFAULT_PIPE_CAPACITY};
 
 use snowflake_core::{ChannelId, Delegation, Principal};
@@ -70,6 +72,27 @@ impl AuthChannel for SecureChannel {
     }
     fn peer_binding(&self) -> Option<Delegation> {
         SecureChannel::peer_binding(self)
+    }
+}
+
+/// A bare session is a channel's identity without its byte path: whoever
+/// holds it owns the I/O and seals and opens records with its `crypto`
+/// (a reactor driver), so `send` and `recv` fail.
+impl AuthChannel for Session {
+    fn send(&mut self, _msg: &[u8]) -> io::Result<()> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+    fn recv(&mut self) -> io::Result<Vec<u8>> {
+        Err(io::ErrorKind::Unsupported.into())
+    }
+    fn channel_id(&self) -> ChannelId {
+        self.channel_id.clone()
+    }
+    fn peer_key(&self) -> Option<&PublicKey> {
+        self.peer_key.as_ref()
+    }
+    fn peer_binding(&self) -> Option<Delegation> {
+        self.peer_binding.clone()
     }
 }
 

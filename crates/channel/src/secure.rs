@@ -79,10 +79,19 @@ impl SessionCache {
 /// A secure channel endpoint after a completed handshake.
 pub struct SecureChannel {
     transport: Box<dyn Transport>,
-    session_id: HashVal,
-    peer_key: Option<PublicKey>,
+    session: Session,
+}
+
+/// What a finished handshake establishes, tied to no byte path: the
+/// record layer plus the identity facts the authorization layer consumes
+/// (read through [`AuthChannel`](crate::AuthChannel)).
+pub struct Session {
+    /// The record layer (ciphers, MACs, sequence numbers).
+    pub crypto: RecordCrypto,
+    pub(crate) channel_id: ChannelId,
+    pub(crate) peer_key: Option<PublicKey>,
+    pub(crate) peer_binding: Option<Delegation>,
     resumed: bool,
-    crypto: RecordCrypto,
 }
 
 /// The record layer of an established session, separated from the
@@ -90,10 +99,10 @@ pub struct SecureChannel {
 /// numbers.
 ///
 /// Owning this (plus the handshake-derived identity facts) is enough to
-/// continue a session over *any* byte path — the connection reactor uses
-/// exactly that to take over a handshaken socket without keeping the
-/// blocking [`Transport`] around.  Records sealed here are byte-identical
-/// to what [`SecureChannel::send`] puts on the wire.
+/// continue a session over *any* byte path — a reactor driver holds
+/// exactly that, with no blocking [`Transport`] involved.  Records sealed
+/// here are byte-identical to what [`SecureChannel::send`] puts on the
+/// wire.
 pub struct RecordCrypto {
     send_cipher: ChaCha20,
     send_mac: [u8; 32],
@@ -313,14 +322,8 @@ impl SecureChannel {
             }
         }
 
-        Ok(Self::finish(
-            transport,
-            master,
-            session_id,
-            Some(server_key),
-            true,
-            false,
-        ))
+        let session = Session::new(master, session_id, Some(server_key), true, false);
+        Ok(SecureChannel { transport, session })
     }
 
     fn client_resume(
@@ -351,17 +354,12 @@ impl SecureChannel {
             .ok_or_else(|| io_err("resumed missing nonce"))?;
 
         let (master, session_id) = resumed_secrets(&entry.master, ticket, &nonce, server_nonce);
-        Ok(Self::finish(
-            transport,
-            master,
-            session_id,
-            entry.peer_key,
-            true,
-            true,
-        ))
+        let session = Session::new(master, session_id, entry.peer_key, true, true);
+        Ok(SecureChannel { transport, session })
     }
 
-    /// Runs the server side of the handshake.
+    /// Runs the server side of the handshake: a blocking loop over
+    /// [`ServerHandshake`].
     ///
     /// With a `cache`, the server issues resumption tickets on full
     /// handshakes and accepts them on later connections.
@@ -371,169 +369,31 @@ impl SecureChannel {
         cache: Option<&SessionCache>,
         rand_bytes: &mut dyn FnMut(&mut [u8]),
     ) -> io::Result<SecureChannel> {
-        let first = transport.recv()?;
-        let first_sexp =
-            Sexp::parse(&first).map_err(|e| io_err(&format!("bad client message: {e}")))?;
-
-        // Resumption attempt?
-        if first_sexp.tag_name() == Some("resume") {
-            return Self::server_resume(transport, first_sexp, cache, rand_bytes);
-        }
-
-        let (client_dh, client_key) = parse_hello(&first_sexp, "client")?;
-        let group = Group::test512();
-        let dh = DhSecret::generate(group, rand_bytes);
-        let mut nonce = [0u8; 16];
-        rand_bytes(&mut nonce);
-
-        // Issue a ticket when resumption is enabled.
-        let mut ticket = None;
-        let mut server_hello = hello("server", &dh.public, &nonce, Some(&my_key.public));
-        if cache.is_some() {
-            let mut t = [0u8; 32];
-            rand_bytes(&mut t);
-            if let Sexp::List(items) = &mut server_hello {
-                items.push(Sexp::tagged("ticket", vec![Sexp::atom(t.to_vec())]));
+        let mut handshake = ServerHandshake::new(my_key.clone(), cache.cloned());
+        loop {
+            let (send, session) = handshake.step(&transport.recv()?, rand_bytes)?;
+            for frame in &send {
+                transport.send(frame)?;
             }
-            ticket = Some(t);
-        }
-        transport.send(&server_hello.canonical())?;
-
-        let master = dh
-            .agree(&client_dh)
-            .ok_or_else(|| io_err("invalid client DH share"))?;
-        let transcript = Sexp::tagged("transcript", vec![first_sexp, server_hello]);
-        let session_id = HashVal::of_sexp(&transcript);
-
-        // Prove our key.
-        let sig = my_key.sign(&auth_payload(&session_id, "server"), rand_bytes);
-        transport.send(&sig.to_sexp().canonical())?;
-
-        // Verify the client's proof (or accept anonymity).
-        let client_auth = transport.recv()?;
-        let auth_sexp =
-            Sexp::parse(&client_auth).map_err(|e| io_err(&format!("bad client auth: {e}")))?;
-        let peer_key = if let Some(ck) = client_key {
-            let sig = Signature::from_sexp(&auth_sexp)
-                .map_err(|e| io_err(&format!("bad client sig: {e}")))?;
-            if !ck.verify(&auth_payload(&session_id, "client"), &sig) {
-                return Err(io_err("client authentication failed"));
+            if let Some(session) = session {
+                return Ok(SecureChannel { transport, session });
             }
-            Some(ck)
-        } else {
-            if auth_sexp
-                .as_list()
-                .and_then(|l| l.first())
-                .and_then(Sexp::as_str)
-                != Some("anonymous")
-            {
-                return Err(io_err("expected anonymous marker"));
-            }
-            None
-        };
-
-        if let (Some(cache), Some(t)) = (cache, ticket) {
-            cache.put(
-                t.to_vec(),
-                CachedSession {
-                    master,
-                    peer_key: peer_key.clone(),
-                },
-            );
-        }
-
-        Ok(Self::finish(
-            transport, master, session_id, peer_key, false, false,
-        ))
-    }
-
-    fn server_resume(
-        mut transport: Box<dyn Transport>,
-        resume: Sexp,
-        cache: Option<&SessionCache>,
-        rand_bytes: &mut dyn FnMut(&mut [u8]),
-    ) -> io::Result<SecureChannel> {
-        let ticket = resume
-            .find_value("ticket")
-            .and_then(Sexp::as_atom)
-            .ok_or_else(|| io_err("resume missing ticket"))?;
-        let client_nonce = resume
-            .find_value("nonce")
-            .and_then(Sexp::as_atom)
-            .ok_or_else(|| io_err("resume missing nonce"))?;
-        let entry = cache
-            .and_then(|c| c.get(ticket))
-            .ok_or_else(|| io_err("unknown session ticket"))?;
-
-        let mut server_nonce = [0u8; 16];
-        rand_bytes(&mut server_nonce);
-        let reply = Sexp::tagged(
-            "resumed",
-            vec![Sexp::tagged(
-                "nonce",
-                vec![Sexp::atom(server_nonce.to_vec())],
-            )],
-        );
-        transport.send(&reply.canonical())?;
-
-        let mut ticket32 = [0u8; 32];
-        let n = ticket.len().min(32);
-        ticket32[..n].copy_from_slice(&ticket[..n]);
-        let (master, session_id) =
-            resumed_secrets(&entry.master, &ticket32, client_nonce, &server_nonce);
-        Ok(Self::finish(
-            transport,
-            master,
-            session_id,
-            entry.peer_key,
-            false,
-            true,
-        ))
-    }
-
-    fn finish(
-        transport: Box<dyn Transport>,
-        master: [u8; 32],
-        session_id: HashVal,
-        peer_key: Option<PublicKey>,
-        is_client: bool,
-        resumed: bool,
-    ) -> SecureChannel {
-        let c2s = direction_keys(&master, &session_id, "c2s");
-        let s2c = direction_keys(&master, &session_id, "s2c");
-        let (send, recv) = if is_client { (c2s, s2c) } else { (s2c, c2s) };
-        SecureChannel {
-            transport,
-            session_id,
-            peer_key,
-            resumed,
-            crypto: RecordCrypto {
-                send_cipher: send.cipher,
-                send_mac: send.mac,
-                send_seq: 0,
-                recv_cipher: recv.cipher,
-                recv_mac: recv.mac,
-                recv_seq: 0,
-            },
         }
     }
 
     /// The public key of the opposite end, when it authenticated.
     pub fn peer_key(&self) -> Option<&PublicKey> {
-        self.peer_key.as_ref()
+        self.session.peer_key.as_ref()
     }
 
     /// Did this connection resume a cached session (no public-key ops)?
     pub fn was_resumed(&self) -> bool {
-        self.resumed
+        self.session.resumed
     }
 
     /// The channel's identity (hash of the handshake transcript).
     pub fn channel_id(&self) -> ChannelId {
-        ChannelId {
-            kind: "ssh".into(),
-            id: self.session_id.clone(),
-        }
+        self.session.channel_id.clone()
     }
 
     /// The channel embodied as a principal (`K_CH` of Figure 3).
@@ -547,39 +407,212 @@ impl SecureChannel {
     ///
     /// Returns `None` when the peer was anonymous.
     pub fn peer_binding(&self) -> Option<Delegation> {
-        let peer = self.peer_key.as_ref()?;
-        Some(Delegation::axiom(
-            Principal::Channel(self.channel_id()),
-            Principal::key(peer),
-        ))
+        self.session.peer_binding.clone()
     }
 
     /// Sends one encrypted, authenticated record.
     pub fn send(&mut self, msg: &[u8]) -> io::Result<()> {
-        let record = self.crypto.seal(msg);
+        let record = self.session.crypto.seal(msg);
         self.transport.send(&record)
     }
 
     /// Receives and authenticates one record.
     pub fn recv(&mut self) -> io::Result<Vec<u8>> {
         let frame = self.transport.recv()?;
-        self.crypto.open(&frame)
+        self.session.crypto.open(&frame)
     }
 
     /// Takes the channel apart so the record layer can continue over a
-    /// different byte path (e.g. a nonblocking socket owned by the
-    /// connection reactor) while the identity facts keep feeding the
+    /// different byte path while the identity facts keep feeding the
     /// authorization layer.
     pub fn into_parts(self) -> ChannelParts {
-        let channel_id = self.channel_id();
-        let peer_binding = self.peer_binding();
+        let session = self.session;
         ChannelParts {
             transport: self.transport,
-            crypto: self.crypto,
-            channel_id,
-            peer_key: self.peer_key,
-            peer_binding,
+            crypto: session.crypto,
+            channel_id: session.channel_id,
+            peer_key: session.peer_key,
+            peer_binding: session.peer_binding,
         }
+    }
+}
+
+impl Session {
+    fn new(
+        master: [u8; 32],
+        session_id: HashVal,
+        peer_key: Option<PublicKey>,
+        is_client: bool,
+        resumed: bool,
+    ) -> Session {
+        let c2s = direction_keys(&master, &session_id, "c2s");
+        let s2c = direction_keys(&master, &session_id, "s2c");
+        let (send, recv) = if is_client { (c2s, s2c) } else { (s2c, c2s) };
+        let channel_id = ChannelId {
+            kind: "ssh".into(),
+            id: session_id,
+        };
+        let peer_binding = peer_key.as_ref().map(|peer| {
+            Delegation::axiom(Principal::Channel(channel_id.clone()), Principal::key(peer))
+        });
+        Session {
+            crypto: RecordCrypto {
+                send_cipher: send.cipher,
+                send_mac: send.mac,
+                send_seq: 0,
+                recv_cipher: recv.cipher,
+                recv_mac: recv.mac,
+                recv_seq: 0,
+            },
+            channel_id,
+            peer_key,
+            peer_binding,
+            resumed,
+        }
+    }
+}
+
+/// The server side of the handshake, without I/O: feed
+/// [`step`](ServerHandshake::step) each client frame and send back the
+/// frames it returns, until it also returns the established [`Session`].
+///
+/// * Full handshake: `hello` → (`hello`, signature) → client auth → done.
+/// * Resumption: `resume` → `resumed` → done, with no public-key work.
+///
+/// [`SecureChannel::server`] loops over it on a blocking transport; a
+/// reactor driver feeds it one scanned frame at a time.
+pub struct ServerHandshake {
+    key: KeyPair,
+    cache: Option<SessionCache>,
+    /// `None` once the handshake has finished or failed.
+    awaiting: Option<Awaiting>,
+}
+
+/// What a [`ServerHandshake`] expects next.
+enum Awaiting {
+    /// The client's `hello` or `resume`.
+    First,
+    /// The client's auth (a signature by its hello's key, or anonymity),
+    /// holding the master secret, session id, that key and our ticket.
+    Auth([u8; 32], HashVal, Option<PublicKey>, Option<[u8; 32]>),
+}
+
+impl ServerHandshake {
+    /// A handshake proving `key`.  With a `cache`, it issues resumption
+    /// tickets on full handshakes and accepts them later.
+    pub fn new(key: KeyPair, cache: Option<SessionCache>) -> ServerHandshake {
+        ServerHandshake {
+            key,
+            cache,
+            awaiting: Some(Awaiting::First),
+        }
+    }
+
+    /// Consumes one client frame, returning the frames to send back and,
+    /// once the handshake is done, the session.  An error ends the
+    /// handshake: every later step errors too.
+    pub fn step(
+        &mut self,
+        frame: &[u8],
+        rand_bytes: &mut dyn FnMut(&mut [u8]),
+    ) -> io::Result<(Vec<Vec<u8>>, Option<Session>)> {
+        let awaiting = self.awaiting.take();
+        let msg = Sexp::parse(frame).map_err(|e| io_err(&format!("bad client message: {e}")))?;
+        let (master, session_id, client_key, ticket) = match awaiting {
+            Some(Awaiting::First) if msg.tag_name() == Some("resume") => {
+                return self.resume(&msg, rand_bytes);
+            }
+            Some(Awaiting::First) => return self.hello(msg, rand_bytes),
+            Some(Awaiting::Auth(master, session_id, client_key, ticket)) => {
+                (master, session_id, client_key, ticket)
+            }
+            None => return Err(io_err("handshake already finished")),
+        };
+        // Verify the client's proof (or accept anonymity).
+        let peer_key = if let Some(ck) = client_key {
+            let sig =
+                Signature::from_sexp(&msg).map_err(|e| io_err(&format!("bad client sig: {e}")))?;
+            if !ck.verify(&auth_payload(&session_id, "client"), &sig) {
+                return Err(io_err("client authentication failed"));
+            }
+            Some(ck)
+        } else {
+            if msg.as_list().and_then(|l| l.first()).and_then(Sexp::as_str) != Some("anonymous") {
+                return Err(io_err("expected anonymous marker"));
+            }
+            None
+        };
+        if let (Some(cache), Some(t)) = (&self.cache, ticket) {
+            let peer_key = peer_key.clone();
+            cache.put(t.to_vec(), CachedSession { master, peer_key });
+        }
+        let session = Session::new(master, session_id, peer_key, false, false);
+        Ok((Vec::new(), Some(session)))
+    }
+
+    /// Answers a client hello with ours (carrying a ticket when resumption
+    /// is enabled) and a signature proving our key over the transcript.
+    fn hello(
+        &mut self,
+        client_hello: Sexp,
+        rand_bytes: &mut dyn FnMut(&mut [u8]),
+    ) -> io::Result<(Vec<Vec<u8>>, Option<Session>)> {
+        let (client_dh, client_key) = parse_hello(&client_hello, "client")?;
+        let dh = DhSecret::generate(Group::test512(), rand_bytes);
+        let mut nonce = [0u8; 16];
+        rand_bytes(&mut nonce);
+        let mut server_hello = hello("server", &dh.public, &nonce, Some(&self.key.public));
+        let ticket = self.cache.as_ref().map(|_| {
+            let mut t = [0u8; 32];
+            rand_bytes(&mut t);
+            t
+        });
+        if let (Some(t), Sexp::List(items)) = (ticket, &mut server_hello) {
+            items.push(Sexp::tagged("ticket", vec![Sexp::atom(t.to_vec())]));
+        }
+        let hello_bytes = server_hello.canonical();
+        let master = dh
+            .agree(&client_dh)
+            .ok_or_else(|| io_err("invalid client DH share"))?;
+        let transcript = Sexp::tagged("transcript", vec![client_hello, server_hello]);
+        let session_id = HashVal::of_sexp(&transcript);
+        let payload = auth_payload(&session_id, "server");
+        let sig = self.key.sign(&payload, rand_bytes);
+        self.awaiting = Some(Awaiting::Auth(master, session_id, client_key, ticket));
+        Ok((vec![hello_bytes, sig.to_sexp().canonical()], None))
+    }
+
+    /// Resumes a cached session from its ticket.
+    fn resume(
+        &self,
+        resume: &Sexp,
+        rand_bytes: &mut dyn FnMut(&mut [u8]),
+    ) -> io::Result<(Vec<Vec<u8>>, Option<Session>)> {
+        let ticket = resume
+            .find_value("ticket")
+            .and_then(Sexp::as_atom)
+            .ok_or_else(|| io_err("resume missing ticket"))?;
+        let client_nonce = resume
+            .find_value("nonce")
+            .and_then(Sexp::as_atom)
+            .ok_or_else(|| io_err("resume missing nonce"))?;
+        let entry = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.get(ticket))
+            .ok_or_else(|| io_err("unknown session ticket"))?;
+
+        let mut server_nonce = [0u8; 16];
+        rand_bytes(&mut server_nonce);
+        let nonce = Sexp::tagged("nonce", vec![Sexp::atom(server_nonce.to_vec())]);
+        let reply = Sexp::tagged("resumed", vec![nonce]).canonical();
+        let mut ticket32 = [0u8; 32];
+        let n = ticket.len().min(32);
+        ticket32[..n].copy_from_slice(&ticket[..n]);
+        let (master, session_id) =
+            resumed_secrets(&entry.master, &ticket32, client_nonce, &server_nonce);
+        let session = Session::new(master, session_id, entry.peer_key, false, true);
+        Ok((vec![reply], Some(session)))
     }
 }
 
@@ -730,7 +763,7 @@ mod tests {
         // transport layer. Here we simulate: send, then corrupt recv_seq so
         // the MAC check fails (equivalent to a replayed/reordered record).
         c.send(b"sensitive").unwrap();
-        s.crypto.recv_seq = 7; // desynchronize: MAC covers the sequence number
+        s.session.crypto.recv_seq = 7; // desynchronize: MAC covers the sequence number
         assert!(s.recv().is_err());
     }
 
@@ -763,7 +796,7 @@ mod tests {
         let second = s.recv().unwrap();
         assert_eq!(second, b"pay $9");
         // Direct replay simulation: feeding an old sequence fails.
-        s.crypto.recv_seq = 0;
+        s.session.crypto.recv_seq = 0;
         c.send(b"pay $1").unwrap();
         assert!(s.recv().is_err(), "stale sequence number must not verify");
     }

@@ -115,15 +115,37 @@ impl TcpTransport {
         let _ = stream.set_nodelay(true);
         TcpTransport { stream }
     }
+}
 
-    /// Bounds how long `recv` may sit in a read (`None` = forever).
-    ///
-    /// Servers that dedicate a pooled worker to a connection's lifetime
-    /// set this so an idle or parked peer times out and frees the worker
-    /// instead of occupying it indefinitely.
-    pub fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
-    }
+/// Reads a frame's length from its 4-byte big-endian prefix, refusing one
+/// over [`MAX_FRAME`].
+fn frame_len(prefix: [u8; 4]) -> Result<usize, &'static str> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    (len <= MAX_FRAME)
+        .then_some(len)
+        .ok_or("frame exceeds MAX_FRAME")
+}
+
+/// Scans buffered bytes for one whole frame in the [`TcpTransport`] wire
+/// format: `Ok(Some(n))` when the first `n` bytes are one frame (prefix
+/// included), `Ok(None)` when more bytes are needed, and `Err` for a
+/// length over [`MAX_FRAME`].  A reactor driver's frame scan.
+pub fn scan_frame(buf: &[u8]) -> Result<Option<usize>, &'static str> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = frame_len(*prefix)?;
+    Ok((buf.len() >= 4 + len).then_some(4 + len))
+}
+
+/// One frame in the [`TcpTransport`] wire format (4-byte big-endian length
+/// prefix), for bytes a reactor writes raw to a socket.
+pub fn length_prefixed(frame: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(frame.len()).expect("a frame fits its u32 length prefix");
+    let mut out = Vec::with_capacity(4 + frame.len());
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(frame);
+    out
 }
 
 impl Transport for TcpTransport {
@@ -140,13 +162,8 @@ impl Transport for TcpTransport {
     fn recv(&mut self) -> io::Result<Vec<u8>> {
         let mut len_buf = [0u8; 4];
         self.stream.read_exact(&mut len_buf)?;
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds MAX_FRAME",
-            ));
-        }
+        let len =
+            frame_len(len_buf).map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
         let mut buf = vec![0u8; len];
         self.stream.read_exact(&mut buf)?;
         Ok(buf)
@@ -206,6 +223,19 @@ mod tests {
         let mut t = TcpTransport::new(TcpStream::connect(addr).unwrap());
         assert!(t.recv().is_err());
         handle.join().unwrap();
+    }
+
+    /// The reactor's frame scan agrees with what `TcpTransport` writes
+    /// and refuses what its `recv` refuses.
+    #[test]
+    fn scan_frame_reads_the_tcp_wire_format() {
+        let frame = length_prefixed(b"hello");
+        assert_eq!(scan_frame(&frame[..3]), Ok(None), "prefix incomplete");
+        assert_eq!(scan_frame(&frame[..6]), Ok(None), "body incomplete");
+        assert_eq!(scan_frame(&frame), Ok(Some(9)));
+        assert_eq!(scan_frame(&[frame.clone(), frame].concat()), Ok(Some(9)));
+        assert_eq!(scan_frame(&length_prefixed(b"")), Ok(Some(4)));
+        assert!(scan_frame(&u32::MAX.to_be_bytes()).is_err());
     }
 
     #[test]

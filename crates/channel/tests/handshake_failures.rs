@@ -1,9 +1,14 @@
 //! Failure injection into the secure-channel handshake: a hostile or broken
 //! peer must produce clean errors, never panics or silent acceptance.
 
-use snowflake_channel::{PipeTransport, SecureChannel, Transport};
+use snowflake_channel::{
+    AuthChannel, PipeTransport, SecureChannel, ServerHandshake, Session, SessionCache, Transport,
+};
+use snowflake_core::ChannelId;
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use snowflake_sexpr::Sexp;
+use std::io;
+use std::sync::{Arc, Mutex};
 
 fn kp(seed: &str) -> KeyPair {
     let mut rng = DetRng::new(seed.as_bytes());
@@ -118,4 +123,140 @@ fn truncated_handshake_is_clean_error() {
     drop(ct);
     let err = handle.join().unwrap();
     assert!(err.is_some());
+}
+
+/// A client transport that records every frame the client sends.
+struct Tap(PipeTransport, Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Transport for Tap {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.1.lock().unwrap().push(frame.to_vec());
+        self.0.send(frame)
+    }
+    fn recv(&mut self) -> io::Result<Vec<u8>> {
+        self.0.recv()
+    }
+}
+
+/// Runs a keyed client (resuming when `client_cache` holds a ticket)
+/// against the blocking server, and returns the client's frames and the
+/// channel id the server reached.
+fn record(client_cache: &SessionCache, server_cache: &SessionCache) -> (Vec<Vec<u8>>, ChannelId) {
+    let (ct, st) = PipeTransport::pair();
+    let server_cache = server_cache.clone();
+    let server = std::thread::spawn(move || {
+        let mut rng = DetRng::new(b"replay-srv");
+        let key = kp("replay-server");
+        SecureChannel::server(Box::new(st), &key, Some(&server_cache), &mut |b| {
+            rng.fill(b)
+        })
+        .unwrap()
+        .channel_id()
+    });
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let mut rng = DetRng::new(b"replay-cli");
+    let tap = Tap(ct, Arc::clone(&sent));
+    let client_key = kp("replay-client");
+    SecureChannel::client(
+        Box::new(tap),
+        Some(&client_key),
+        Some((client_cache, "server")),
+        &mut |b| rng.fill(b),
+    )
+    .unwrap();
+    let id = server.join().unwrap();
+    let frames = sent.lock().unwrap().clone();
+    (frames, id)
+}
+
+/// Feeds `frames` to a sans-IO server handshake seeded like the blocking
+/// server in [`record`]: the session it ends with, if any.
+fn replay(frames: &[Vec<u8>], cache: &SessionCache) -> io::Result<Option<Session>> {
+    let mut handshake = ServerHandshake::new(kp("replay-server"), Some(cache.clone()));
+    let mut rng = DetRng::new(b"replay-srv");
+    let mut session = None;
+    for frame in frames {
+        session = handshake.step(frame, &mut |b| rng.fill(b))?.1;
+    }
+    Ok(session)
+}
+
+/// A seeded xorshift generator: mutations without a dependency.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// The sans-IO server handshake under recorded client transcripts: the
+/// unmutated full and resumed transcripts reach the blocking server's
+/// channel ids, and bit flips, truncations, swapped or repeated frames
+/// and an unknown ticket each end in an error or a session — never a
+/// panic, never a stall.
+#[test]
+fn sans_io_handshake_survives_mutated_transcripts() {
+    let (client_cache, server_cache) = (SessionCache::new(), SessionCache::new());
+    let (full, full_id) = record(&client_cache, &server_cache);
+    let (resume, resume_id) = record(&client_cache, &server_cache);
+    assert_eq!(
+        (full.len(), resume.len()),
+        (2, 1),
+        "hello + auth, then resume"
+    );
+    let established = |frames: &[Vec<u8>]| replay(frames, &server_cache).unwrap().unwrap();
+    assert_eq!(established(&full).channel_id(), full_id);
+    assert_eq!(established(&resume).channel_id(), resume_id);
+
+    let unknown_ticket = Sexp::tagged(
+        "resume",
+        vec![
+            Sexp::tagged("ticket", vec![Sexp::atom(vec![0xAB; 32])]),
+            Sexp::tagged("nonce", vec![Sexp::atom(vec![0; 16])]),
+        ],
+    );
+    let refused = replay(&[unknown_ticket.canonical()], &server_cache).err();
+    assert!(refused
+        .unwrap()
+        .to_string()
+        .contains("unknown session ticket"));
+    for frames in [
+        vec![full[1].clone(), full[0].clone()],
+        vec![full[0].clone(), full[0].clone()],
+        vec![resume[0].clone(), full[1].clone()],
+        vec![full[0].clone(), full[1].clone(), full[1].clone()],
+    ] {
+        assert!(replay(&frames, &server_cache).is_err(), "{frames:?}");
+    }
+
+    let mut rng = XorShift(0x5EED_CAFE);
+    let (mut errors, mut sessions) = (0, 0);
+    for _ in 0..256 {
+        let mut frames = if rng.below(3) == 0 {
+            resume.clone()
+        } else {
+            full.clone()
+        };
+        let which = rng.below(frames.len());
+        let frame = &mut frames[which];
+        if rng.below(2) == 0 {
+            let bit = rng.below(frame.len() * 8);
+            frame[bit / 8] ^= 1 << (bit % 8);
+        } else {
+            frame.truncate(rng.below(frame.len()));
+        }
+        match replay(&frames, &server_cache) {
+            Err(_) => errors += 1,
+            Ok(Some(_)) => sessions += 1,
+            Ok(None) => panic!("a whole transcript neither failed nor finished: {frames:?}"),
+        }
+    }
+    assert!(
+        errors > 0,
+        "mutations must be refused ({sessions} sessions)"
+    );
 }

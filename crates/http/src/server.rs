@@ -195,9 +195,9 @@ impl HttpServer {
             listener,
             Arc::clone(&self.surface),
             Box::new(move || {
-                snowflake_runtime::Accepted::Park(Box::new(HttpConnDriver {
+                Box::new(HttpConnDriver {
                     server: Arc::clone(&server),
-                }))
+                })
             }),
         )
     }

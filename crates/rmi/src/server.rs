@@ -3,7 +3,8 @@
 use snowflake_core::sync::LockExt;
 use crate::proto::{Invocation, RmiFault, RmiReply, PROOF_RECIPIENT};
 use std::sync::Mutex;
-use snowflake_channel::AuthChannel;
+use snowflake_channel::transport::{length_prefixed, scan_frame};
+use snowflake_channel::{AuthChannel, ServerHandshake, Session};
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::{
     ChannelId, Delegation, HashVal, Principal, Proof, ProvenanceMap, Tag, Time, Validity,
@@ -229,19 +230,17 @@ impl RmiServer {
 
     /// Serves RMI over TCP through the connection reactor.
     ///
-    /// The accept path is split to match where the cost is: the
-    /// secure-channel handshake (public-key work, blocking reads) runs as
-    /// one offloaded job on a pooled worker, and then the socket — with
-    /// its established [`RecordCrypto`](snowflake_channel::RecordCrypto) — is adopted by the reactor,
-    /// which parks it between invocations.  An idle authenticated peer
-    /// costs a few kilobytes of reactor state instead of a worker, so the
-    /// worker budget bounds *concurrent invocations*, not open sessions.
+    /// Each connection parks under one driver whose first state is the
+    /// secure-channel handshake (its public-key work an ordinary frame
+    /// job); the session then serves one sealed invocation per frame.  A
+    /// silent peer costs an fd until the idle timer reaps it, so the worker
+    /// budget bounds *concurrent frames*, not open sessions.
     ///
-    /// Sheds stay on one ledger: a saturated pool at invocation time
-    /// sends a sealed [`RmiFault::Busy`] (counted by the pool), while
-    /// reactor-level refusals (parked cap, drain) are counted per-surface
-    /// in the runtime's shed ledger, and the reactor audits every shed
-    /// through the `rmi` surface.
+    /// A saturated pool closes a handshaking connection and answers an
+    /// established one with a sealed [`RmiFault::Busy`] (counted by the
+    /// pool); reactor-level refusals (parked cap, drain) are counted in
+    /// the runtime's shed ledger; the reactor audits every shed through
+    /// the `rmi` surface.
     ///
     /// The returned handle [`waits`](snowflake_runtime::ListenerHandle::wait)
     /// until shutdown drains the listener.
@@ -252,57 +251,18 @@ impl RmiServer {
         key: snowflake_crypto::KeyPair,
         session_cache: Option<snowflake_channel::SessionCache>,
     ) -> io::Result<snowflake_runtime::ListenerHandle> {
-        use snowflake_channel::{SecureChannel, TcpTransport};
-        use snowflake_runtime::Accepted;
-
         let server = Arc::clone(self);
         runtime.reactor().register_listener(
             listener,
             Arc::clone(&self.surface),
             Box::new(move || {
-                let server = Arc::clone(&server);
-                let key = key.clone();
-                let cache = session_cache.clone();
-                Accepted::Offload(Box::new(move |stream, reactor, surface| {
-                    // The handshake needs blocking reads; run it over a
-                    // dup'd fd so the original can be handed (nonblocking)
-                    // to the reactor afterwards.  The read timeout bounds
-                    // how long a stalled handshake pins this worker; it is
-                    // moot once the socket goes nonblocking under epoll.
-                    let handshaken = stream.try_clone().and_then(|dup| {
-                        let transport = TcpTransport::new(dup);
-                        let _ = transport
-                            .set_read_timeout(Some(std::time::Duration::from_secs(10)));
-                        SecureChannel::server(
-                            Box::new(transport),
-                            &key,
-                            cache.as_ref(),
-                            &mut snowflake_crypto::rand_bytes,
-                        )
-                    });
-                    match handshaken {
-                        Ok(channel) => {
-                            let parts = channel.into_parts();
-                            drop(parts.transport); // the dup; the reactor keeps `stream`
-                            let driver = RmiConnDriver {
-                                server,
-                                crypto: parts.crypto,
-                                identity: IdentityChannel {
-                                    id: parts.channel_id,
-                                    peer: parts.peer_key,
-                                    binding: parts.peer_binding,
-                                },
-                            };
-                            // A refusal here (drain, parked cap) is shed,
-                            // audited, and counted by `adopt` itself.
-                            let _ = reactor.adopt(stream, surface, Box::new(driver));
-                        }
-                        Err(_) => {
-                            // Handshake failure is the peer's problem, not
-                            // load: drop the connection without a shed.
-                        }
-                    }
-                }))
+                Box::new(RmiConnDriver {
+                    server: Arc::clone(&server),
+                    state: RmiConn::Handshake(ServerHandshake::new(
+                        key.clone(),
+                        session_cache.clone(),
+                    )),
+                })
             }),
         )
     }
@@ -540,98 +500,62 @@ impl RmiServer {
     }
 }
 
-/// The identity facts of an established channel, detached from any
-/// transport.
-///
-/// Under the reactor the socket bytes never pass through an
-/// [`AuthChannel`]: the reactor owns I/O and the driver owns the record
-/// crypto.  What [`RmiServer::dispatch`] still consumes from its channel
-/// argument is only *who the peer is* — channel id, peer key, and the
-/// `K_CH ⇒ K_peer` binding — which this adapter carries.  Its `send` and
-/// `recv` are unreachable by construction and error out if called.
-struct IdentityChannel {
-    id: ChannelId,
-    peer: Option<PublicKey>,
-    binding: Option<Delegation>,
-}
-
-impl AuthChannel for IdentityChannel {
-    fn send(&mut self, _msg: &[u8]) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "identity-only channel: the reactor owns the socket",
-        ))
-    }
-    fn recv(&mut self) -> io::Result<Vec<u8>> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "identity-only channel: the reactor owns the socket",
-        ))
-    }
-    fn channel_id(&self) -> ChannelId {
-        self.id.clone()
-    }
-    fn peer_key(&self) -> Option<&PublicKey> {
-        self.peer.as_ref()
-    }
-    fn peer_binding(&self) -> Option<Delegation> {
-        self.binding.clone()
-    }
-}
-
-/// Per-connection state the reactor keeps for an RMI session: the record
-/// crypto from the handshake plus the peer's identity.  One frame is one
-/// sealed invocation; one reply is one sealed record, and the connection
-/// parks between them.
+/// Per-connection state the reactor keeps for an RMI connection: one
+/// frame in, one reply out, parked between them.
 struct RmiConnDriver {
     server: Arc<RmiServer>,
-    crypto: snowflake_channel::RecordCrypto,
-    identity: IdentityChannel,
+    state: RmiConn,
 }
 
-/// Wraps a sealed record in the `TcpTransport` wire format (4-byte
-/// big-endian length prefix).
-fn prefixed(record: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + record.len());
-    out.extend_from_slice(&(record.len() as u32).to_be_bytes());
-    out.extend_from_slice(record);
-    out
+enum RmiConn {
+    /// The secure-channel handshake, one client frame at a time.
+    Handshake(ServerHandshake),
+    /// An established session: one frame is one sealed invocation, one
+    /// reply one sealed record.  The session is also the channel
+    /// identity `dispatch` consumes; the reactor owns the socket.
+    Open(Session),
 }
 
 impl snowflake_runtime::ConnDriver for RmiConnDriver {
     fn scan(&mut self, buf: &[u8]) -> snowflake_runtime::FrameScan {
-        use snowflake_runtime::FrameScan;
-        if buf.len() < 4 {
-            return FrameScan::Partial;
-        }
-        let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if len > snowflake_channel::transport::MAX_FRAME {
-            return FrameScan::Invalid("frame exceeds MAX_FRAME");
-        }
-        if buf.len() < 4 + len {
-            FrameScan::Partial
-        } else {
-            FrameScan::Complete(4 + len)
-        }
+        scan_frame(buf).into()
     }
 
     fn handle(&mut self, frame: Vec<u8>) -> snowflake_runtime::ReadyOutcome {
         use snowflake_runtime::ReadyOutcome;
-        // A record that fails to authenticate means the stream is corrupt
-        // or hostile; there is no honest reply to give on it.
-        let plaintext = match self.crypto.open(&frame[4..]) {
-            Ok(p) => p,
-            Err(_) => return ReadyOutcome::Close,
-        };
-        let reply = self.server.handle_frame(&plaintext, &self.identity);
-        let sealed = self.crypto.seal(&reply.to_sexp().canonical());
-        ReadyOutcome::Reply(prefixed(&sealed))
+        match &mut self.state {
+            RmiConn::Handshake(handshake) => {
+                // A failed handshake is the peer's problem, not load:
+                // close without a shed.
+                let Ok((send, session)) =
+                    handshake.step(&frame[4..], &mut snowflake_crypto::rand_bytes)
+                else {
+                    return ReadyOutcome::Close;
+                };
+                if let Some(session) = session {
+                    self.state = RmiConn::Open(session);
+                }
+                ReadyOutcome::Reply(send.iter().flat_map(|f| length_prefixed(f)).collect())
+            }
+            RmiConn::Open(session) => {
+                // A record that fails to authenticate means the stream is
+                // corrupt or hostile; there is no honest reply to give.
+                let Ok(plaintext) = session.crypto.open(&frame[4..]) else {
+                    return ReadyOutcome::Close;
+                };
+                let reply = self.server.handle_frame(&plaintext, session).to_sexp();
+                ReadyOutcome::Reply(length_prefixed(&session.crypto.seal(&reply.canonical())))
+            }
+        }
     }
 
     fn busy_reply(&mut self) -> Option<Vec<u8>> {
+        let RmiConn::Open(session) = &mut self.state else {
+            return None;
+        };
         let reply = RmiReply::Fault(RmiFault::Busy("worker pool saturated".into()));
-        let sealed = self.crypto.seal(&reply.to_sexp().canonical());
-        Some(prefixed(&sealed))
+        let sealed = session.crypto.seal(&reply.to_sexp().canonical());
+        Some(length_prefixed(&sealed))
     }
 }
 

@@ -1,17 +1,21 @@
-//! RMI over real TCP through the connection reactor: the handshake runs
-//! as an offloaded pool job, the socket is then adopted and parked
-//! between invocations (no worker per connection), session resumption
-//! survives the split accept path, a saturated pool answers a sealed
-//! `Busy` fault at *invocation* time, and shutdown drains what was
-//! admitted while refusing what arrives late.
+//! RMI over real TCP through the connection reactor: the handshake is
+//! the connection driver's first state, the session then parks between
+//! invocations (no worker per connection), session resumption works
+//! through the same driver, a saturated pool closes a handshake without
+//! a reply and answers an established session with a sealed `Busy`
+//! fault, and shutdown drains what was admitted while refusing what
+//! arrives late.
 
+use snowflake_channel::transport::length_prefixed;
 use snowflake_channel::{SecureChannel, SessionCache, TcpTransport};
+use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
 use snowflake_core::{Principal, Time};
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use snowflake_prover::Prover;
 use snowflake_rmi::{CallerInfo, Invocation, RemoteObject, RmiClient, RmiFault, RmiServer};
 use snowflake_runtime::{PoolConfig, ServerRuntime};
 use snowflake_sexpr::Sexp;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -149,8 +153,7 @@ fn reactor_parks_sessions_between_invocations() {
     assert!(runtime.reactor_stats().frames_dispatched >= 6);
 
     // A fourth client with a warm cache reconnects twice; the second
-    // handshake resumes (no public-key operations) even though it runs
-    // as an offloaded job on the far side.
+    // handshake resumes (no public-key operations) through the driver.
     let client_cache = SessionCache::new();
     let first = secure_connect(addr, "resumer", Some((&client_cache, "rmi")));
     assert!(!first.was_resumed());
@@ -158,7 +161,10 @@ fn reactor_parks_sessions_between_invocations() {
     assert_eq!(c.invoke("gated", "ping", vec![]).unwrap(), Sexp::from("pong"));
     drop(c);
     let second = secure_connect(addr, "resumer", Some((&client_cache, "rmi")));
-    assert!(second.was_resumed(), "offloaded handshake must honor tickets");
+    assert!(
+        second.was_resumed(),
+        "the handshake driver must honor tickets"
+    );
 
     runtime.shutdown();
     handle.wait();
@@ -180,7 +186,7 @@ fn saturated_pool_seals_busy_at_invocation_time() {
         .unwrap();
 
     // Handshake all three sessions while the pool is still free (the
-    // handshake itself is a pool job).
+    // handshake's frames are pool jobs).
     let mut a = client_for(secure_connect(addr, "busy-a", None), "busy-a");
     let mut b = client_for(secure_connect(addr, "busy-b", None), "busy-b");
     let mut c = client_for(secure_connect(addr, "busy-c", None), "busy-c");
@@ -263,4 +269,59 @@ fn shutdown_drains_admitted_invocations() {
     closer.join().unwrap();
     handle.wait();
     assert_eq!(runtime.stats().completed, handshakes + 2);
+}
+
+/// Records every audited decision.
+#[derive(Default)]
+struct Collector(Mutex<Vec<DecisionEvent>>);
+
+impl AuditEmitter for Collector {
+    fn emit(&self, event: DecisionEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+/// A handshake frame that meets a saturated pool is shed: closed without
+/// a reply (the `rmi` surface has no shed reply), counted once by the
+/// pool, and audited once as a `Shed` on the `rmi` surface.
+#[test]
+fn saturated_pool_closes_a_handshake_without_a_reply() {
+    let gate = Gate::closed();
+    let server = RmiServer::with_clock(fixed_clock);
+    let audit = Arc::new(Collector::default());
+    server.set_audit_emitter(Arc::clone(&audit) as Arc<dyn AuditEmitter>);
+    let runtime = ServerRuntime::new(PoolConfig::new("rmi-hs-busy", 1, 1));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = server
+        .serve_reactor(listener, &runtime, keypair("server"), None)
+        .unwrap();
+
+    // One job holds the only worker, a second fills the one queue slot.
+    for _ in 0..2 {
+        let held = Arc::clone(&gate);
+        runtime.pool().submit(move || held.wait()).unwrap();
+        gate.wait_entered(1);
+    }
+
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    peer.write_all(&length_prefixed(b"(5:hello)")).unwrap();
+    let mut reply = Vec::new();
+    peer.read_to_end(&mut reply)
+        .expect("the shed handshake is closed");
+    assert!(reply.is_empty(), "closed without a reply: {reply:?}");
+    assert_eq!(runtime.stats().shed, 1, "one counted pool drop");
+    let events = audit.0.lock().unwrap().clone();
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(
+        (events[0].decision, events[0].surface.as_str()),
+        (Decision::Shed, "rmi")
+    );
+    assert_eq!(events[0].detail, "worker pool saturated");
+
+    gate.open();
+    runtime.shutdown();
+    handle.wait();
 }

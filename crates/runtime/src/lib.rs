@@ -43,8 +43,8 @@ pub use pool::{Job, JobPermit, PoolConfig, RuntimeStats, SubmitError, WorkerPool
 pub use queue::{BoundedQueue, QueueError};
 pub use reactor::sys::{nofile_limit, raise_nofile_limit};
 pub use reactor::{
-    Accepted, AcceptFn, CloseFn, ConnDriver, FrameScan, ListenerHandle, OffloadJob, Reactor,
-    ReactorConfig, ReactorStats, ReadyOutcome, SinkHandle, SINK_BUFFER_CAP,
+    AcceptFn, CloseFn, ConnDriver, FrameScan, ListenerHandle, Reactor, ReactorConfig, ReactorStats,
+    ReadyOutcome, SinkHandle, SINK_BUFFER_CAP,
 };
 pub use scheduler::{Scheduler, TaskHandle};
 pub use shed::ShedLedger;
@@ -112,8 +112,8 @@ impl ServerRuntime {
     }
 
     /// The connection reactor, started on first use.  Every server
-    /// surface registers its listeners (and adopts its handshaken or
-    /// sink connections) here; no surface touches a socket itself.
+    /// surface registers its listeners (and adopts its push sinks) here;
+    /// no surface touches a socket itself.
     pub fn reactor(&self) -> &Arc<Reactor> {
         self.reactor.get_or_init(|| {
             Reactor::start(
@@ -201,7 +201,6 @@ impl ServerRuntime {
                 out.push(Sample::gauge("sf_conns_parked", &[], r.parked as f64));
                 out.push(Sample::gauge("sf_sinks_open", &[], r.open_sinks as f64));
                 out.push(Sample::counter("sf_conns_accepted_total", &[], r.accepted));
-                out.push(Sample::counter("sf_conns_adopted_total", &[], r.adopted));
                 out.push(Sample::counter("sf_conns_reaped_idle_total", &[], r.reaped_idle));
                 out.push(Sample::counter(
                     "sf_frames_dispatched_total",

@@ -15,11 +15,16 @@
 //!   Surfaces never touch a socket; they provide a [`ConnDriver`] that
 //!   scans bytes into frames and turns one frame into one reply.
 //! * When a frame completes, the driver and frame move onto a pool
-//!   worker (admission via `try_permit`, so pool saturation sheds at the
-//!   accept edge exactly as PR 4 defined).  The worker computes the
-//!   reply and posts it back on a completion queue; an `eventfd` wakes
-//!   the reactor, which writes the reply and re-parks the connection.
-//!   At most one frame per connection is in flight.
+//!   worker (admission via `try_permit`: a saturated pool sheds that
+//!   frame with the driver's busy reply).  The worker computes the reply
+//!   and posts it back on a completion queue; an `eventfd` wakes the
+//!   reactor, which writes the reply and re-parks the connection.  At
+//!   most one frame per connection is in flight.
+//! * A handshake is driver state like any other: its frames are scanned
+//!   here and its public-key work is an ordinary frame job, so a peer
+//!   that connects and sends nothing costs an fd until the wheel reaps
+//!   it, never a worker.  A handshake that ends in a push stream turns
+//!   its connection into a sink in place ([`ReadyOutcome::Sink`]).
 //! * Idle deadlines live in a coarse timer wheel (`timer`), one entry per
 //!   connection for its whole life.  A connection's deadline is set when
 //!   it parks and moved only when a complete frame's reply has been
@@ -105,6 +110,29 @@ pub enum ReadyOutcome {
     ReplyClose(Vec<u8>),
     /// Close without writing.
     Close,
+    /// Write `reply`, then keep the connection as a write-only push sink,
+    /// out of the idle timer.
+    Sink {
+        /// The sink's first outbound bytes, queued ahead of any send.
+        reply: Vec<u8>,
+        /// The surface the sink is shed and audited under.
+        surface: Arc<Surface>,
+        /// Runs once, outside the reactor lock, when the reactor drops the sink.
+        on_close: CloseFn,
+        /// Receives the sink's [`SinkHandle`] outside the reactor lock.
+        adopted: Box<dyn FnOnce(SinkHandle) + Send>,
+    },
+}
+
+/// `Ok(Some(n))` a whole frame of `n` bytes, `Ok(None)` more needed.
+impl From<Result<Option<usize>, &'static str>> for FrameScan {
+    fn from(scan: Result<Option<usize>, &'static str>) -> FrameScan {
+        match scan {
+            Ok(Some(n)) => FrameScan::Complete(n),
+            Ok(None) => FrameScan::Partial,
+            Err(why) => FrameScan::Invalid(why),
+        }
+    }
 }
 
 /// A per-connection protocol state machine.
@@ -124,23 +152,9 @@ pub trait ConnDriver: Send {
     fn busy_reply(&mut self) -> Option<Vec<u8>>;
 }
 
-/// What a surface does with a freshly accepted connection.
-pub enum Accepted {
-    /// Park it in the reactor under this driver immediately (plaintext
-    /// protocols: the first readable frame is the first request).
-    Park(Box<dyn ConnDriver>),
-    /// Run a blocking setup step (a cryptographic handshake) on a pool
-    /// worker first.  The job receives the stream and may hand the
-    /// connection back via [`Reactor::adopt`] once setup completes.
-    Offload(OffloadJob),
-}
-
-/// A blocking setup job for [`Accepted::Offload`].
-pub type OffloadJob = Box<dyn FnOnce(TcpStream, Arc<Reactor>, Arc<Surface>) + Send>;
-
-/// Decides what to do with each accepted connection.  Called on the
-/// reactor thread; must not block.
-pub type AcceptFn = Box<dyn Fn() -> Accepted + Send>;
+/// Makes the driver each accepted connection parks under.  Called on
+/// the reactor thread; must not block.
+pub type AcceptFn = Box<dyn Fn() -> Box<dyn ConnDriver> + Send>;
 
 /// Blocks a serving thread until the reactor closes the listener (at
 /// drain completion), preserving the blocking `serve_*` call shape the
@@ -218,8 +232,6 @@ pub struct ReactorStats {
     pub open_sinks: u64,
     /// Connections accepted from listeners, ever.
     pub accepted: u64,
-    /// Connections adopted post-handshake, ever.
-    pub adopted: u64,
     /// Idle connections reaped by the timer wheel, ever.
     pub reaped_idle: u64,
     /// Complete frames handed to the worker pool, ever.
@@ -339,16 +351,15 @@ struct State {
     listeners: HashMap<u64, ListenerEntry>,
     wheel: TimerWheel,
     completions: Vec<(u64, Box<dyn ConnDriver>, ReadyOutcome)>,
-    /// Close callbacks of sinks dropped while the lock was held; run by
-    /// [`Reactor::unlock`] once it is released.
-    closed: Vec<CloseFn>,
+    /// Sink close callbacks and sink handoffs queued while the lock was
+    /// held; run in order by [`Reactor::unlock`] once it is released.
+    deferred: Vec<CloseFn>,
     next_token: u64,
     shutting_down: bool,
     drain_started: bool,
     drain_deadline: Option<Instant>,
     finished: bool,
     accepted: u64,
-    adopted: u64,
     reaped_idle: u64,
     frames_dispatched: u64,
 }
@@ -390,14 +401,13 @@ impl Reactor {
                 listeners: HashMap::new(),
                 wheel: TimerWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY, Instant::now()),
                 completions: Vec::new(),
-                closed: Vec::new(),
+                deferred: Vec::new(),
                 next_token: 1,
                 shutting_down: false,
                 drain_started: false,
                 drain_deadline: None,
                 finished: false,
                 accepted: 0,
-                adopted: 0,
                 reaped_idle: 0,
                 frames_dispatched: 0,
             }),
@@ -442,34 +452,6 @@ impl Reactor {
         drop(st);
         self.wake.wake();
         Ok(ListenerHandle { closed: handle })
-    }
-
-    /// Adopts an established connection (post-handshake) into the
-    /// reactor under `driver`.  Used by [`Accepted::Offload`] jobs once
-    /// their blocking setup completes.
-    pub fn adopt(
-        &self,
-        stream: TcpStream,
-        surface: Arc<Surface>,
-        driver: Box<dyn ConnDriver>,
-    ) -> io::Result<()> {
-        let mut st = self.state.lock().expect("reactor state poisoned");
-        if self.refused(&st, &surface, &stream) {
-            return Ok(());
-        }
-        stream.set_nonblocking(true)?;
-        let token = st.next_token;
-        st.next_token += 1;
-        self.epoll
-            .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)?;
-        let deadline = Instant::now() + self.config.idle_timeout;
-        st.wheel.insert(token, deadline);
-        st.conns
-            .insert(token, Conn::new(stream, surface, Some(driver), deadline, None));
-        st.adopted += 1;
-        drop(st);
-        self.wake.wake();
-        Ok(())
     }
 
     /// Adopts a write-only push sink connection under its service's
@@ -530,7 +512,6 @@ impl Reactor {
             parked,
             open_sinks: sinks,
             accepted: st.accepted,
-            adopted: st.adopted,
             reaped_idle: st.reaped_idle,
             frames_dispatched: st.frames_dispatched,
         }
@@ -589,7 +570,17 @@ impl Reactor {
             return false;
         }
         conn.wbuf.extend_from_slice(frame);
-        let sent = match Self::flush_conn(conn) {
+        let sent = self.flush_sink(st, token);
+        Self::unlock(guard);
+        sent
+    }
+
+    /// Writes a sink's queued bytes; `false` once the sink is gone.
+    fn flush_sink(&self, st: &mut State, token: u64) -> bool {
+        let Some(conn) = st.conns.get_mut(&token) else {
+            return false;
+        };
+        match Self::flush_conn(conn) {
             FlushResult::Gone => {
                 Self::close_token(&self.epoll, st, token);
                 false
@@ -603,9 +594,7 @@ impl Reactor {
                 );
                 true
             }
-        };
-        Self::unlock(guard);
-        sent
+        }
     }
 
     fn sink_close(&self, token: u64) {
@@ -617,13 +606,13 @@ impl Reactor {
         self.wake.wake();
     }
 
-    /// Releases the state lock, then runs the close callbacks of every
-    /// sink dropped while it was held.
+    /// Releases the state lock, then runs the callbacks deferred while
+    /// it was held.
     fn unlock(mut guard: MutexGuard<'_, State>) {
-        let closed = std::mem::take(&mut guard.closed);
+        let deferred = std::mem::take(&mut guard.deferred);
         drop(guard);
-        for on_close in closed {
-            on_close();
+        for callback in deferred {
+            callback();
         }
     }
 
@@ -679,8 +668,8 @@ impl Reactor {
             }
 
             for token in st.wheel.expired(now) {
-                // A closed connection's entry just lapses.
-                let Some(conn) = st.conns.get(&token) else {
+                // A closed connection's entry just lapses, as does a sink's.
+                let Some(conn) = st.conns.get(&token).filter(|c| !c.is_sink) else {
                     continue;
                 };
                 let parked = matches!(conn.phase, Phase::Parked);
@@ -711,7 +700,7 @@ impl Reactor {
     #[allow(clippy::disallowed_methods, reason = "the reactor is the only acceptor")]
     fn accept_ready(&self, st: &mut State, listener_token: u64) {
         loop {
-            let (stream, surface, accepted) = {
+            let (stream, surface, driver) = {
                 let entry = match st.listeners.get(&listener_token) {
                     Some(e) => e,
                     None => return,
@@ -726,53 +715,25 @@ impl Reactor {
                 }
             };
             st.accepted += 1;
-            if self.refused(st, &surface, &stream) {
+            if self.refused(st, &surface, &stream) || stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            match accepted {
-                Accepted::Park(driver) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = st.next_token;
-                    st.next_token += 1;
-                    if self
-                        .epoll
-                        .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let deadline = Instant::now() + self.config.idle_timeout;
-                    st.wheel.insert(token, deadline);
-                    st.conns.insert(
-                        token,
-                        Conn::new(stream, surface, Some(driver), deadline, None),
-                    );
-                }
-                Accepted::Offload(job) => {
-                    // The handshake blocks, so it must run on a worker;
-                    // admission is decided here so saturation sheds at
-                    // the accept edge (counted by the pool's own drop
-                    // counter via the failed reservation).
-                    match self.pool.try_permit() {
-                        Ok(permit) => {
-                            let reactor = self.self_arc();
-                            let surface_for_job = Arc::clone(&surface);
-                            permit.submit(move || {
-                                job(stream, reactor, surface_for_job);
-                            });
-                        }
-                        Err(SubmitError::Busy) => {
-                            surface.refuse("worker pool saturated", &stream);
-                        }
-                        Err(SubmitError::ShuttingDown) => {
-                            self.ledger.record(surface.name());
-                            surface.refuse("server shutting down", &stream);
-                        }
-                    }
-                }
+            // Replies are written whole; a sink's back-to-back pushes must
+            // not wait on Nagle for the peer's delayed ACK.
+            let _ = stream.set_nodelay(true);
+            let token = st.next_token;
+            st.next_token += 1;
+            if self
+                .epoll
+                .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
+                .is_err()
+            {
+                continue;
             }
+            let deadline = Instant::now() + self.config.idle_timeout;
+            st.wheel.insert(token, deadline);
+            let conn = Conn::new(stream, surface, Some(driver), deadline, None);
+            st.conns.insert(token, conn);
         }
     }
 
@@ -942,6 +903,38 @@ impl Reactor {
                 self.start_reply(st, token, bytes, close_after);
             }
             ReadyOutcome::ReplyClose(bytes) => self.start_reply(st, token, bytes, true),
+            // Drain has already closed every sink: refuse this one as a
+            // late accept is refused, with the surface's shed reply.
+            ReadyOutcome::Sink { .. } if st.shutting_down => {
+                self.ledger.record(conn.surface.name());
+                conn.surface.refuse("shutting down", &conn.stream);
+                Self::close_token(&self.epoll, st, token);
+            }
+            ReadyOutcome::Sink {
+                reply,
+                surface,
+                on_close,
+                adopted,
+            } => {
+                st.wheel.remove(token, conn.deadline);
+                conn.driver = None;
+                conn.is_sink = true;
+                conn.surface = surface;
+                conn.on_close = Some(on_close);
+                conn.phase = Phase::Parked;
+                conn.rbuf = Vec::new();
+                conn.wbuf = reply;
+                conn.wpos = 0;
+                let _ = self
+                    .epoll
+                    .modify(conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token);
+                let handle = SinkHandle {
+                    reactor: self.self_arc(),
+                    token,
+                };
+                st.deferred.push(Box::new(move || adopted(handle)));
+                self.flush_sink(st, token);
+            }
         }
     }
 
@@ -1006,11 +999,9 @@ impl Reactor {
     /// runs under this one.
     fn close_token(epoll: &Epoll, st: &mut State, token: u64) {
         if let Some(mut conn) = st.conns.remove(&token) {
-            // Dropping the stream closes the fd; the explicit delete
-            // covers streams with a still-open duplicate (handshake
-            // clones), which closing alone would not deregister.
+            // Deregister, then dropping the stream closes the fd.
             let _ = epoll.delete(conn.stream.as_raw_fd());
-            st.closed.extend(conn.on_close.take());
+            st.deferred.extend(conn.on_close.take());
         }
     }
 
@@ -1113,7 +1104,7 @@ mod tests {
                 Arc::new(
                     Surface::new("echo").with_shed_reply(|why| format!("SHED {why}\n").into_bytes()),
                 ),
-                Box::new(|| Accepted::Park(Box::new(EchoDriver))),
+                Box::new(|| Box::new(EchoDriver)),
             )
             .expect("register");
         (addr, handle)
@@ -1284,7 +1275,7 @@ mod tests {
             .register_listener(
                 listener,
                 Arc::new(Surface::new("panicky")),
-                Box::new(|| Accepted::Park(Box::new(PanickingDriver))),
+                Box::new(|| Box::new(PanickingDriver)),
             )
             .expect("register");
 
@@ -1336,7 +1327,7 @@ mod tests {
             .register_listener(
                 listener,
                 Arc::new(Surface::new("panicky-scan")),
-                Box::new(|| Accepted::Park(Box::new(PanickingScan))),
+                Box::new(|| Box::new(PanickingScan)),
             )
             .expect("register");
 
@@ -1392,7 +1383,7 @@ mod tests {
             .register_listener(
                 listener,
                 Arc::new(Surface::new("stuck")),
-                Box::new(move || Accepted::Park(Box::new(GatedDriver(Arc::clone(&driver_gate))))),
+                Box::new(move || Box::new(GatedDriver(Arc::clone(&driver_gate)))),
             )
             .expect("register");
 
@@ -1443,6 +1434,91 @@ mod tests {
         reactor.shutdown();
         assert_eq!(closes.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert_eq!(ledger.total(), 0, "a hangup is not a shed");
+        pool.shutdown();
+    }
+
+    /// Answers its first line with `OK` and turns the connection into a
+    /// sink, handing the handle out through a channel.
+    struct SinkAfterHello(
+        std::sync::mpsc::Sender<SinkHandle>,
+        Arc<std::sync::atomic::AtomicUsize>,
+    );
+
+    impl ConnDriver for SinkAfterHello {
+        fn scan(&mut self, buf: &[u8]) -> FrameScan {
+            EchoDriver.scan(buf)
+        }
+
+        fn handle(&mut self, _frame: Vec<u8>) -> ReadyOutcome {
+            let (handles, closes) = (self.0.clone(), Arc::clone(&self.1));
+            ReadyOutcome::Sink {
+                reply: b"OK\n".to_vec(),
+                surface: Arc::new(Surface::new("converted")),
+                on_close: Box::new(move || {
+                    closes.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                }),
+                adopted: Box::new(move |sink| handles.send(sink).unwrap()),
+            }
+        }
+
+        fn busy_reply(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    /// A frame that ends in `ReadyOutcome::Sink` turns its connection into
+    /// a push sink in place: the reply goes out first, the handle reaches
+    /// the owner, the connection leaves the timer wheel, and its close
+    /// callback runs once on hangup.
+    #[test]
+    fn a_frame_turns_its_connection_into_a_sink_in_place() {
+        let (pool, ledger, reactor) = rig(64, Duration::from_secs(10));
+        let (handles, adopted) = std::sync::mpsc::channel();
+        let closes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let counter = Arc::clone(&closes);
+        reactor
+            .register_listener(
+                listener,
+                Arc::new(Surface::new("converting")),
+                Box::new(move || Box::new(SinkAfterHello(handles.clone(), Arc::clone(&counter)))),
+            )
+            .expect("register");
+
+        let mut c = ClientStream::connect(addr).expect("connect");
+        c.write_all(b"hello\n").unwrap();
+        let sink = adopted
+            .recv_timeout(Duration::from_secs(5))
+            .expect("handle handed out");
+        assert!(sink.send(b"PUSH\n"));
+        assert_eq!(read_line(&mut c), "OK\n");
+        assert_eq!(read_line(&mut c), "PUSH\n");
+        let stats = reactor.stats();
+        assert_eq!(
+            (stats.open_sinks, stats.open_connections),
+            (1, 0),
+            "{stats:?}"
+        );
+        assert_eq!(
+            reactor.state.lock().unwrap().wheel.len(),
+            0,
+            "left the wheel"
+        );
+
+        drop(c);
+        let start = Instant::now();
+        while closes.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "hangup never reported"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!sink.is_open());
+        reactor.shutdown();
+        assert_eq!(closes.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(ledger.total(), 0);
         pool.shutdown();
     }
 

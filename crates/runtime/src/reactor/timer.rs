@@ -51,6 +51,22 @@ impl TimerWheel {
     /// one wheel revolution land in the last slot and are re-inserted
     /// when the cursor reaches them (the entry keeps its true deadline).
     pub(crate) fn insert(&mut self, token: u64, deadline: Instant) {
+        let idx = self.slot_of(deadline);
+        self.slots[idx].push(Entry { token, deadline });
+        self.len += 1;
+    }
+
+    /// Disarms `token`'s entry for `deadline` when it sits in the slot
+    /// that deadline maps to now; one moved on since just lapses.
+    pub(crate) fn remove(&mut self, token: u64, deadline: Instant) {
+        let idx = self.slot_of(deadline);
+        if let Some(i) = self.slots[idx].iter().position(|e| e.token == token) {
+            self.slots[idx].swap_remove(i);
+            self.len -= 1;
+        }
+    }
+
+    fn slot_of(&self, deadline: Instant) -> usize {
         let slots_ahead = if deadline <= self.cursor_time {
             0
         } else {
@@ -58,9 +74,7 @@ impl TimerWheel {
             let gran = self.granularity.as_nanos().max(1);
             ((nanos / gran) as usize).min(self.slots.len() - 1)
         };
-        let idx = (self.cursor + slots_ahead) % self.slots.len();
-        self.slots[idx].push(Entry { token, deadline });
-        self.len += 1;
+        (self.cursor + slots_ahead) % self.slots.len()
     }
 
     /// How long until the nearest armed slot could fire, or `None` when
@@ -173,6 +187,19 @@ mod tests {
         let timeout = wheel.next_timeout(t0).expect("armed");
         // The entry sits in slot 2 (200..300ms); the bound must cover it.
         assert!(timeout >= ms(250) && timeout <= ms(400), "{timeout:?}");
+    }
+
+    #[test]
+    fn removed_entries_never_fire() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(16, ms(100), t0);
+        wheel.insert(1, t0 + ms(350));
+        wheel.insert(2, t0 + ms(350));
+        assert!(wheel.expired(t0 + ms(100)).is_empty());
+        wheel.remove(1, t0 + ms(350));
+        wheel.remove(3, t0 + ms(350));
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.expired(t0 + ms(400)), vec![2]);
     }
 
     #[test]

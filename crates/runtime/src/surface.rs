@@ -191,7 +191,7 @@ impl Surface {
 mod tests {
     use super::*;
     use crate::pool::{PoolConfig, WorkerPool};
-    use crate::reactor::{Accepted, ConnDriver, FrameScan, Reactor, ReactorConfig, ReadyOutcome};
+    use crate::reactor::{ConnDriver, FrameScan, Reactor, ReactorConfig, ReadyOutcome};
     use crate::shed::ShedLedger;
     use snowflake_core::{Certificate, Delegation, HashVal, Principal, Proof, Tag, Validity};
     use snowflake_crypto::{DetRng, Group, KeyPair};
@@ -271,7 +271,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         reactor
-            .register_listener(listener, surface, Box::new(|| Accepted::Park(Box::new(Silent))))
+            .register_listener(listener, surface, Box::new(|| Box::new(Silent)))
             .unwrap();
 
         let _first = TcpStream::connect(addr).unwrap();

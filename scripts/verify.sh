@@ -49,20 +49,34 @@ cargo test -q --offline -p snowflake-http --test connection_reactor
 cargo test -q --offline -p snowflake-rmi --test reactor_serving
 cargo test -q --offline -p snowflake-revocation --test reactor_push
 
-echo "==> reactor residency + containment (one wheel entry per connection, panics and stuck frames contained, hung-up sinks pruned)"
+echo "==> reactor residency + containment (one wheel entry per connection, panics and stuck frames contained, hung-up sinks pruned, silent handshakes hold no worker)"
 # Per-request residency must not scale with throughput, and a faulty
 # driver must degrade only its own connection: each test is named, so a
 # rename or deletion fails here instead of silently dropping the claim.
+# A handshake is a driver state like any other: silent peers on the
+# subscribe and RMI ports leave /authz answering and are reaped by the
+# idle timer, a saturated pool sheds a handshake frame with the
+# protocol's busy reply, a grant decided during drain is refused, and a
+# connection turned into a sink leaves the idle timer.
 cargo test -q --offline -p snowflake-runtime --lib -- --exact \
     reactor::tests::keep_alive_requests_leave_one_wheel_entry_per_connection \
     reactor::tests::idle_connections_are_reaped_by_the_timer_wheel \
     reactor::tests::panicking_driver_closes_its_connection_and_shutdown_returns \
     reactor::tests::panicking_scan_closes_its_connection_and_the_reactor_serves_on \
     reactor::tests::drain_force_closes_a_frame_stuck_past_the_grace \
-    reactor::tests::sink_hangup_runs_the_close_callback_once
+    reactor::tests::sink_hangup_runs_the_close_callback_once \
+    reactor::tests::a_frame_turns_its_connection_into_a_sink_in_place
 cargo test -q --offline -p snowflake-broker --test broker -- --exact \
     hung_up_subscribers_are_pruned_without_a_publish \
-    stalled_subscriber_is_shed_without_harming_healthy_ones
+    stalled_subscriber_is_shed_without_harming_healthy_ones \
+    saturated_pool_denies_a_subscribe_as_before \
+    a_granted_sink_outlives_the_idle_timer \
+    a_grant_decided_during_drain_is_refused
+cargo test -q --offline -p snowflake --test silent_handshakes -- --exact \
+    silent_handshakes_leave_other_surfaces_answering \
+    silent_handshakes_are_reaped_and_real_peers_still_complete
+cargo test -q --offline -p snowflake-rmi --test reactor_serving -- --exact \
+    saturated_pool_closes_a_handshake_without_a_reply
 cargo test -q --offline -p snowflake-revocation --test reactor_push -- --exact \
     hung_up_reactor_subscribers_are_pruned_without_a_revocation
 
@@ -124,10 +138,11 @@ echo "==> surface suites (one Surface per decision point; every decision and she
 cargo test -q --offline -p snowflake-runtime --lib surface
 cargo test -q --offline -p snowflake-audit --test end_to_end
 
-echo "==> clippy deny-list: no raw spawn, no accept outside the reactor, no verify outside a surface's memo"
+echo "==> clippy deny-list: no raw spawn, no accept outside the reactor, no dup fd, no verify outside a surface's memo"
 # clippy.toml disallows std::thread::{spawn, Builder::spawn},
-# TcpListener::{accept, incoming} and Proof::{verify, authorizes} in every
-# library crate: a server regrowing its own thread, accept loop, or
+# TcpListener::{accept, incoming}, TcpStream::try_clone and
+# Proof::{verify, authorizes} in every library crate: a server regrowing
+# its own thread, accept loop, blocking side door around the reactor, or
 # memo-bypassing verification fails here.  The sites that implement the
 # rule (the runtime's pool, scheduler, spawn_thread and reactor accept;
 # core's memo cold path) carry a reasoned #[allow].  Audit emits and
