@@ -132,11 +132,13 @@ impl MemoryBackend {
 
 impl AuditBackend for MemoryBackend {
     fn append(&mut self, entry: &LogEntry) -> Result<(), String> {
-        self.entries.push_back(entry.clone());
-        while self.capacity > 0 && self.entries.len() > self.capacity {
+        // Evict before pushing, so the buffer never has to hold
+        // `capacity + 1` entries: that one extra would double it.
+        if self.capacity > 0 && self.entries.len() == self.capacity {
             self.entries.pop_front();
             self.evicted += 1;
         }
+        self.entries.push_back(entry.clone());
         Ok(())
     }
 
@@ -681,6 +683,7 @@ mod tests {
         }
         assert_eq!(b.entries().unwrap().len(), 4);
         assert_eq!(b.evicted(), 6);
+        assert!(b.entries.capacity() < 8, "the ring's buffer never doubled");
         let unbounded = MemoryBackend::new(0);
         assert_eq!(unbounded.evicted(), 0);
     }

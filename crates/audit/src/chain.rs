@@ -1,7 +1,7 @@
 //! Offline verification of a captured entry stream.
 
-use crate::record::{genesis_hash, Checkpoint, LogEntry};
-use snowflake_crypto::{verify_batch, BatchEntry, BatchOutcome, HashVal, PublicKey};
+use crate::record::{genesis_hash, LogEntry};
+use snowflake_crypto::{HashVal, PublicKey};
 use std::fmt;
 
 /// Why a captured log failed verification.
@@ -165,7 +165,6 @@ fn verify_entries(
     let mut last: Option<(u64, HashVal)> = None;
     let mut last_checkpointed: Option<u64> = None;
     let mut checkpoints: u64 = 0;
-    let mut to_verify: Vec<&Checkpoint> = Vec::new();
     for entry in entries {
         match entry {
             LogEntry::Record(r) => {
@@ -217,40 +216,14 @@ fn verify_entries(
                 if !matches_head {
                     return Err(ChainError::CheckpointMismatch { upto: c.upto_seq });
                 }
-                c.check_signer(signer)
+                c.check(signer)
                     .map_err(|reason| ChainError::BadSignature {
                         upto: c.upto_seq,
                         reason,
                     })?;
-                // Signature deferred: all checkpoints in the stream are
-                // verified as one Schnorr batch after the walk.
-                to_verify.push(c);
                 last_checkpointed = Some(c.upto_seq);
                 checkpoints += 1;
             }
-        }
-    }
-    // One batched multi-exponentiation covers every checkpoint signature;
-    // on failure the individual fallback inside `verify_batch` pinpoints
-    // the culprits, and the first in stream order is reported — the same
-    // error the per-checkpoint path raised.
-    if !to_verify.is_empty() {
-        let messages: Vec<Vec<u8>> = to_verify.iter().map(|c| c.signed_bytes()).collect();
-        let batch: Vec<BatchEntry<'_>> = to_verify
-            .iter()
-            .zip(&messages)
-            .map(|(c, m)| BatchEntry {
-                key: &c.signer,
-                message: m,
-                sig: &c.signature,
-            })
-            .collect();
-        if let BatchOutcome::Invalid(bad) = verify_batch(&batch) {
-            let first = bad.iter().copied().min().unwrap_or(0);
-            return Err(ChainError::BadSignature {
-                upto: to_verify[first].upto_seq,
-                reason: "checkpoint signature verification failed".into(),
-            });
         }
     }
     if let Some((expected_seq, expected_hash)) = expected_head {

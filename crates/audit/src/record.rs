@@ -141,22 +141,14 @@ impl Checkpoint {
         }
     }
 
-    /// Checks the signature and that it was made by `expected_signer`.
+    /// Checks that the checkpoint was signed by `expected_signer`, then
+    /// the signature.
     pub fn check(&self, expected_signer: &PublicKey) -> Result<(), String> {
-        self.check_signer(expected_signer)?;
-        if !self.signer.verify(&self.signed_bytes(), &self.signature) {
-            return Err("checkpoint signature verification failed".into());
-        }
-        Ok(())
-    }
-
-    /// The identity half of [`Checkpoint::check`]: the signer must be the
-    /// expected log key.  Kept separate so chain verification can run all
-    /// identity checks in stream order and then verify every checkpoint
-    /// signature as one batch.
-    pub fn check_signer(&self, expected_signer: &PublicKey) -> Result<(), String> {
         if &self.signer != expected_signer {
             return Err("checkpoint signed by the wrong key".into());
+        }
+        if !self.signer.verify(&self.signed_bytes(), &self.signature) {
+            return Err("checkpoint signature verification failed".into());
         }
         Ok(())
     }

@@ -9,6 +9,7 @@ use snowflake_audit::{
     strip_checkpoints, verify_chain, AuditLog, ChainError, Decision, DecisionEvent, LogEntry,
     MemoryBackend,
 };
+use snowflake_bigint::Ubig;
 use snowflake_core::{Principal, Time};
 use snowflake_crypto::{DetRng, Group, HashVal, KeyPair};
 use std::sync::Arc;
@@ -176,6 +177,29 @@ fn missing_and_forged_signatures_detected() {
     }
     let err = verify_chain(&entries, log.public_key(), INTERVAL, None).unwrap_err();
     assert!(matches!(err, ChainError::CheckpointMismatch { upto: 3 }), "{err}");
+}
+
+#[test]
+fn bit_flipped_checkpoint_signatures_report_the_first_in_stream_order() {
+    // Signed by the right key, so the identity check passes and only
+    // signature verification can catch the flips at seq 3 and 11.
+    let (log, mut entries) = build_log(12);
+    for entry in &mut entries {
+        if let LogEntry::Checkpoint(c) = entry {
+            if c.upto_seq == 3 || c.upto_seq == 11 {
+                let mut s = c.signature.s.to_bytes_be();
+                *s.last_mut().unwrap() ^= 1;
+                c.signature.s = Ubig::from_bytes_be(&s);
+            }
+        }
+    }
+    let err = verify_chain(&entries, log.public_key(), INTERVAL, None).unwrap_err();
+    match err {
+        ChainError::BadSignature { upto: 3, reason } => {
+            assert_eq!(reason, "checkpoint signature verification failed")
+        }
+        other => panic!("expected BadSignature at 3, got {other}"),
+    }
 }
 
 proptest! {

@@ -6,13 +6,12 @@
 //! sign/verify dominate everything else by orders of magnitude, which is
 //! exactly why the MAC amortization and the proof cache exist.
 //!
-//! The verify rows come in three speeds: `*_generic` runs every
+//! The verify rows come in two speeds: `*_generic` runs every
 //! exponentiation through plain square-and-multiply (the pre-table
-//! baseline), the unsuffixed rows run the production path (sliding-window
-//! exponentiation plus fixed-base tables for the group generator and for
-//! issuer keys seen often enough to be promoted into the key-table cache),
-//! and `batch16_*` verifies sixteen signatures as one random-linear-
-//! combination multi-exponentiation, reported per signature.
+//! baseline), and the unsuffixed rows run the production path
+//! (sliding-window exponentiation plus fixed-base tables for the group
+//! generator and for issuer keys seen often enough to be promoted into
+//! the key-table cache).
 //!
 //! Set `SF_BENCH_SMOKE=1` to run each primitive once (CI smoke mode:
 //! proves the rigs still build and the fast paths agree with the
@@ -22,49 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use snowflake_bench::{report_json, time_it};
 use snowflake_crypto::chacha20::ChaCha20;
 use snowflake_crypto::hmac::hmac_sha256;
-use snowflake_crypto::{
-    md5, sha256, verify_batch, BatchEntry, BatchOutcome, DetRng, DhSecret, Group, KeyPair,
-    Signature,
-};
-
-/// How many signatures ride one batched verification — a deep delegation
-/// chain, or one burst of CRL deltas.
-const BATCH: usize = 16;
-
-/// Sixteen distinct issuers each signing a distinct message (the shape a
-/// multi-cert chain or a delta burst presents).
-fn batch_fleet(group: &'static Group, seed: &[u8]) -> (Vec<KeyPair>, Vec<Vec<u8>>, Vec<Signature>) {
-    let mut rng = DetRng::new(seed);
-    let mut rb = move |b: &mut [u8]| rng.fill(b);
-    let keys: Vec<KeyPair> = (0..BATCH)
-        .map(|_| KeyPair::generate(group, &mut rb))
-        .collect();
-    let msgs: Vec<Vec<u8>> = (0..BATCH)
-        .map(|i| format!("batched message {i}").into_bytes())
-        .collect();
-    let sigs: Vec<Signature> = keys
-        .iter()
-        .zip(&msgs)
-        .map(|(k, m)| k.sign(m, &mut rb))
-        .collect();
-    (keys, msgs, sigs)
-}
-
-fn entries<'a>(
-    keys: &'a [KeyPair],
-    msgs: &'a [Vec<u8>],
-    sigs: &'a [Signature],
-) -> Vec<BatchEntry<'a>> {
-    keys.iter()
-        .zip(msgs)
-        .zip(sigs)
-        .map(|((k, m), s)| BatchEntry {
-            key: &k.public,
-            message: m,
-            sig: s,
-        })
-        .collect()
-}
+use snowflake_crypto::{md5, sha256, DetRng, DhSecret, Group, KeyPair};
 
 fn primitives(c: &mut Criterion) {
     let mut rng = DetRng::new(b"crypto-bench");
@@ -82,17 +39,10 @@ fn primitives(c: &mut Criterion) {
         assert!(kp1024.public.verify(&msg, &sig1024));
     }
 
-    let (keys512, msgs512, sigs512) = batch_fleet(Group::test512(), b"batch-512");
-    let (keys1024, msgs1024, sigs1024) = batch_fleet(Group::group1024(), b"batch-1024");
-    let batch512 = entries(&keys512, &msgs512, &sigs512);
-    let batch1024 = entries(&keys1024, &msgs1024, &sigs1024);
-
     if std::env::var_os("SF_BENCH_SMOKE").is_some() {
         assert!(kp.public.verify_uncached(&msg, &sig));
         assert!(kp1024.public.verify_uncached(&msg, &sig1024));
-        assert!(matches!(verify_batch(&batch512), BatchOutcome::AllValid));
-        assert!(matches!(verify_batch(&batch1024), BatchOutcome::AllValid));
-        println!("crypto/smoke ok (generic, fixed-base, and batch paths agree)");
+        println!("crypto/smoke ok (generic and fixed-base paths agree)");
         return;
     }
 
@@ -122,7 +72,6 @@ fn primitives(c: &mut Criterion) {
     group.bench_function("schnorr_verify_512_generic", |b| {
         b.iter(|| kp.public.verify_uncached(&msg, &sig))
     });
-    group.bench_function("schnorr_batch16_512", |b| b.iter(|| verify_batch(&batch512)));
     group.bench_function("schnorr_sign_1024", |b| {
         let mut rng = DetRng::new(b"sign-bench-1024");
         let mut rb = move |buf: &mut [u8]| rng.fill(buf);
@@ -133,9 +82,6 @@ fn primitives(c: &mut Criterion) {
     });
     group.bench_function("schnorr_verify_1024_generic", |b| {
         b.iter(|| kp1024.public.verify_uncached(&msg, &sig1024))
-    });
-    group.bench_function("schnorr_batch16_1024", |b| {
-        b.iter(|| verify_batch(&batch1024))
     });
     group.bench_function("dh_agreement_512", |b| {
         let mut rng = DetRng::new(b"dh-bench");
@@ -153,28 +99,17 @@ fn primitives(c: &mut Criterion) {
     let ns = |d: std::time::Duration| d.as_nanos().to_string();
     let v512_generic = time_it(3, 100, || assert!(kp.public.verify_uncached(&msg, &sig)));
     let v512_fast = time_it(3, 200, || assert!(kp.public.verify(&msg, &sig)));
-    let v512_batch = time_it(2, 20, || {
-        assert!(matches!(verify_batch(&batch512), BatchOutcome::AllValid))
-    });
     let v1024_generic = time_it(2, 20, || {
         assert!(kp1024.public.verify_uncached(&msg, &sig1024))
     });
     let v1024_fast = time_it(2, 40, || assert!(kp1024.public.verify(&msg, &sig1024)));
-    let v1024_batch = time_it(1, 8, || {
-        assert!(matches!(verify_batch(&batch1024), BatchOutcome::AllValid))
-    });
     report_json(
         "crypto_primitives",
         &[
             ("verify_512_generic_ns", ns(v512_generic)),
             ("verify_512_fixed_base_ns", ns(v512_fast)),
-            ("verify_512_batch16_ns_per_sig", ns(v512_batch / BATCH as u32)),
             ("verify_1024_generic_ns", ns(v1024_generic)),
             ("verify_1024_fixed_base_ns", ns(v1024_fast)),
-            (
-                "verify_1024_batch16_ns_per_sig",
-                ns(v1024_batch / BATCH as u32),
-            ),
         ],
     );
 }

@@ -77,9 +77,10 @@ impl Certificate {
     }
 
     /// The structural half of [`Certificate::check`]: the signer must
-    /// control the issuer.  Kept separate so a multi-certificate proof
-    /// can run every structural check first and then verify all the
-    /// signatures as one batch (`schnorr::verify_batch`).
+    /// control the issuer.  Kept separate so [`Proof::verify`] can run
+    /// every cheap check of a proof before any signature exponentiation.
+    ///
+    /// [`Proof::verify`]: crate::Proof::verify
     pub fn check_structure(&self) -> Result<(), String> {
         if !key_controls(&self.signer, &self.delegation.issuer) {
             return Err(format!(

@@ -22,7 +22,7 @@ use crate::cert::Certificate;
 use crate::principal::Principal;
 use crate::statement::{Delegation, Time, Validity};
 use crate::verify::VerifyCtx;
-use snowflake_crypto::{verify_batch, BatchEntry, BatchOutcome, HashAlg, HashVal, PublicKey};
+use snowflake_crypto::{HashAlg, HashVal, PublicKey};
 use snowflake_sexpr::{ParseError, Sexp};
 use snowflake_tags::Tag;
 use std::fmt;
@@ -281,19 +281,28 @@ impl Proof {
     ///
     /// Runs in two passes: a structural walk (inference side conditions,
     /// assumption vouching, revocation, signer/issuer control — all cheap)
-    /// that collects the signed-certificate leaves, then one
-    /// `schnorr::verify_batch` over every distinct certificate signature.
-    /// A multi-certificate chain pays roughly one multi-exponentiation
-    /// instead of one full verification per certificate.
+    /// that collects the distinct signed-certificate leaves, then each
+    /// leaf's signature in walk order; the error names the first bad leaf.
+    /// The cheap pass comes first so a malformed proof is rejected before
+    /// any exponentiation.
     pub fn verify(&self, ctx: &VerifyCtx) -> Result<(), ProofError> {
         let mut certs: Vec<&Certificate> = Vec::new();
         self.verify_structure(ctx, &mut certs)?;
-        Self::verify_cert_signatures(&certs)
+        match certs
+            .iter()
+            .find(|c| !c.signer.verify(&c.signed_bytes(), &c.signature))
+        {
+            None => Ok(()),
+            Some(bad) => Err(ProofError::BadCertificate(format!(
+                "signature verification failed for {:?}",
+                bad.delegation
+            ))),
+        }
     }
 
     /// The structural pass of [`Proof::verify`]: everything except
     /// certificate signature verification.  Distinct certificate leaves
-    /// are appended to `certs` for the caller to signature-check (batched).
+    /// are appended to `certs` for the caller to signature-check.
     fn verify_structure<'a>(
         &'a self,
         ctx: &VerifyCtx,
@@ -442,51 +451,6 @@ impl Proof {
                     return Err(ProofError::BadInference("hash length mismatch".into()));
                 }
                 Ok(())
-            }
-        }
-    }
-
-    /// The signature pass of [`Proof::verify`]: checks every collected
-    /// certificate's Schnorr signature, batched into one random-linear-
-    /// combination multi-exponentiation when the chain holds several.
-    /// On batch failure the individual fallback inside `verify_batch`
-    /// pinpoints the culprits, so the error names the first bad leaf.
-    fn verify_cert_signatures(certs: &[&Certificate]) -> Result<(), ProofError> {
-        match certs {
-            [] => Ok(()),
-            [cert] => {
-                if cert.signer.verify(&cert.signed_bytes(), &cert.signature) {
-                    Ok(())
-                } else {
-                    Err(ProofError::BadCertificate(
-                        "signature verification failed".into(),
-                    ))
-                }
-            }
-            certs => {
-                let messages: Vec<Vec<u8>> = certs.iter().map(|c| c.signed_bytes()).collect();
-                let entries: Vec<BatchEntry<'_>> = certs
-                    .iter()
-                    .zip(&messages)
-                    .map(|(c, m)| BatchEntry {
-                        key: &c.signer,
-                        message: m,
-                        sig: &c.signature,
-                    })
-                    .collect();
-                match verify_batch(&entries) {
-                    BatchOutcome::AllValid => Ok(()),
-                    BatchOutcome::Invalid(bad) => {
-                        let which = bad
-                            .iter()
-                            .map(|&i| format!("{:?}", certs[i].delegation))
-                            .collect::<Vec<_>>()
-                            .join("; ");
-                        Err(ProofError::BadCertificate(format!(
-                            "signature verification failed for: {which}"
-                        )))
-                    }
-                }
             }
         }
     }

@@ -158,22 +158,8 @@ impl Crl {
         Sexp::tagged("crl", body)
     }
 
-    /// Checks signature, currency, and signer identity.
+    /// Checks signer identity and currency, then the signature.
     pub fn check(&self, expected_validator: &HashVal, now: Time) -> Result<(), String> {
-        self.check_unsigned(expected_validator, now)?;
-        if !self.signer.verify(&self.signed_bytes(), &self.signature) {
-            return Err("CRL signature invalid".into());
-        }
-        Ok(())
-    }
-
-    /// Currency and signer-identity checks *without* the signature.
-    ///
-    /// A freshness agent ingesting a burst of CRL deltas runs these per
-    /// list and then verifies every list's signature in one batch
-    /// (`schnorr::verify_batch`); [`Crl::check`] stays the single-list
-    /// entry point and performs both halves.
-    pub fn check_unsigned(&self, expected_validator: &HashVal, now: Time) -> Result<(), String> {
         if snowflake_crypto::HashVal::digest(
             expected_validator.alg,
             &self.signer.to_sexp().canonical(),
@@ -183,6 +169,9 @@ impl Crl {
         }
         if !self.validity.contains(now) {
             return Err("CRL not current".into());
+        }
+        if !self.signer.verify(&self.signed_bytes(), &self.signature) {
+            return Err("CRL signature invalid".into());
         }
         Ok(())
     }

@@ -1,8 +1,9 @@
 //! Tests for every inference rule of the proof engine, including a faithful
 //! reconstruction of the paper's Figure 1 structured proof.
 
+use snowflake_bigint::Ubig;
 use snowflake_core::*;
-use snowflake_crypto::{DetRng, Group, HashAlg, KeyPair};
+use snowflake_crypto::{sha256, DetRng, Group, HashAlg, KeyPair, Signature};
 use snowflake_sexpr::Sexp;
 use snowflake_tags::Tag;
 
@@ -80,6 +81,98 @@ fn transitivity_rejects_principal_gap() {
     let c_to_d = grant(&carol, &dave, "(web)", true, &mut r);
     let broken = c_to_d.then(a_to_b);
     assert!(broken.verify(&VerifyCtx::at(Time(0))).is_err());
+}
+
+/// A key pair together with its secret exponent: `KeyPair::generate`
+/// draws `x` first, so replaying the same seed through
+/// `Group::random_exponent` recovers it.
+fn kp_with_secret(seed: &str) -> (KeyPair, Ubig) {
+    let group = Group::test512();
+    let pair = KeyPair::generate(group, &mut rng(seed));
+    let x = group.random_exponent(&mut rng(seed));
+    assert_eq!(group.power(&x), pair.public.y, "replayed secret");
+    (pair, x)
+}
+
+/// Re-signs a certificate leaf with the small-order forgery
+/// `r' = −g^k`, `e = H(r' ‖ m)`, `s = k + x·e`: the hash binding holds,
+/// but `g^s == r'·y^e` fails on the sign, so only the signature check
+/// itself can reject it.
+fn forge_small_order(leaf: Proof, x: &Ubig, r: &mut impl FnMut(&mut [u8])) -> Proof {
+    let Proof::SignedCert(mut cert) = leaf else {
+        panic!("not a certificate leaf")
+    };
+    let group = cert.signer.group;
+    let message = cert.signed_bytes();
+    loop {
+        let k = group.random_exponent(r);
+        let neg_r = group.p.sub(&group.power(&k));
+        let mut hashed = neg_r.to_bytes_be_padded(group.p.to_bytes_be().len());
+        hashed.extend_from_slice(&message);
+        let e = Ubig::from_bytes_be(&sha256(&hashed)).rem(&group.q);
+        if e.is_zero() {
+            continue;
+        }
+        let s = k.addm(&x.mulm(&e, &group.q), &group.q);
+        cert.signature = Signature {
+            e,
+            s,
+            r: Some(neg_r),
+        };
+        assert!(
+            cert.check_structure().is_ok(),
+            "the signer still controls the issuer"
+        );
+        return Proof::SignedCert(cert);
+    }
+}
+
+#[test]
+fn forged_second_leaf_is_named() {
+    let mut r = rng("forged-leaf");
+    let (alice, x) = kp_with_secret("forged-leaf-alice");
+    let (bob, carol) = (kp(&mut r), kp(&mut r));
+    let a_to_b = grant(&alice, &bob, "(web)", true, &mut r);
+    let b_to_c = grant(&bob, &carol, "(web (method GET))", false, &mut r);
+    b_to_c
+        .clone()
+        .then(a_to_b.clone())
+        .verify(&VerifyCtx::at(Time(0)))
+        .unwrap();
+    // Walk order is subject side first: b_to_c, then the forged a_to_b.
+    let forged = forge_small_order(a_to_b, &x, &mut r);
+    let named = format!("{:?}", forged.conclusion());
+    let err = b_to_c
+        .clone()
+        .then(forged)
+        .verify(&VerifyCtx::at(Time(0)))
+        .unwrap_err();
+    match err {
+        ProofError::BadCertificate(msg) => {
+            assert!(msg.contains(&named), "{msg}");
+            assert!(
+                !msg.contains(&format!("{:?}", b_to_c.conclusion())),
+                "{msg}"
+            );
+        }
+        other => panic!("expected BadCertificate, got {other}"),
+    }
+}
+
+#[test]
+fn structural_errors_outrank_forged_signatures() {
+    // A transitivity gap and a forged leaf in one proof: the structural
+    // pass runs before any signature work, so the gap is what is reported.
+    let mut r = rng("gap-and-forgery");
+    let (alice, x) = kp_with_secret("gap-and-forgery-alice");
+    let (bob, carol, dave) = (kp(&mut r), kp(&mut r), kp(&mut r));
+    let a_to_b = forge_small_order(grant(&alice, &bob, "(web)", true, &mut r), &x, &mut r);
+    let c_to_d = grant(&carol, &dave, "(web)", true, &mut r);
+    let err = c_to_d
+        .then(a_to_b)
+        .verify(&VerifyCtx::at(Time(0)))
+        .unwrap_err();
+    assert!(matches!(err, ProofError::BadInference(_)), "{err}");
 }
 
 #[test]

@@ -36,9 +36,7 @@ pub use dh::DhSecret;
 pub use group::Group;
 pub use hash::{HashAlg, HashVal};
 pub use key_cache::{key_table_stats, register_metrics as register_key_table_metrics, KeyTableStats};
-pub use schnorr::{
-    verify_batch, verify_batch_with, BatchEntry, BatchOutcome, KeyPair, PublicKey, Signature,
-};
+pub use schnorr::{KeyPair, PublicKey, Signature};
 pub use seal::{open, seal, SealedBox};
 
 pub use md5::md5;

@@ -7,12 +7,10 @@
 //! verified by recomputing `r' = g^s · y^{q−e} mod p` (no modular inverse
 //! needed — `y` has order `q`) and comparing challenges.  The two forms
 //! accept exactly the same `(e, s)` pairs; carrying `r` is what makes the
-//! fast paths possible:
-//!
-//! * both verification exponentiations become **fixed-base** (`g` from the
-//!   group's static table, `y` from the per-key cache in `key_cache`), and
-//! * N signatures can be checked as **one batch** ([`verify_batch`]) via a
-//!   random linear combination — see `docs/authz.md` for the equation.
+//! fast path possible: both verification exponentiations become
+//! **fixed-base** (`g` from the group's static table, `y` from the
+//! per-key cache in `key_cache`).  Every signature is verified on its own;
+//! `docs/authz.md` says why there is no batch path.
 //!
 //! Keys serialize as SPKI-style S-expressions:
 //! `(public-key (snowflake-schnorr (group <name>) (y |…|)))`, and a key's
@@ -24,11 +22,9 @@ use crate::group::Group;
 use crate::hash::HashVal;
 use crate::key_cache;
 use crate::sha256::Sha256;
-use snowflake_bigint::{FixedBaseTable, Ubig};
+use snowflake_bigint::Ubig;
 use snowflake_sexpr::{ParseError, Sexp};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A Schnorr public key: group parameters plus `y = g^x`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,7 +55,8 @@ pub struct Signature {
     ///
     /// Redundant given `(e, s)` — verifiers recompute it when absent —
     /// but carrying it turns verification into two fixed-base
-    /// exponentiations and makes signatures batchable.  A signature whose
+    /// exponentiations and lets a wrong `r` fail on the hash binding
+    /// before any exponentiation.  A signature whose
     /// carried `r` disagrees with the recomputed commitment is rejected,
     /// so the field cannot widen what verifies.
     pub r: Option<Ubig>,
@@ -287,272 +284,6 @@ impl Signature {
     }
 }
 
-/// One member of a batch verification: a signature to check against a
-/// key and message.
-#[derive(Clone, Copy)]
-pub struct BatchEntry<'a> {
-    /// The signer's public key.
-    pub key: &'a PublicKey,
-    /// The signed message bytes.
-    pub message: &'a [u8],
-    /// The signature to verify.
-    pub sig: &'a Signature,
-}
-
-/// Result of [`verify_batch`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchOutcome {
-    /// Every member verifies.
-    AllValid,
-    /// At least one member is forged; the sorted indices (into the input
-    /// slice) identify exactly which — each listed member fails
-    /// individual verification, every unlisted member passes it.
-    Invalid(Vec<usize>),
-}
-
-impl BatchOutcome {
-    /// `true` when every member verified.
-    pub fn is_all_valid(&self) -> bool {
-        matches!(self, BatchOutcome::AllValid)
-    }
-}
-
-/// Verifies a burst of signatures, sharing the exponentiation work.
-///
-/// For members that carry their commitment `r` (every signature this
-/// library produces), a batch of N costs one multi-exponentiation plus
-/// one subgroup check per member instead of N independent verifies: with
-/// fresh random 128-bit coefficients `z_i`, checking
-///
-/// ```text
-/// g^(Σ z_i·s_i mod q)  ==  Π r_i^(z_i) · Π_y y^(Σ_{i signed by y} z_i·e_i mod q)   (mod p)
-/// ```
-///
-/// accepts a forged member with probability ≤ 2^-128 + ε.  Two per-member
-/// preconditions make the random combination sound:
-///
-/// * the hash binding `e_i = H(r_i ‖ m_i)`, so an attacker cannot choose
-///   `e_i` independently of `r_i`; and
-/// * **order-q subgroup membership of every `r_i`** (`r_i^q mod p == 1`,
-///   like the once-per-key check on `y`).  `Z_p^*` has cofactor
-///   `(p−1)/q` with small factors (`−1` at least), and a commitment
-///   smuggling a small-order component — e.g. `r' = −g^k`, which
-///   individual verification always rejects — would contribute a
-///   residual of order ℓ that the random `z_i` only catch with
-///   probability `1 − 1/ℓ`.  With every element confined to the order-q
-///   subgroup, any nonzero residual has prime order `q > 2^128` and the
-///   128 bits of `z_i` deliver the advertised bound.
-///
-/// On batch failure every member is re-verified individually so the
-/// outcome pinpoints exactly the forged members — the batch never
-/// changes *what* verifies, only *how fast*.  The subgroup checks are
-/// the dominant batch cost (one `q`-sized exponentiation per member),
-/// still well under the two-plus exponentiations of an uncached
-/// individual verify.
-///
-/// Members without `r`, members in non-batchable singleton positions, and
-/// members whose structural/hash checks already fail are verified (or
-/// rejected) individually; mixed groups are batched per group.
-pub fn verify_batch(entries: &[BatchEntry<'_>]) -> BatchOutcome {
-    verify_batch_with(entries, &mut crate::rand_bytes)
-}
-
-/// [`verify_batch`] with an injected entropy source for the combination
-/// coefficients (deterministic tests; production callers want
-/// [`verify_batch`]).
-pub fn verify_batch_with(
-    entries: &[BatchEntry<'_>],
-    rand_bytes: &mut dyn FnMut(&mut [u8]),
-) -> BatchOutcome {
-    let mut invalid: Vec<usize> = Vec::new();
-    // Partition: r-carrying members batch per group; the rest verify
-    // individually (their commitment must be recomputed anyway, which is
-    // the whole cost a batch would share).
-    let mut buckets: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, en) in entries.iter().enumerate() {
-        if en.sig.r.is_some() && entries.len() >= 2 {
-            buckets
-                .entry(en.key.group as *const Group as usize)
-                .or_default()
-                .push(i);
-        } else if !en.key.verify(en.message, en.sig) {
-            invalid.push(i);
-        }
-    }
-    for members in buckets.values() {
-        batch_one_group(entries, members, rand_bytes, &mut invalid);
-    }
-    if invalid.is_empty() {
-        BatchOutcome::AllValid
-    } else {
-        invalid.sort_unstable();
-        BatchOutcome::Invalid(invalid)
-    }
-}
-
-/// Batch-verifies `members` (indices into `entries`), all r-carrying and
-/// in one group, appending the indices of forged members to `invalid`.
-fn batch_one_group(
-    entries: &[BatchEntry<'_>],
-    members: &[usize],
-    rand_bytes: &mut dyn FnMut(&mut [u8]),
-    invalid: &mut Vec<usize>,
-) {
-    let group = entries[members[0]].key.group;
-    // Per-member structural and hash-binding checks.  A failure here is
-    // definitive (e = H(r ‖ m) binds r), so the member is rejected without
-    // touching big-int exponentiation; survivors enter the combination.
-    let mut live: Vec<usize> = Vec::with_capacity(members.len());
-    for &i in members {
-        let en = &entries[i];
-        let sig = en.sig;
-        let r = sig.r.as_ref().expect("bucketed members carry r");
-        if sig.e.is_zero()
-            || sig.e >= group.q
-            || sig.s >= group.q
-            || r.is_zero()
-            || r >= &group.p
-            || challenge(group, r, en.message) != sig.e
-        {
-            invalid.push(i);
-            continue;
-        }
-        live.push(i);
-    }
-    // Subgroup membership per distinct key (cached across batches),
-    // collecting any promoted fixed-base table for the per-key factors.
-    let mut key_ok: HashMap<&Ubig, bool> = HashMap::new();
-    let mut y_tables: HashMap<&Ubig, Arc<FixedBaseTable>> = HashMap::new();
-    live.retain(|&i| {
-        let key = entries[i].key;
-        let ok = match key_ok.get(&key.y) {
-            Some(&ok) => ok,
-            None => {
-                let sighting = key_cache::observe(key);
-                let valid = sighting.element_valid || group.is_element(&key.y);
-                let mut table = sighting.table;
-                if valid && table.is_none() {
-                    table = key_cache::confirm_element(key);
-                }
-                if let Some(t) = table {
-                    y_tables.insert(&key.y, t);
-                }
-                key_ok.insert(&key.y, valid);
-                valid
-            }
-        };
-        if !ok {
-            invalid.push(i);
-        }
-        ok
-    });
-    if live.len() < 2 {
-        for &i in &live {
-            if !entries[i].key.verify(entries[i].message, entries[i].sig) {
-                invalid.push(i);
-            }
-        }
-        return;
-    }
-    // Order-q subgroup membership of every carried commitment — the
-    // combination is only sound over the prime-order subgroup (see
-    // [`verify_batch`]).  A commitment outside it can never satisfy
-    // `g^s == r · y^e` (the left side and `y^e` both have order q), so
-    // failing members are definitively forged, no individual re-verify
-    // needed.
-    live.retain(|&i| {
-        let r = entries[i].sig.r.as_ref().expect("live members carry r");
-        let ok = r.modpow(&group.q, &group.p).is_one();
-        if !ok {
-            invalid.push(i);
-        }
-        ok
-    });
-    if live.len() < 2 {
-        for &i in &live {
-            if !entries[i].key.verify(entries[i].message, entries[i].sig) {
-                invalid.push(i);
-            }
-        }
-        return;
-    }
-    // Random linear combination: a = Σ z_i·s_i and per-key b_y = Σ z_i·e_i
-    // reduced mod q (g and y have order q); r_i keeps its raw 128-bit z_i.
-    let mut a = Ubig::zero();
-    let mut per_key: HashMap<&Ubig, Ubig> = HashMap::new();
-    let mut r_terms: Vec<(&Ubig, u128)> = Vec::with_capacity(live.len());
-    for &i in &live {
-        let en = &entries[i];
-        let z = loop {
-            let mut buf = [0u8; 16];
-            rand_bytes(&mut buf);
-            let z = u128::from_be_bytes(buf);
-            if z != 0 {
-                break z;
-            }
-        };
-        let zu = Ubig::from_bytes_be(&z.to_be_bytes());
-        a = a.addm(&zu.mulm(&en.sig.s, &group.q), &group.q);
-        let b = per_key.entry(&en.key.y).or_insert_with(Ubig::zero);
-        *b = b.addm(&zu.mulm(&en.sig.e, &group.q), &group.q);
-        r_terms.push((en.sig.r.as_ref().expect("live members carry r"), z));
-    }
-    let lhs = group.power(&a);
-    let mut rhs = multi_exp(&r_terms, &group.p);
-    for (y, b) in &per_key {
-        let y_pow = match y_tables.get(*y) {
-            Some(t) => t.power(b),
-            None => y.modpow(b, &group.p),
-        };
-        rhs = rhs.mulm(&y_pow, &group.p);
-    }
-    if lhs == rhs {
-        return;
-    }
-    // The combination failed: at least one member is forged.  Individual
-    // verification is ground truth and pinpoints exactly which.
-    for &i in &live {
-        if !entries[i].key.verify(entries[i].message, entries[i].sig) {
-            invalid.push(i);
-        }
-    }
-}
-
-/// Computes `Π base_i^(z_i) mod m` with shared squarings: radix-16 digits
-/// of the 128-bit exponents give 128 squarings total (independent of N)
-/// plus ~30 multiplies per member, versus ~190 multiplies each for
-/// separate 128-bit exponentiations.
-fn multi_exp(pairs: &[(&Ubig, u128)], m: &Ubig) -> Ubig {
-    // tables[i][d-1] = base_i^d for digits d ∈ 1..=15.
-    let tables: Vec<Vec<Ubig>> = pairs
-        .iter()
-        .map(|(base, _)| {
-            let mut t = Vec::with_capacity(15);
-            t.push((*base).clone());
-            for d in 2..16 {
-                let next = t[d - 2].mulm(base, m);
-                t.push(next);
-            }
-            t
-        })
-        .collect();
-    let mut acc = Ubig::one();
-    for digit in (0..32).rev() {
-        if !acc.is_one() {
-            for _ in 0..4 {
-                acc = acc.mulm(&acc, m);
-            }
-        }
-        for (i, (_, z)) in pairs.iter().enumerate() {
-            let d = ((z >> (4 * digit)) & 0xf) as usize;
-            if d != 0 {
-                acc = acc.mulm(&tables[i][d - 1], m);
-            }
-        }
-    }
-    acc
-}
-
 /// `H(r ‖ m) mod q` with `r` in fixed-width big-endian form.
 fn challenge(group: &Group, r: &Ubig, message: &[u8]) -> Ubig {
     let p_len = group.p.to_bytes_be().len();
@@ -731,67 +462,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_accepts_valid_burst() {
-        let mut r = det("batch-ok");
-        let issuers: Vec<KeyPair> = (0..3)
-            .map(|_| KeyPair::generate(Group::test512(), &mut r))
-            .collect();
-        let msgs: Vec<Vec<u8>> = (0..16).map(|i| format!("cert {i}").into_bytes()).collect();
-        let sigs: Vec<Signature> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| issuers[i % 3].sign(m, &mut r))
-            .collect();
-        let entries: Vec<BatchEntry<'_>> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| BatchEntry {
-                key: &issuers[i % 3].public,
-                message: m,
-                sig: &sigs[i],
-            })
-            .collect();
-        assert_eq!(verify_batch_with(&entries, &mut r), BatchOutcome::AllValid);
-    }
-
-    #[test]
-    fn batch_pinpoints_forged_member() {
-        let mut r = det("batch-forge");
-        let kp = KeyPair::generate(Group::test512(), &mut r);
-        let msgs: Vec<Vec<u8>> = (0..8).map(|i| format!("m{i}").into_bytes()).collect();
-        let mut sigs: Vec<Signature> = msgs.iter().map(|m| kp.sign(m, &mut r)).collect();
-        sigs[5].s = sigs[5].s.add(&Ubig::one());
-        let entries: Vec<BatchEntry<'_>> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| BatchEntry {
-                key: &kp.public,
-                message: m,
-                sig: &sigs[i],
-            })
-            .collect();
-        assert_eq!(
-            verify_batch_with(&entries, &mut r),
-            BatchOutcome::Invalid(vec![5])
-        );
-    }
-
-    #[test]
-    fn batch_rejects_small_order_commitment() {
+    fn small_order_commitment_rejected() {
         // A malicious signer who knows x can publish (r' = −g^k mod p,
-        // e = H(r' ‖ m), s = k + x·e): the hash binding holds, individual
-        // verification rejects it (g^s == r'·y^e fails on the sign), but
-        // without the subgroup check on carried commitments its batch
-        // residual is (−1)^{z_i}, which cancels whenever the random
-        // 128-bit coefficient is even — the batch would accept a
-        // signature the individual path rejects about half the time.
+        // e = H(r' ‖ m), s = k + x·e): the hash binding holds, but
+        // g^s == r'·y^e fails on the sign, so both verify paths must
+        // reject it — with and without a fixed-base table for y.
         let mut r = det("small-order");
         let kp = KeyPair::generate(Group::test512(), &mut r);
         let group = kp.public.group;
         let msg = b"forged under cofactor cover".to_vec();
-        let honest_msgs: Vec<Vec<u8>> =
-            (0..3).map(|i| format!("honest {i}").into_bytes()).collect();
-        let honest: Vec<Signature> = honest_msgs.iter().map(|m| kp.sign(m, &mut r)).collect();
         let mut trials = 0;
         while trials < 16 {
             let k = group.random_exponent(&mut r);
@@ -809,68 +488,7 @@ mod tests {
             };
             assert!(!kp.public.verify(&msg, &forged));
             assert!(!kp.public.verify_uncached(&msg, &forged));
-            let mut ens: Vec<BatchEntry<'_>> = honest_msgs
-                .iter()
-                .zip(&honest)
-                .map(|(m, sig)| BatchEntry {
-                    key: &kp.public,
-                    message: m,
-                    sig,
-                })
-                .collect();
-            ens.push(BatchEntry {
-                key: &kp.public,
-                message: &msg,
-                sig: &forged,
-            });
-            let mut zr = det(&format!("small-order-z-{trials}"));
-            assert_eq!(
-                verify_batch_with(&ens, &mut zr),
-                BatchOutcome::Invalid(vec![3]),
-                "cofactor forgery must never survive the batch"
-            );
         }
-    }
-
-    #[test]
-    fn batch_handles_commitment_free_members() {
-        let mut r = det("batch-legacy");
-        let kp = KeyPair::generate(Group::test512(), &mut r);
-        let msgs: Vec<Vec<u8>> = (0..4).map(|i| format!("m{i}").into_bytes()).collect();
-        let mut sigs: Vec<Signature> = msgs.iter().map(|m| kp.sign(m, &mut r)).collect();
-        sigs[1].r = None; // legacy wire form drops into the individual path
-        let entries: Vec<BatchEntry<'_>> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| BatchEntry {
-                key: &kp.public,
-                message: m,
-                sig: &sigs[i],
-            })
-            .collect();
-        assert_eq!(verify_batch_with(&entries, &mut r), BatchOutcome::AllValid);
-    }
-
-    #[test]
-    fn batch_mixed_groups() {
-        let mut r = det("batch-mixed");
-        let small = KeyPair::generate(Group::test512(), &mut r);
-        let big = KeyPair::generate(Group::group1024(), &mut r);
-        let msg = b"cross-group burst".to_vec();
-        let s1 = small.sign(&msg, &mut r);
-        let s2 = big.sign(&msg, &mut r);
-        let mut bad = small.sign(&msg, &mut r);
-        bad.e = bad.e.add(&Ubig::one()).rem(&Group::test512().q);
-        let entries = vec![
-            BatchEntry { key: &small.public, message: &msg, sig: &s1 },
-            BatchEntry { key: &big.public, message: &msg, sig: &s2 },
-            BatchEntry { key: &small.public, message: &msg, sig: &bad },
-            BatchEntry { key: &big.public, message: &msg, sig: &s2 },
-        ];
-        assert_eq!(
-            verify_batch_with(&entries, &mut r),
-            BatchOutcome::Invalid(vec![2])
-        );
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Property tests for Schnorr batch verification and the fast verify
-//! path.
+//! Property tests for Schnorr verification.
 //!
-//! The load-bearing claims: `verify_batch` accepts exactly when every
-//! member verifies individually; flipping any single bit of a member's
-//! `(e, s)`, commitment, or message makes the batch reject with the
-//! forged member pinpointed; and the table/cache-accelerated
-//! `PublicKey::verify` agrees with the precomputation-free
-//! `verify_uncached` on every input.
+//! The load-bearing claims: flipping any single bit of a member's
+//! `(e, s)`, commitment, or message makes both `PublicKey::verify` and
+//! `verify_uncached` reject exactly that member of a signed burst; and
+//! the table/cache-accelerated `verify` agrees with the
+//! precomputation-free `verify_uncached` on every input.
 
 use proptest::prelude::*;
 use snowflake_bigint::Ubig;
-use snowflake_crypto::{
-    verify_batch_with, BatchEntry, BatchOutcome, DetRng, Group, KeyPair, Signature,
-};
+use snowflake_crypto::{DetRng, Group, KeyPair, Signature};
 use std::sync::OnceLock;
 
 /// A small pool of deterministic signers (key generation is the
@@ -47,23 +43,6 @@ fn burst(seed: u64, n: usize) -> (Vec<Vec<u8>>, Vec<Signature>, Vec<usize>) {
     (msgs, sigs, key_idx)
 }
 
-fn entries<'a>(
-    msgs: &'a [Vec<u8>],
-    sigs: &'a [Signature],
-    key_idx: &[usize],
-) -> Vec<BatchEntry<'a>> {
-    let keys = signers();
-    msgs.iter()
-        .zip(sigs)
-        .zip(key_idx)
-        .map(|((m, sig), &k)| BatchEntry {
-            key: &keys[k].public,
-            message: m,
-            sig,
-        })
-        .collect()
-}
-
 /// Flips bit `bit` of a big-endian-encoded scalar.
 fn flip_ubig(v: &Ubig, bit: usize) -> Ubig {
     let mut bytes = v.to_bytes_be();
@@ -76,19 +55,6 @@ fn flip_ubig(v: &Ubig, bit: usize) -> Ubig {
 }
 
 proptest! {
-    #[test]
-    fn batch_accepts_iff_each_member_verifies(seed in any::<u64>(), n in 2usize..12) {
-        let (msgs, sigs, key_idx) = burst(seed, n);
-        let ens = entries(&msgs, &sigs, &key_idx);
-        let each: Vec<bool> = ens
-            .iter()
-            .map(|en| en.key.verify(en.message, en.sig))
-            .collect();
-        prop_assert!(each.iter().all(|&b| b), "honest burst must verify member-wise");
-        let mut rng = det(seed ^ 0x5eed);
-        prop_assert_eq!(verify_batch_with(&ens, &mut rng), BatchOutcome::AllValid);
-    }
-
     #[test]
     fn bitflip_rejects_and_pinpoints_culprit(
         seed in any::<u64>(),
@@ -112,16 +78,18 @@ proptest! {
                 m[i / 8] ^= 1 << (i % 8);
             }
         }
-        let ens = entries(&msgs, &sigs, &key_idx);
-        // Ground truth: exactly the victim fails individual verification.
-        for (i, en) in ens.iter().enumerate() {
-            prop_assert_eq!(en.key.verify(en.message, en.sig), i != victim, "member {}", i);
+        // Exactly the victim fails, on both verify paths.
+        let keys = signers();
+        for (i, ((m, sig), &k)) in msgs.iter().zip(&sigs).zip(&key_idx).enumerate() {
+            let key = &keys[k].public;
+            prop_assert_eq!(key.verify(m, sig), i != victim, "verify, member {}", i);
+            prop_assert_eq!(
+                key.verify_uncached(m, sig),
+                i != victim,
+                "verify_uncached, member {}",
+                i
+            );
         }
-        let mut rng = det(seed ^ 0xbadc0de);
-        prop_assert_eq!(
-            verify_batch_with(&ens, &mut rng),
-            BatchOutcome::Invalid(vec![victim])
-        );
     }
 
     #[test]

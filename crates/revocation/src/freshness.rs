@@ -20,7 +20,7 @@ use crate::service::{PushSink, ValidatorService};
 use snowflake_channel::Transport;
 use snowflake_core::sync::LockExt;
 use snowflake_core::{Crl, Revalidation, RevocationSource, Time};
-use snowflake_crypto::{verify_batch, BatchEntry, BatchOutcome, HashVal};
+use snowflake_crypto::HashVal;
 use snowflake_rmi::{RmiClient, RmiError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,9 +325,8 @@ impl FreshnessAgent {
         self.admit_checked_crl(validator, crl)
     }
 
-    /// Installs a CRL whose signature has already been verified (the
-    /// batched delta path checks a whole burst in one multi-exponentiation
-    /// first); still enforces serial monotonicity.
+    /// Installs a CRL whose signature has already been verified; still
+    /// enforces serial monotonicity.
     fn admit_checked_crl(&self, validator: &HashVal, crl: Crl) -> bool {
         let mut state = self.state.plock();
         let Some(entry) = state.validators.get_mut(validator) else {
@@ -377,7 +376,9 @@ impl FreshnessAgent {
     /// Applies one push delta: verifies it against the registered
     /// validator, installs the embedded CRL, and fans the newly revoked
     /// hashes into every bus.  Returns the number of warm-cache entries
-    /// invalidated.
+    /// invalidated.  The signer's registration, identity and currency are
+    /// checked before the signature, so a foreign or stale delta is
+    /// rejected without an exponentiation.
     ///
     /// A delta whose CRL is *older* than the installed one (deltas for
     /// concurrent revocations can arrive out of order) does not roll the
@@ -386,72 +387,17 @@ impl FreshnessAgent {
     /// idempotent — dropping the fan-out would leave warm caches honoring
     /// a certificate the newer list also revokes.
     pub fn apply_delta(&self, delta: &RevocationDelta) -> Result<usize, String> {
-        self.apply_deltas(std::slice::from_ref(delta))
-            .pop()
-            .expect("one result per delta")
-    }
-
-    /// Applies a burst of push deltas, checking every embedded CRL
-    /// signature as **one** Schnorr batch (a catch-up replay or fan-in
-    /// from several validators pays one multi-exponentiation, not one
-    /// full verification per delta).  Structurally bad deltas — wrong
-    /// validator, stale window, unregistered signer — are rejected before
-    /// the batch; if the batch equation fails, the individual fallback
-    /// inside `verify_batch` pinpoints exactly the forged members, so one
-    /// bad delta never poisons its honest neighbors.  Returns one result
-    /// per delta, in order, each as [`FreshnessAgent::apply_delta`] would.
-    pub fn apply_deltas(&self, deltas: &[RevocationDelta]) -> Vec<Result<usize, String>> {
-        let now = (self.clock)();
-        let mut results: Vec<Option<Result<usize, String>>> = vec![None; deltas.len()];
-        // Structural pass: cheap checks first, survivors go to the batch.
-        let mut live: Vec<(usize, HashVal)> = Vec::new();
-        for (i, delta) in deltas.iter().enumerate() {
-            let validator = delta.crl.signer.hash();
-            if !self.state.plock().validators.contains_key(&validator) {
-                self.stats.plock().deltas_rejected += 1;
-                results[i] = Some(Err("delta from unregistered validator".into()));
-                continue;
-            }
-            if let Err(e) = delta.crl.check_unsigned(&validator, now) {
-                self.stats.plock().deltas_rejected += 1;
-                results[i] = Some(Err(e));
-                continue;
-            }
-            live.push((i, validator));
-        }
-        // Signature pass: one batch over every surviving CRL.
-        let messages: Vec<Vec<u8>> = live
-            .iter()
-            .map(|&(i, _)| deltas[i].crl.signed_bytes())
-            .collect();
-        let entries: Vec<BatchEntry<'_>> = live
-            .iter()
-            .zip(&messages)
-            .map(|(&(i, _), m)| BatchEntry {
-                key: &deltas[i].crl.signer,
-                message: m,
-                sig: &deltas[i].crl.signature,
-            })
-            .collect();
-        let forged: std::collections::HashSet<usize> = match verify_batch(&entries) {
-            BatchOutcome::AllValid => Default::default(),
-            BatchOutcome::Invalid(bad) => bad.into_iter().collect(),
+        let validator = delta.crl.signer.hash();
+        let checked = if self.state.plock().validators.contains_key(&validator) {
+            delta.crl.check(&validator, (self.clock)())
+        } else {
+            Err("delta from unregistered validator".into())
         };
-        for (pos, (i, validator)) in live.into_iter().enumerate() {
-            if forged.contains(&pos) {
-                self.stats.plock().deltas_rejected += 1;
-                results[i] = Some(Err("CRL signature invalid".into()));
-            } else {
-                results[i] = Some(Ok(self.apply_checked_delta(&deltas[i], &validator)));
-            }
+        if let Err(e) = checked {
+            self.stats.plock().deltas_rejected += 1;
+            return Err(e);
         }
-        results.into_iter().map(|r| r.expect("every delta resolved")).collect()
-    }
-
-    /// The post-signature-check tail of delta application: install the
-    /// CRL, drop dependent revalidations, fan out to the buses.
-    fn apply_checked_delta(&self, delta: &RevocationDelta, validator: &HashVal) -> usize {
-        self.admit_checked_crl(validator, delta.crl.clone());
+        self.admit_checked_crl(&validator, delta.crl.clone());
         // A revoked certificate's cached revalidations must die with it.
         {
             let mut state = self.state.plock();
@@ -470,7 +416,7 @@ impl FreshnessAgent {
         let mut stats = self.stats.plock();
         stats.deltas_applied += 1;
         stats.bus_invalidations += invalidated as u64;
-        invalidated
+        Ok(invalidated)
     }
 
     /// Drives this agent's refreshes from a
@@ -715,6 +661,26 @@ mod tests {
         let foreign = stranger.revoke(HashVal::of(b"x"));
         assert!(agent.apply_delta(&foreign).is_err());
         assert_eq!(agent.stats().deltas_rejected, 1);
+    }
+
+    #[test]
+    fn tampered_crl_signature_from_a_registered_validator_is_rejected() {
+        let v = validator("tampered");
+        let agent = FreshnessAgent::with_pacing(fixed_clock, 30, 0, 0);
+        agent.register_validator(v.validator_hash(), Arc::new(InProcessValidator(Arc::clone(&v))));
+        let installed = v.revoke(HashVal::of(b"one"));
+        assert!(agent.apply_delta(&installed).is_ok());
+        // Same signer, current window: only the signature check can
+        // catch a flipped bit in the CRL's signature.
+        let mut tampered = v.revoke(HashVal::of(b"two"));
+        let mut s = tampered.crl.signature.s.to_bytes_be();
+        *s.last_mut().unwrap() ^= 1;
+        tampered.crl.signature.s = snowflake_bigint::Ubig::from_bytes_be(&s);
+        assert_eq!(agent.apply_delta(&tampered), Err("CRL signature invalid".into()));
+        assert_eq!(agent.stats().deltas_rejected, 1);
+        let crl = agent.crl(&v.validator_hash(), fixed_clock()).unwrap();
+        assert_eq!(crl.serial, installed.crl.serial);
+        assert!(!crl.revokes(&HashVal::of(b"two")));
     }
 
     #[test]

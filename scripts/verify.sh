@@ -80,18 +80,18 @@ cargo test -q --offline -p snowflake-rmi --test reactor_serving -- --exact \
 cargo test -q --offline -p snowflake-revocation --test reactor_push -- --exact \
     hung_up_reactor_subscribers_are_pruned_without_a_revocation
 
-echo "==> verification fast-path suites (modpow vs reference, batch pinpointing, memo soundness, the revocation guard)"
+echo "==> verification fast-path suites (modpow vs reference, fast vs uncached verify, memo soundness, the revocation guard)"
 # The fast paths are optimizations of an unchanged acceptance predicate,
 # and each has a suite proving it against the slow reference: bigint
-# sliding-window/fixed-base modpow vs square-and-multiply, batched
-# Schnorr accepts iff every member verifies individually (bit-flips are
-# pinpointed), and the verified-chain memo answers byte-identically to a
+# sliding-window/fixed-base modpow vs square-and-multiply, table-backed
+# Schnorr verify agrees with the uncached reference (bit-flips are
+# rejected by both), and the verified-chain memo answers byte-identically to a
 # cold context while staying revocation-sound — on the one
 # revocation-guarded map (model proptest + verifier-vs-revoker stress)
 # that it and every other warm store is built on.  A change that deletes
 # or renames these suites must fail loudly here.
 cargo test -q --offline -p snowflake-bigint --test props
-cargo test -q --offline -p snowflake-crypto --test batch_props
+cargo test -q --offline -p snowflake-crypto --test verify_props
 cargo test -q --offline -p snowflake-core --test chain_memo
 cargo test -q --offline -p snowflake-core --test provenance
 # Decode proves subgroup membership once per key and is not a verify
