@@ -9,12 +9,13 @@
 
 use snowflake_core::sync::LockExt;
 use std::sync::{Arc, Mutex};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::{Principal, Tag, Time};
 use snowflake_reldb::{
     email_schema, rows_to_sexp, DbError, DurableDatabase, Predicate, Value,
 };
 use snowflake_rmi::{CallerInfo, Invocation, RemoteObject, RmiFault};
+use snowflake_runtime::{Surface, Verdict};
 use snowflake_sexpr::Sexp;
 
 /// The registry name the email database object is bound to.
@@ -25,12 +26,11 @@ pub struct EmailDb {
     issuer: Principal,
     db: Mutex<DurableDatabase>,
     next_id: Mutex<i64>,
-    clock: fn() -> Time,
-    /// Audit emitter; the application-level outcome of every invocation
-    /// (including owner-scoped no-ops) is recorded through it (surface
-    /// `emaildb`).  The framework's `check_auth` verdict is recorded
+    /// The `emaildb` surface: the application-level outcome of every
+    /// invocation (including owner-scoped no-ops) is decided and audited
+    /// on it.  The framework's `check_auth` verdict is recorded
     /// separately at the `rmi` surface.
-    audit: EmitterSlot,
+    surface: Surface,
 }
 
 impl EmailDb {
@@ -82,8 +82,7 @@ impl EmailDb {
             issuer,
             db: Mutex::new(db),
             next_id: Mutex::new(next_id),
-            clock,
-            audit: EmitterSlot::new(),
+            surface: Surface::new("emaildb").with_clock(clock),
         }
     }
 
@@ -95,12 +94,12 @@ impl EmailDb {
 
     /// Attaches an audit emitter recording application-level outcomes.
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
-        self.audit.set(emitter);
+        self.surface.set_audit_emitter(emitter);
     }
 
-    /// Emits an audit event, building it only when an emitter is attached.
-    fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.audit.emit_with(build);
+    /// The `emaildb` surface outcomes are decided and audited on.
+    pub fn surface(&self) -> &Surface {
+        &self.surface
     }
 
     /// The restriction tag for an operation on an owner's mail — what the
@@ -239,37 +238,28 @@ impl RemoteObject for EmailDb {
         // application-level outcome and must reach the trail, so the
         // owner parse failure flows into the audited result below.
         let owner = Self::owner_arg(invocation);
-        let result = match (&owner, invocation.method.as_str()) {
-            (Err(f), _) => Err(f.clone()),
-            (Ok(owner), "select") => {
-                let folder = invocation.args.get(1).and_then(Sexp::as_str);
-                self.select(owner, folder)
-            }
-            (Ok(owner), "insert") => self.insert(owner, &invocation.args),
-            (Ok(owner), "mark_read") => self.mark_read(owner, &invocation.args),
-            (Ok(owner), "delete") => self.delete(owner, &invocation.args),
-            (Ok(_), other) => Err(RmiFault::NoSuchMethod(other.into())),
+        let object = match &owner {
+            Ok(owner) => format!("{EMAIL_DB_OBJECT}/{owner}"),
+            Err(_) => EMAIL_DB_OBJECT.to_string(),
         };
-        self.audit(|| {
-            let (decision, detail) = match &result {
-                Ok(_) => (Decision::Grant, "row-scoped operation applied".to_string()),
-                Err(f) => (Decision::Deny, format!("{f:?}")),
+        self.surface.decide(&object, &invocation.method, |_| {
+            let result = match (&owner, invocation.method.as_str()) {
+                (Err(f), _) => Err(f.clone()),
+                (Ok(owner), "select") => {
+                    let folder = invocation.args.get(1).and_then(Sexp::as_str);
+                    self.select(owner, folder)
+                }
+                (Ok(owner), "insert") => self.insert(owner, &invocation.args),
+                (Ok(owner), "mark_read") => self.mark_read(owner, &invocation.args),
+                (Ok(owner), "delete") => self.delete(owner, &invocation.args),
+                (Ok(_), other) => Err(RmiFault::NoSuchMethod(other.into())),
             };
-            let object = match &owner {
-                Ok(owner) => format!("{EMAIL_DB_OBJECT}/{owner}"),
-                Err(_) => EMAIL_DB_OBJECT.to_string(),
+            let verdict = match &result {
+                Ok(_) => Verdict::grant("row-scoped operation applied"),
+                Err(f) => Verdict::deny(format!("{f:?}")),
             };
-            DecisionEvent::new(
-                (self.clock)(),
-                "emaildb",
-                decision,
-                &object,
-                &invocation.method,
-                &detail,
-            )
-            .with_subject(caller.speaker.clone())
-        });
-        result
+            (verdict.subject(caller.speaker.clone()), result)
+        })
     }
 }
 

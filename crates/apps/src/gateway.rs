@@ -25,12 +25,12 @@
 
 use snowflake_core::sync::LockExt;
 use std::sync::{Arc, Mutex};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::{Principal, Tag, Time};
 use snowflake_http::{auth, Handler, HttpRequest, HttpResponse};
 use snowflake_reldb::{rows_from_sexp, Value};
 use snowflake_rmi::{RmiClient, RmiError};
-use snowflake_runtime::Surface;
+use snowflake_runtime::{Deciding, Surface, Verdict};
 use snowflake_sexpr::Sexp;
 
 use crate::emaildb::EMAIL_DB_OBJECT;
@@ -86,13 +86,13 @@ impl QuotingGateway {
 
     /// Verifies the client's signed copy of the request (`R ⇒ C`) and
     /// returns the claimed client principal `C`.
-    fn verify_client(&self, req: &HttpRequest) -> Result<Principal, String> {
+    fn verify_client(&self, req: &HttpRequest, d: &Deciding<'_>) -> Result<Principal, String> {
         let proof = auth::extract_client_proof(req).ok_or("missing Sf-Client-Proof")?;
         let r_principal = auth::request_principal(req, snowflake_core::HashAlg::Sha256);
         let conclusion = proof.conclusion();
         let client = conclusion.issuer.clone();
-        let ctx = self.surface.verify_ctx(self.surface.now());
-        ctx.authorize(&proof, &r_principal, &client, &Tag::Star)
+        d.verify_ctx()
+            .authorize(&proof, &r_principal, &client, &Tag::Star)
             .map_err(|e| format!("client request proof rejected: {e}"))?;
         Ok(client)
     }
@@ -117,15 +117,15 @@ impl QuotingGateway {
 
     /// Attempts an RMI call quoting `quotee`; on a missing proof returns
     /// the issuer/tag the database demanded.  Backend errors arrive as a
-    /// ready HTTP response: a shed (BUSY) call maps to `503` — the
-    /// database did not process it, so the client should retry — while
-    /// everything else is a `502`.
+    /// ready verdict and HTTP response: a shed (BUSY) call is the
+    /// gateway's own shed, a `503` — the database did not process it, so
+    /// the client should retry — while everything else is a `502`.
     fn try_invoke(
         &self,
         quotee: Principal,
         method: &str,
         args: Vec<Sexp>,
-    ) -> Result<Result<Sexp, (Principal, Tag)>, HttpResponse> {
+    ) -> Result<Result<Sexp, (Principal, Tag)>, (Verdict, HttpResponse)> {
         let mut rmi = self.rmi.plock();
         rmi.set_quoting(Some(quotee));
         let result = rmi.invoke(EMAIL_DB_OBJECT, method, args);
@@ -134,28 +134,85 @@ impl QuotingGateway {
             Ok(value) => Ok(Ok(value)),
             Err(RmiError::NoProof { issuer, tag }) => Ok(Err((issuer, tag))),
             Err(e) if e.is_busy() => {
-                // The backend shed the call: record the gateway's own
-                // shed decision (the 503 it maps the BUSY fault to).
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        self.surface.now(),
-                        "gateway",
-                        Decision::Shed,
-                        EMAIL_DB_OBJECT,
-                        method,
-                        &format!("database busy: {e}"),
-                    )
-                });
-                let mut resp =
-                    HttpResponse::status(503, "Service Unavailable", &format!("database busy: {e}"));
+                let why = format!("database busy: {e}");
+                let mut resp = HttpResponse::status(503, "Service Unavailable", &why);
                 resp.set_header("Retry-After", "1");
-                Err(resp)
+                Err((Verdict::shed(why), resp))
             }
-            Err(e) => Err(HttpResponse::status(
-                502,
-                "Bad Gateway",
-                &format!("database error: {e}"),
-            )),
+            Err(e) => {
+                let why = format!("database error: {e}");
+                let resp = HttpResponse::status(502, "Bad Gateway", &why);
+                Err((Verdict::deny(why), resp))
+            }
+        }
+    }
+
+    /// Challenges for `(issuer, tag)` naming the gateway as the quoter:
+    /// `G` is the gateway's channel-facing key, the quoter the database
+    /// sees.
+    fn challenge(&self, issuer: &Principal, tag: &Tag) -> HttpResponse {
+        let mut resp = auth::challenge(issuer, tag);
+        auth::add_quoter(&mut resp, &self.rmi.plock().speaker());
+        resp
+    }
+
+    /// The gateway's decision on one mapped request: identify the client,
+    /// then forward quoting it.  A grant returns the database's value.
+    fn forward(
+        &self,
+        req: &HttpRequest,
+        d: &Deciding<'_>,
+        method: &str,
+        args: Vec<Sexp>,
+    ) -> (Verdict, Result<Sexp, HttpResponse>) {
+        // Do we know who the client is?  Without a signed request we can
+        // only discover the database's demands with the `?` placeholder.
+        let client = match auth::extract_client_proof(req) {
+            None => {
+                // Probe the database to learn (S, T), then challenge with
+                // the G|? form.
+                let placeholder = Principal::message(b"?");
+                return match self.try_invoke(placeholder, method, args) {
+                    Ok(Ok(_)) => unreachable!("placeholder cannot hold authority"),
+                    Ok(Err((issuer, tag))) => (
+                        Verdict::deny("challenge: client must prove gateway-quoting-client chain"),
+                        Err(self.challenge(&issuer, &tag)),
+                    ),
+                    Err((verdict, resp)) => (verdict, Err(resp)),
+                };
+            }
+            Some(_) => match self.verify_client(req, d) {
+                Ok(c) => c,
+                Err(e) => {
+                    let resp = HttpResponse::forbidden(&e);
+                    return (Verdict::deny(e), Err(resp));
+                }
+            },
+        };
+
+        // Digest the delegation proof (G|C ⇒ S) the client supplied.
+        let proof = auth::extract_proof(req);
+        let certs = proof.as_ref().map_or_else(Vec::new, |p| p.cert_hashes());
+        if let Some(proof) = proof {
+            self.rmi.plock().prover().add_proof(proof);
+        }
+
+        // Forward the request, quoting the client.
+        match self.try_invoke(client.clone(), method, args) {
+            // The database (seeing G|C end to end) said yes; record the
+            // gateway's side of the granted transaction.
+            Ok(Ok(value)) => (
+                Verdict::grant("forwarded quoting client; database granted")
+                    .subject(client)
+                    .certs(certs),
+                Ok(value),
+            ),
+            // Still unauthorized: re-challenge (e.g. wrong owner).
+            Ok(Err((issuer, tag))) => (
+                Verdict::deny("database still demands proof (re-challenge)").subject(client),
+                Err(self.challenge(&issuer, &tag)),
+            ),
+            Err((verdict, resp)) => (verdict, Err(resp)),
         }
     }
 
@@ -197,118 +254,32 @@ impl QuotingGateway {
 impl Handler for QuotingGateway {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         let _timer = self.surface.latency().start_timer();
-        let Some((owner, folder)) = Self::parse_path(&req.path) else {
-            return HttpResponse::not_found();
-        };
-        let (method, args) = match Self::db_call(req, &owner, &folder) {
-            Ok(call) => call,
+        let forwarded = self.surface.decide(&req.path, &req.method, |d| {
+            let Some((owner, folder)) = Self::parse_path(&req.path) else {
+                return (Verdict::deny("no such mailbox path"), Err(HttpResponse::not_found()));
+            };
+            match Self::db_call(req, &owner, &folder) {
+                Ok((method, args)) => {
+                    let (verdict, value) = self.forward(req, d, &method, args);
+                    (verdict, value.map(|value| (owner, folder, method, value)))
+                }
+                Err(resp) => (Verdict::deny("method not allowed"), Err(resp)),
+            }
+        });
+        let (owner, folder, method, value) = match forwarded {
+            Ok(granted) => granted,
             Err(resp) => return resp,
         };
-
-        // Do we know who the client is?  Without a signed request we can
-        // only discover the database's demands with the `?` placeholder.
-        let client = match auth::extract_client_proof(req) {
-            None => {
-                // Probe the database to learn (S, T), then challenge with
-                // the G|? form.
-                let placeholder = Principal::message(b"?");
-                match self.try_invoke(placeholder, &method, args.clone()) {
-                    Ok(Ok(_)) => unreachable!("placeholder cannot hold authority"),
-                    Ok(Err((issuer, tag))) => {
-                        self.surface.audit(|| {
-                            DecisionEvent::new(
-                                self.surface.now(),
-                                "gateway",
-                                Decision::Deny,
-                                &req.path,
-                                &req.method,
-                                "challenge: client must prove gateway-quoting-client chain",
-                            )
-                        });
-                        let mut resp = auth::challenge(&issuer, &tag);
-                        // `G` is the gateway's channel-facing key: that is
-                        // the quoter the database will see.
-                        let rmi = self.rmi.plock();
-                        auth::add_quoter(&mut resp, &rmi.speaker());
-                        return resp;
-                    }
-                    Err(resp) => return resp,
-                }
+        if method == "select" {
+            match rows_from_sexp(&value) {
+                Ok(rows) => HttpResponse::ok(
+                    "text/html",
+                    Self::render(&owner, &folder, &rows).into_bytes(),
+                ),
+                Err(e) => HttpResponse::status(502, "Bad Gateway", &e.to_string()),
             }
-            Some(_) => match self.verify_client(req) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.surface.audit(|| {
-                        DecisionEvent::new(
-                            self.surface.now(),
-                            "gateway",
-                            Decision::Deny,
-                            &req.path,
-                            &req.method,
-                            &e,
-                        )
-                    });
-                    return HttpResponse::forbidden(&e);
-                }
-            },
-        };
-
-        // Digest the delegation proof (G|C ⇒ S) the client supplied.
-        if let Some(proof) = auth::extract_proof(req) {
-            self.rmi.plock().prover().add_proof(proof);
-        }
-
-        // Forward the request, quoting the client.
-        match self.try_invoke(client.clone(), &method, args) {
-            Ok(Ok(value)) => {
-                // The database (seeing G|C end to end) said yes; record the
-                // gateway's side of the granted transaction.
-                self.surface.audit(|| {
-                    let certs = auth::extract_proof(req)
-                        .map(|p| p.cert_hashes())
-                        .unwrap_or_default();
-                    DecisionEvent::new(
-                        self.surface.now(),
-                        "gateway",
-                        Decision::Grant,
-                        &req.path,
-                        &req.method,
-                        "forwarded quoting client; database granted",
-                    )
-                    .with_subject(client.clone())
-                    .with_certs(certs)
-                });
-                if method == "select" {
-                    match rows_from_sexp(&value) {
-                        Ok(rows) => HttpResponse::ok(
-                            "text/html",
-                            Self::render(&owner, &folder, &rows).into_bytes(),
-                        ),
-                        Err(e) => HttpResponse::status(502, "Bad Gateway", &e.to_string()),
-                    }
-                } else {
-                    HttpResponse::status(201, "Created", &format!("message id {value}"))
-                }
-            }
-            Ok(Err((issuer, tag))) => {
-                // Still unauthorized: re-challenge (e.g. wrong owner).
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        self.surface.now(),
-                        "gateway",
-                        Decision::Deny,
-                        &req.path,
-                        &req.method,
-                        "database still demands proof (re-challenge)",
-                    )
-                    .with_subject(client.clone())
-                });
-                let mut resp = auth::challenge(&issuer, &tag);
-                let rmi = self.rmi.plock();
-                auth::add_quoter(&mut resp, &rmi.speaker());
-                resp
-            }
-            Err(resp) => resp,
+        } else {
+            HttpResponse::status(201, "Created", &format!("message id {value}"))
         }
     }
 }

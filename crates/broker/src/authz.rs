@@ -19,15 +19,16 @@
 //! pair becomes a [`snowflake_tags::path_vector::request_tag`], and the
 //! answer is whatever speaks-for proof the prover can build from the
 //! delegations it holds.  Every answer — allow, deny, or a malformed
-//! body refused fail-closed — emits a [`DecisionEvent`].
+//! body refused fail-closed — is decided through the endpoint's surface,
+//! which emits its one audit record.
 
 use crate::json::{self, Json};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
-use snowflake_core::{Principal, Time};
+use snowflake_core::audit::AuditEmitter;
+use snowflake_core::{Principal, Time, VerifyCtx};
 use snowflake_crypto::HashVal;
 use snowflake_http::{Handler, HttpRequest, HttpResponse};
 use snowflake_prover::Prover;
-use snowflake_runtime::Surface;
+use snowflake_runtime::{Surface, Verdict};
 use snowflake_sexpr::Sexp;
 use snowflake_tags::path_vector::{self, ActionTable};
 use std::collections::HashMap;
@@ -227,6 +228,13 @@ impl AuthzEndpoint {
     /// Answers one parsed question.  Denials never explain more than the
     /// caller needs; the full reason goes to the audit log.
     pub fn evaluate(&self, req: &AuthzRequest) -> AuthzVerdict {
+        let now = self.surface.now();
+        self.judge(req, now, || self.surface.verify_ctx(now))
+    }
+
+    /// [`evaluate`](Self::evaluate) at `now`, verifying in `ctx()` once a
+    /// chain is found.
+    fn judge(&self, req: &AuthzRequest, now: Time, ctx: impl FnOnce() -> VerifyCtx) -> AuthzVerdict {
         let deny = |detail: &str| AuthzVerdict {
             allowed: false,
             detail: detail.to_string(),
@@ -247,15 +255,13 @@ impl AuthzEndpoint {
         drop(namespaces);
         let subject = req.subject_principal();
         let tag = path_vector::request_tag(&req.object_ns, &path, &req.action);
-        let now = self.surface.now();
         let Some(proof) = self.prover.find_proof(&subject, &issuer, &tag, now) else {
             return deny("no delegation chain from issuer to subject");
         };
         // The prover's graph may hold edges that have gone stale since
         // insertion (or rest on revoked certificates); the proof must
         // still verify end-to-end against the surface's revocation data.
-        let ctx = self.surface.verify_ctx(now);
-        match ctx.authorize(&proof, &subject, &issuer, &tag) {
+        match ctx().authorize(&proof, &subject, &issuer, &tag) {
             Ok(certs) => AuthzVerdict {
                 allowed: true,
                 detail: "delegation chain verified".to_string(),
@@ -267,50 +273,47 @@ impl AuthzEndpoint {
 
     fn answer(&self, req: &HttpRequest) -> HttpResponse {
         if req.method != "POST" {
-            return HttpResponse::status(405, "Method Not Allowed", "POST only");
+            return self.surface.decide("malformed-request", "authz", |_| {
+                (
+                    Verdict::deny("method not allowed"),
+                    HttpResponse::status(405, "Method Not Allowed", "POST only"),
+                )
+            });
         }
         let parsed = match AuthzRequest::from_json(&req.body) {
             Ok(p) => p,
             Err(reason) => {
                 // Malformed body: fail closed, record the refusal.
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        self.surface.now(),
-                        "authz",
-                        Decision::Deny,
-                        "malformed-request",
-                        "authz",
-                        &format!("rejected unparseable body: {reason}"),
+                return self.surface.decide("malformed-request", "authz", |_| {
+                    (
+                        Verdict::deny(format!("rejected unparseable body: {reason}")),
+                        HttpResponse::status(
+                            400,
+                            "Bad Request",
+                            &format!("{{\"error\":{}}}", Json::Str(reason)),
+                        ),
                     )
                 });
-                return HttpResponse::status(
-                    400,
-                    "Bad Request",
-                    &format!("{{\"error\":{}}}", Json::Str(reason)),
-                );
             }
         };
-        let verdict = self.evaluate(&parsed);
-        self.surface.audit(|| {
-            DecisionEvent::new(
-                self.surface.now(),
-                "authz",
-                if verdict.allowed {
-                    Decision::Grant
+        let verdict = self
+            .surface
+            .decide(&parsed.object_string(), &parsed.action, |d| {
+                let verdict = self.judge(&parsed, d.now, || d.verify_ctx());
+                let record = if verdict.allowed {
+                    Verdict::grant(verdict.detail.clone())
                 } else {
-                    Decision::Deny
-                },
-                &parsed.object_string(),
-                &parsed.action,
-                &verdict.detail,
-            )
-            .with_subject(parsed.subject_principal())
-            .with_certs(verdict.cert_hashes.clone())
-        });
+                    Verdict::deny(verdict.detail.clone())
+                };
+                let record = record
+                    .subject(parsed.subject_principal())
+                    .certs(verdict.cert_hashes.as_slice());
+                (record, verdict)
+            });
         let body = if verdict.allowed {
             "{\"result\":\"allow\"}".to_string()
         } else {
-            format!("{{\"result\":\"deny\",\"reason\":{}}}", Json::Str(verdict.detail.clone()))
+            format!("{{\"result\":\"deny\",\"reason\":{}}}", Json::Str(verdict.detail))
         };
         HttpResponse::ok("application/json", body.into_bytes())
     }

@@ -25,15 +25,15 @@
 
 use snowflake_channel::transport::{length_prefixed, scan_frame};
 use snowflake_channel::{TcpTransport, Transport};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::{Epoch, Principal, Proof, ProvenanceMap, Time};
 use snowflake_crypto::HashVal;
 use snowflake_metrics::{Registry, Sample};
 use snowflake_prover::Prover;
 use snowflake_revocation::RevocationBus;
 use snowflake_runtime::{
-    ConnDriver, FrameScan, ListenerHandle, ReadyOutcome, ServerRuntime, SinkHandle, SubmitError,
-    Surface,
+    ConnDriver, Deciding, FrameScan, ListenerHandle, ReadyOutcome, ServerRuntime, SinkHandle,
+    SubmitError, Surface, Verdict,
 };
 use snowflake_sexpr::Sexp;
 use snowflake_tags::path_vector::{self, ActionTable};
@@ -282,88 +282,110 @@ impl TopicBroker {
         format!("{}:/{}", self.namespace, path.join("/"))
     }
 
-    /// Counts and audits one refused subscribe.
-    fn deny(&self, subject: &Principal, path: &[&str], why: &SubscribeError) {
-        self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-        self.sub.audit(|| {
-            DecisionEvent::new(
-                self.sub.now(),
-                "broker-sub",
-                Decision::Deny,
-                &self.topic_string(path),
-                "subscribe",
-                &why.to_string(),
-            )
-            .with_subject(subject.clone())
-        });
-    }
-
-    /// The one subscribe decision: does the table have the topic, and does
-    /// `proof` authorize `subject` on it?  A refusal is counted and
-    /// audited here.  The token is read *before* authorizing, so
-    /// [`register`](Self::register) refuses a grant that a revocation push
-    /// has since overtaken.  A grant comes back with the proof's
-    /// certificate provenance, as verification produced it.
-    fn decide(
+    /// Decides one subscribe on the `broker-sub` surface.  `f` runs at the
+    /// decision's instant and returns what the grant makes live plus the
+    /// grant's provenance, or the refusal, which is counted here.
+    fn decide_subscribe<T>(
         &self,
         subject: &Principal,
         path: &[&str],
-        proof: &Proof,
-    ) -> Result<(Epoch, Arc<[HashVal]>), SubscribeError> {
-        let token = self.subs.epoch();
-        let verdict = if self.table.permits(path, "subscribe") {
-            let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
-            self.sub
-                .verify_ctx(self.sub.now())
-                .authorize(proof, subject, &self.issuer, &tag)
-                .map_err(|e| SubscribeError::Unauthorized(e.to_string()))
-        } else {
-            Err(SubscribeError::NoSuchTopic)
+        f: impl FnOnce(&Deciding<'_>) -> Result<(T, Arc<[HashVal]>), SubscribeError>,
+    ) -> Result<T, SubscribeError> {
+        self.sub.decide(&self.topic_string(path), "subscribe", |d| match f(d) {
+            Ok((granted, certs)) => (
+                Verdict::grant("subscription established; stream parked on reactor")
+                    .subject(subject.clone())
+                    .certs(certs),
+                Ok(granted),
+            ),
+            Err(e) => {
+                self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
+                (Verdict::deny(e.to_string()).subject(subject.clone()), Err(e))
+            }
+        })
+    }
+
+    /// Does the table have the topic, and does a chain — `proof`, or one
+    /// the broker's own prover finds — authorize `subject` on it at the
+    /// decision's instant?  A grant comes back with the proof's
+    /// certificate provenance, as verification produced it.
+    fn authorize(
+        &self,
+        d: &Deciding<'_>,
+        subject: &Principal,
+        path: &[&str],
+        proof: Option<&Proof>,
+    ) -> Result<Arc<[HashVal]>, SubscribeError> {
+        if !self.table.permits(path, "subscribe") {
+            return Err(SubscribeError::NoSuchTopic);
+        }
+        let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
+        let found;
+        let proof = match proof {
+            Some(proof) => proof,
+            None => {
+                found = self
+                    .prover
+                    .find_proof(subject, &self.issuer, &tag, d.now)
+                    .ok_or_else(|| {
+                        SubscribeError::Unauthorized(
+                            "no delegation chain from issuer to subject".into(),
+                        )
+                    })?;
+                &found
+            }
         };
-        verdict
-            .map(|certs| (token, certs))
-            .inspect_err(|e| self.deny(subject, path, e))
+        d.verify_ctx()
+            .authorize(proof, subject, &self.issuer, &tag)
+            .map_err(|e| SubscribeError::Unauthorized(e.to_string()))
     }
 
     /// Makes a decided grant live: parks `sink` under `id` with the
-    /// grant's provenance `certs` and audits the grant — unless a
-    /// revocation landed since [`decide`](Self::decide) read `token`,
-    /// which refuses (and audits) instead of parking a stream on a
+    /// grant's provenance `certs` — unless a revocation landed since
+    /// `token` was read, which refuses instead of parking a stream on a
     /// superseded verdict.
     fn register(
         &self,
-        (token, certs): (Epoch, Arc<[HashVal]>),
+        token: Epoch,
+        certs: &Arc<[HashVal]>,
         id: u64,
-        subject: Principal,
+        subject: &Principal,
         path: &[&str],
         sink: Arc<dyn SubscriberSink>,
-    ) -> Result<u64, SubscribeError> {
+        now: Time,
+    ) -> Result<(), SubscribeError> {
         let sub = Subscription {
             topic: path.iter().map(|s| s.to_string()).collect(),
             subject: subject.clone(),
             sink,
         };
-        if !self.subs.insert(token, id, sub, Arc::clone(&certs), None, self.sub.now()) {
-            let raced = SubscribeError::Unauthorized(
+        if !self.subs.insert(token, id, sub, Arc::clone(certs), None, now) {
+            return Err(SubscribeError::Unauthorized(
                 "a revocation landed since the proof was verified; present it again".into(),
-            );
-            self.deny(&subject, path, &raced);
-            return Err(raced);
+            ));
         }
         self.counters.subscribes.fetch_add(1, Ordering::SeqCst);
-        self.sub.audit(|| {
-            DecisionEvent::new(
-                self.sub.now(),
-                "broker-sub",
-                Decision::Grant,
-                &self.topic_string(path),
-                "subscribe",
-                "subscription established; stream parked on reactor",
-            )
-            .with_subject(subject)
-            .with_certs(certs.to_vec())
-        });
-        Ok(id)
+        Ok(())
+    }
+
+    /// Decides and, on grant, registers one in-process subscription.  The
+    /// token is read *before* the decision reads its clock, so a
+    /// revocation push landing during the decision refuses the insert.
+    fn subscribe(
+        &self,
+        subject: Principal,
+        path: &[&str],
+        proof: Option<&Proof>,
+        sink: Arc<dyn SubscriberSink>,
+    ) -> Result<u64, SubscribeError> {
+        let _timer = self.sub.latency().start_timer();
+        let token = self.subs.epoch();
+        self.decide_subscribe(&subject, path, |d| {
+            let certs = self.authorize(d, &subject, path, proof)?;
+            let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+            self.register(token, &certs, id, &subject, path, sink, d.now)?;
+            Ok((id, certs))
+        })
     }
 
     /// Grants or refuses one subscription given an explicit proof (the
@@ -377,10 +399,7 @@ impl TopicBroker {
         proof: &Proof,
         sink: Arc<dyn SubscriberSink>,
     ) -> Result<u64, SubscribeError> {
-        let _timer = self.sub.latency().start_timer();
-        let grant = self.decide(&subject, path, proof)?;
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.register(grant, id, subject, path, sink)
+        self.subscribe(subject, path, Some(proof), sink)
     }
 
     /// Subscribes an in-process subject, letting the broker's own prover
@@ -391,18 +410,7 @@ impl TopicBroker {
         path: &[&str],
         sink: Arc<dyn SubscriberSink>,
     ) -> Result<u64, SubscribeError> {
-        if !self.table.permits(path, "subscribe") {
-            return Err(SubscribeError::NoSuchTopic);
-        }
-        let tag = path_vector::request_tag(&self.namespace, path, "subscribe");
-        let now = self.sub.now();
-        let Some(proof) = self.prover.find_proof(&subject, &self.issuer, &tag, now) else {
-            let no_chain =
-                SubscribeError::Unauthorized("no delegation chain from issuer to subject".into());
-            self.deny(&subject, path, &no_chain);
-            return Err(no_chain);
-        };
-        self.subscribe_with_proof(subject, path, &proof, sink)
+        self.subscribe(subject, path, None, sink)
     }
 
     /// Drops a subscription (voluntary unsubscribe or sink death).
@@ -460,17 +468,11 @@ impl TopicBroker {
         // left here died some other way.
         for id in dead {
             let Some(sub) = self.prune(id) else { continue };
-            self.push.audit(|| {
-                DecisionEvent::new(
-                    self.push.now(),
-                    "broker-push",
-                    Decision::Shed,
-                    &self.topic_string(&sub.topic),
-                    "publish",
-                    "push sink dead at delivery",
-                )
-                .with_subject(sub.subject.clone())
-            });
+            self.push.record(
+                &self.topic_string(&sub.topic),
+                "publish",
+                Verdict::shed("push sink dead at delivery").subject(sub.subject),
+            );
         }
     }
 
@@ -507,24 +509,25 @@ impl TopicBroker {
             Ok(parts) => parts,
             Err(reason) => {
                 self.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
-                self.sub.audit(|| {
-                    DecisionEvent::new(
-                        self.sub.now(),
-                        "broker-sub",
-                        Decision::Deny,
-                        "malformed-request",
-                        "subscribe",
-                        &format!("rejected unparseable subscribe frame: {reason}"),
+                return self.sub.decide("malformed-request", "subscribe", |_| {
+                    (
+                        Verdict::deny(format!("rejected unparseable subscribe frame: {reason}")),
+                        ReadyOutcome::ReplyClose(deny_frame(&reason)),
                     )
                 });
-                return ReadyOutcome::ReplyClose(deny_frame(&reason));
             }
         };
         let refs: Vec<&str> = path.iter().map(String::as_str).collect();
         // Decide BEFORE the connection becomes a sink: an unauthorized
-        // peer never occupies a sink slot.
-        let grant = match self.decide(&subject, &refs, &proof) {
-            Ok(grant) => grant,
+        // peer never occupies a sink slot.  The token is read before the
+        // decision, so a revocation landing before registration refuses it.
+        let token = self.subs.epoch();
+        let granted = self.decide_subscribe(&subject, &refs, |d| {
+            let certs = self.authorize(d, &subject, &refs, Some(&proof))?;
+            Ok((Arc::clone(&certs), certs))
+        });
+        let certs = match granted {
+            Ok(certs) => certs,
             Err(e) => return ReadyOutcome::ReplyClose(deny_frame(&e.to_string())),
         };
         // Whenever the reactor drops the sink (hangup, stall, drain) the
@@ -550,13 +553,26 @@ impl TopicBroker {
                 let refs: Vec<&str> = path.iter().map(String::as_str).collect();
                 // A grant overtaken by a revocation is cut like any stream
                 // built on the dead certificate: the peer sees EOF after
-                // `sub-ok`.  A peer that hung up before registration had
-                // its close callback run too early to find the
-                // subscription; prune it here instead.
-                if broker
-                    .register(grant, id, subject, &refs, Arc::clone(&sink) as _)
-                    .is_err()
-                {
+                // `sub-ok`, and the cut is recorded on the push surface.
+                // A peer that hung up before registration had its close
+                // callback run too early to find the subscription; prune
+                // it here instead.
+                let registered = broker.register(
+                    token,
+                    &certs,
+                    id,
+                    &subject,
+                    &refs,
+                    Arc::clone(&sink) as _,
+                    broker.sub.now(),
+                );
+                if let Err(e) = registered {
+                    broker.counters.denied_subscribes.fetch_add(1, Ordering::SeqCst);
+                    broker.push.record(
+                        &broker.topic_string(&refs),
+                        "subscribe",
+                        Verdict::revoke(e.to_string()).subject(subject).certs(certs),
+                    );
                     sink.close();
                 } else if !sink.is_open() {
                     broker.prune(id);
@@ -600,21 +616,16 @@ impl RevocationBus for TopicBroker {
         for (_, sub, certs) in &cut {
             sub.sink.close();
             self.counters.cut_streams.fetch_add(1, Ordering::SeqCst);
-            self.push.audit(|| {
-                DecisionEvent::new(
-                    self.push.now(),
-                    "broker-push",
-                    Decision::Revoke,
-                    &self.topic_string(&sub.topic),
-                    "subscribe",
-                    &format!(
-                        "grant provenance includes revoked cert {}; stream cut",
-                        cert_hash.short_hex()
-                    ),
-                )
-                .with_subject(sub.subject.clone())
-                .with_certs(certs.to_vec())
-            });
+            self.push.record(
+                &self.topic_string(&sub.topic),
+                "subscribe",
+                Verdict::revoke(format!(
+                    "grant provenance includes revoked cert {}; stream cut",
+                    cert_hash.short_hex()
+                ))
+                .subject(sub.subject.clone())
+                .certs(Arc::clone(certs)),
+            );
         }
         cut.len()
     }

@@ -176,8 +176,8 @@ fn authz_endpoint_answers_over_http() {
     let grants = events.iter().filter(|e| e.decision == Decision::Grant).count();
     let denies = events.iter().filter(|e| e.decision == Decision::Deny).count();
     assert_eq!(grants, 1);
-    // 3 evaluated denials + 4 malformed-body refusals.
-    assert_eq!(denies, 7);
+    // 3 evaluated denials + 4 malformed-body refusals + the refused GET.
+    assert_eq!(denies, 8);
     assert!(events.iter().all(|e| e.surface == "authz"));
     let grant = events.iter().find(|e| e.decision == Decision::Grant).unwrap();
     assert_eq!(grant.object, format!("{OBJECT_NS}:/rooms/r1/rtcs/x9"));

@@ -16,9 +16,9 @@
 
 use crate::message::{HttpRequest, HttpResponse};
 use crate::server::{Handler, HttpServer};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::Time;
-use snowflake_runtime::Surface;
+use snowflake_runtime::{Surface, Verdict};
 use std::sync::Arc;
 
 /// The content type Prometheus scrapers expect.
@@ -55,35 +55,28 @@ impl MetricsEndpoint {
     pub fn set_audit_emitter(&self, emitter: Arc<dyn AuditEmitter>) {
         self.surface.set_audit_emitter(emitter);
     }
+
+    /// The `metrics` surface scrapes are decided and audited on.
+    pub fn surface(&self) -> &Arc<Surface> {
+        &self.surface
+    }
 }
 
 impl Handler for MetricsEndpoint {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
-        if req.method != "GET" {
-            self.surface.audit(|| {
-                DecisionEvent::new(
-                    self.surface.now(),
-                    "metrics",
-                    Decision::Deny,
-                    METRICS_PATH,
-                    &req.method,
-                    "method not allowed",
-                )
-            });
-            return HttpResponse::status(405, "Method Not Allowed", "GET only");
-        }
-        let body = snowflake_metrics::global().render();
-        self.surface.audit(|| {
-            DecisionEvent::new(
-                self.surface.now(),
-                "metrics",
-                Decision::Grant,
-                METRICS_PATH,
-                "GET",
-                &format!("scrape served ({} bytes)", body.len()),
+        self.surface.decide(METRICS_PATH, &req.method, |_| {
+            if req.method != "GET" {
+                return (
+                    Verdict::deny("method not allowed"),
+                    HttpResponse::status(405, "Method Not Allowed", "GET only"),
+                );
+            }
+            let body = snowflake_metrics::global().render();
+            (
+                Verdict::grant(format!("scrape served ({} bytes)", body.len())),
+                HttpResponse::ok(METRICS_CONTENT_TYPE, body.into_bytes()),
             )
-        });
-        HttpResponse::ok(METRICS_CONTENT_TYPE, body.into_bytes())
+        })
     }
 }
 
@@ -110,6 +103,7 @@ pub fn serve_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snowflake_core::audit::{Decision, DecisionEvent};
 
     fn fixed_clock() -> Time {
         Time(42)

@@ -15,13 +15,13 @@ use crate::auth;
 use crate::mac::{MacSessionStore, MAC_SESSION_PATH};
 use crate::message::{HttpRequest, HttpResponse};
 use std::sync::Mutex;
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::{
     Certificate, Delegation, HashAlg, HashVal, Principal, Proof, ProvenanceMap, Tag, Time,
     Validity, VerifyCtx,
 };
 use snowflake_crypto::KeyPair;
-use snowflake_runtime::{Surface, CHAIN_MEMO_CAPACITY};
+use snowflake_runtime::{Deciding, Surface, Verdict, CHAIN_MEMO_CAPACITY};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
@@ -358,10 +358,18 @@ pub struct ProtectedServlet<S: SnowflakeService> {
     rng: Mutex<Box<dyn FnMut(&mut [u8]) + Send>>,
     /// The `servlet` surface: latency across both the MAC fast path and
     /// the signed-request path, the memoized verification context, and
-    /// the emitter every grant and deny goes through (audited under
-    /// `http` and `http-mac`).
+    /// the emitter every grant and deny goes through.
     surface: Arc<Surface>,
+    /// Its `http` sibling, which decides signed requests.
+    http: Surface,
+    /// Its `http-mac` sibling, which decides MAC requests and session
+    /// establishment.
+    http_mac: Surface,
 }
+
+/// A request's authorization: the speaker to serve, or the refusal to
+/// send.
+type Authorized = Result<Principal, HttpResponse>;
 
 impl<S: SnowflakeService> ProtectedServlet<S> {
     /// Wraps a service with wall-clock time and OS entropy.
@@ -386,6 +394,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         rng: Box<dyn FnMut(&mut [u8]) + Send>,
         macs: Arc<MacSessionStore>,
     ) -> Arc<ProtectedServlet<S>> {
+        let surface = Surface::new("servlet").with_clock(clock);
         Arc::new(ProtectedServlet {
             service,
             hash_alg: HashAlg::Sha256,
@@ -393,7 +402,9 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             verified: ProvenanceMap::bounded(CHAIN_MEMO_CAPACITY),
             stats: StatCounters::default(),
             rng: Mutex::new(rng),
-            surface: Arc::new(Surface::new("servlet").with_clock(clock)),
+            http: surface.sibling("http"),
+            http_mac: surface.sibling("http-mac"),
+            surface: Arc::new(surface),
         })
     }
 
@@ -482,31 +493,22 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     }
 
     /// The identical-request fast path: an already-verified request hash
-    /// authorizes by lookup alone (counted and audited here).
-    fn ident_hit(&self, hash: &HashVal, req: &HttpRequest, now: Time) -> Option<Principal> {
+    /// authorizes by lookup alone (counted here).
+    fn ident_hit(&self, hash: &HashVal, now: Time) -> Option<(Verdict, Authorized)> {
         let certs = self.verified.get(hash, now, |(), certs| Arc::clone(certs))?;
         let speaker = Principal::Message(hash.clone());
         self.stats.ident_hits.fetch_add(1, Ordering::Relaxed);
-        self.surface.audit(|| {
-            DecisionEvent::new(
-                now,
-                "http",
-                Decision::Grant,
-                &req.path,
-                &req.method,
-                "identical-request-cache",
-            )
-            .with_subject(speaker.clone())
-            .with_certs(certs.to_vec())
-            .with_epoch(self.surface.revocation_epoch())
-        });
-        Some(speaker)
+        let verdict = Verdict::grant("identical-request-cache")
+            .subject(speaker.clone())
+            .certs(certs);
+        Some((verdict, Ok(speaker)))
     }
 
-    fn authorize_signed(&self, req: &HttpRequest) -> Result<Principal, HttpResponse> {
+    /// The signed-request decision on the `http` surface.
+    fn authorize_signed(&self, req: &HttpRequest, d: &Deciding<'_>) -> (Verdict, Authorized) {
         let issuer = self.service.issuer(req);
         let request_tag = self.service.min_tag(req);
-        let now = self.surface.now();
+        let now = d.now;
 
         // Identical-request fast path *before* any proof parsing (the
         // cheapest bar of Figure 8's client-authorization group).
@@ -518,24 +520,16 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         // non-idempotent services should fold a client nonce or channel
         // binding into the request so distinct transactions hash apart.
         let default_hash = auth::request_hash(req, self.hash_alg);
-        if let Some(speaker) = self.ident_hit(&default_hash, req, now) {
-            return Ok(speaker);
+        if let Some(hit) = self.ident_hit(&default_hash, now) {
+            return hit;
         }
 
         let Some(proof) = auth::extract_proof(req) else {
             self.stats.challenges.fetch_add(1, Ordering::Relaxed);
-            self.surface.audit(|| {
-                DecisionEvent::new(
-                    now,
-                    "http",
-                    Decision::Deny,
-                    &req.path,
-                    &req.method,
-                    "challenge: no proof presented",
-                )
-                .with_epoch(self.surface.revocation_epoch())
-            });
-            return Err(auth::challenge(&issuer, &request_tag));
+            return (
+                Verdict::deny("challenge: no proof presented"),
+                Err(auth::challenge(&issuer, &request_tag)),
+            );
         };
 
         // The proof's subject tells us which hash algorithm the client used
@@ -551,8 +545,8 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             default_hash
         } else {
             let h = auth::request_hash(req, alg);
-            if let Some(speaker) = self.ident_hit(&h, req, now) {
-                return Ok(speaker);
+            if let Some(hit) = self.ident_hit(&h, now) {
+                return hit;
             }
             h
         };
@@ -562,8 +556,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         // served — the same benign race exists for a request verified an
         // instant before the revocation.)
         let token = self.verified.epoch();
-        let ctx = self.surface.verify_ctx(now);
-        match ctx.authorize(&proof, &speaker, &issuer, &request_tag) {
+        match d.verify_ctx().authorize(&proof, &speaker, &issuer, &request_tag) {
             Ok(certs) => {
                 self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
                 let expiry = match proof.conclusion().validity.not_after {
@@ -572,129 +565,74 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 };
                 self.verified
                     .insert(token, hash, (), Arc::clone(&certs), Some(expiry), now);
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        now,
-                        "http",
-                        Decision::Grant,
-                        &req.path,
-                        &req.method,
-                        "proof-verified",
-                    )
-                    .with_subject(speaker.clone())
-                    .with_certs(certs.to_vec())
-                    .with_epoch(ctx.revocation_epoch())
-                });
-                Ok(speaker)
+                let verdict = Verdict::grant("proof-verified")
+                    .subject(speaker.clone())
+                    .certs(certs);
+                (verdict, Ok(speaker))
             }
             Err(e) => {
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        now,
-                        "http",
-                        Decision::Deny,
-                        &req.path,
-                        &req.method,
-                        &format!("authorization failed: {e}"),
-                    )
-                    .with_subject(speaker.clone())
-                    .with_certs(proof.cert_hashes())
-                    .with_epoch(ctx.revocation_epoch())
-                });
-                Err(HttpResponse::forbidden(&format!(
-                    "authorization failed: {e}"
-                )))
+                let why = format!("authorization failed: {e}");
+                let reply = HttpResponse::forbidden(&why);
+                let verdict = Verdict::deny(why)
+                    .subject(speaker)
+                    .certs(proof.cert_hashes());
+                (verdict, Err(reply))
             }
         }
     }
 
-    fn try_mac(&self, req: &HttpRequest) -> Option<Result<Principal, HttpResponse>> {
+    /// The MAC fast path on the `http-mac` surface, for a request that
+    /// carries both MAC headers (`None` otherwise).
+    fn try_mac(&self, req: &HttpRequest) -> Option<Authorized> {
         // Header-presence check before building the request tag: the vast
         // majority of non-MAC requests must pay nothing here.
         req.header(auth::MAC_ID_HEADER)?;
-        let request_tag = self.service.min_tag(req);
-        let result =
-            auth::authorize_mac(&self.macs, req, &request_tag, self.hash_alg, self.surface.now())?;
-        match result {
-            Ok((speaker, grant)) => {
+        req.header(auth::MAC_HEADER)?;
+        Some(self.http_mac.decide(&req.path, &req.method, |d| {
+            let request_tag = self.service.min_tag(req);
+            let result = auth::authorize_mac(&self.macs, req, &request_tag, self.hash_alg, d.now)
+                .unwrap_or_else(|| Err("MAC headers missing".into()));
+            match result {
                 // The grant names the issuer the establishment proof was
                 // verified against; with a store shared across services it
                 // must match *this* service's issuer, or a session from one
                 // service would authorize requests another issuer controls.
-                if grant.issuer != self.service.issuer(req) {
-                    self.surface.audit(|| {
-                        DecisionEvent::new(
-                            self.surface.now(),
-                            "http-mac",
-                            Decision::Deny,
-                            &req.path,
-                            &req.method,
-                            "session speaks for a different issuer",
-                        )
-                        .with_subject(speaker.clone())
-                        .with_epoch(self.surface.revocation_epoch())
-                    });
-                    return Some(Err(HttpResponse::forbidden(
+                Ok((speaker, grant)) if grant.issuer != self.service.issuer(req) => (
+                    Verdict::deny("session speaks for a different issuer").subject(speaker),
+                    Err(HttpResponse::forbidden(
                         "MAC rejected: session speaks for a different issuer",
-                    )));
+                    )),
+                ),
+                Ok((speaker, _)) => {
+                    self.stats.mac_hits.fetch_add(1, Ordering::Relaxed);
+                    (Verdict::grant("mac-session").subject(speaker.clone()), Ok(speaker))
                 }
-                self.stats.mac_hits.fetch_add(1, Ordering::Relaxed);
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        self.surface.now(),
-                        "http-mac",
-                        Decision::Grant,
-                        &req.path,
-                        &req.method,
-                        "mac-session",
-                    )
-                    .with_subject(speaker.clone())
-                    .with_epoch(self.surface.revocation_epoch())
-                });
-                Some(Ok(speaker))
+                Err(e) => {
+                    let why = format!("MAC rejected: {e}");
+                    let reply = HttpResponse::forbidden(&why);
+                    (Verdict::deny(why), Err(reply))
+                }
             }
-            Err(e) => {
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        self.surface.now(),
-                        "http-mac",
-                        Decision::Deny,
-                        &req.path,
-                        &req.method,
-                        &format!("MAC rejected: {e}"),
-                    )
-                    .with_epoch(self.surface.revocation_epoch())
-                });
-                Some(Err(HttpResponse::forbidden(&format!("MAC rejected: {e}"))))
-            }
-        }
+        }))
     }
 
-    /// Handles a POST to the well-known MAC establishment path.
+    /// Handles a POST to the well-known MAC establishment path, decided
+    /// on the `http-mac` surface.
     ///
     /// The proof is verified against the issuer *it names*, not this
     /// service's: one servlet routes the path for a whole (possibly
     /// multi-issuer) site, the session inherits exactly the authority the
     /// chain demonstrates, and `try_mac`'s per-request issuer check keeps
     /// a session from reaching services its issuer does not control.
-    fn authorize_and_establish(&self, req: &HttpRequest) -> HttpResponse {
+    fn authorize_and_establish(&self, req: &HttpRequest, d: &Deciding<'_>) -> (Verdict, HttpResponse) {
         let Some(proof) = auth::extract_proof(req) else {
             self.stats.challenges.fetch_add(1, Ordering::Relaxed);
-            self.surface.audit(|| {
-                DecisionEvent::new(
-                    self.surface.now(),
-                    "http-mac",
-                    Decision::Deny,
-                    &req.path,
-                    "ESTABLISH",
-                    "challenge: no establishment proof",
-                )
-                .with_epoch(self.surface.revocation_epoch())
-            });
             // Challenge with this service's issuer as a hint; the proof may
             // target any issuer the client can build a chain to.
-            let resp = auth::challenge(&self.service.issuer(req), &self.service.min_tag(req));
-            return resp;
+            return (
+                Verdict::deny("challenge: no establishment proof"),
+                auth::challenge(&self.service.issuer(req), &self.service.min_tag(req)),
+            );
         };
         let conclusion = proof.conclusion();
         // The proof's subject names the hash algorithm the client used.
@@ -703,7 +641,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             _ => self.hash_alg,
         };
         let speaker = auth::request_principal(req, alg);
-        let now = self.surface.now();
+        let now = d.now;
         // Establishment is open to any provable chain, so sessions must be
         // bounded or strangers could grow the store with never-expiring
         // entries the sweeps cannot reclaim.  Real clients sign
@@ -711,85 +649,45 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         match conclusion.validity.not_after {
             Some(t) if t <= now.plus(MAX_MAC_SESSION_LIFE) => {}
             _ => {
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        now,
-                        "http-mac",
-                        Decision::Deny,
-                        &req.path,
-                        "ESTABLISH",
-                        "unbounded establishment validity",
-                    )
-                    .with_subject(speaker.clone())
-                    .with_epoch(self.surface.revocation_epoch())
-                });
-                return HttpResponse::forbidden(&format!(
-                    "MAC establishment requires a validity bounded to {MAX_MAC_SESSION_LIFE} s"
-                ));
+                return (
+                    Verdict::deny("unbounded establishment validity").subject(speaker),
+                    HttpResponse::forbidden(&format!(
+                        "MAC establishment requires a validity bounded to {MAX_MAC_SESSION_LIFE} s"
+                    )),
+                );
             }
         }
         // Read before verifying: a revocation push racing this
         // establishment then refuses the session instead of minting one
         // from a superseded verdict.
         let token = self.macs.epoch();
-        let ctx = self.surface.verify_ctx(now);
-        match ctx.authorize(&proof, &speaker, &conclusion.issuer, &conclusion.tag) {
-            Ok(certs) => {
-                self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
-                let established = {
-                    let mut rng = self.rng.plock();
-                    self.macs
-                        .establish(token, &req.body, conclusion, proof, now, &mut **rng)
-                };
-                match established {
-                    Ok(reply) => {
-                        self.surface.audit(|| {
-                            DecisionEvent::new(
-                                now,
-                                "http-mac",
-                                Decision::Grant,
-                                &req.path,
-                                "ESTABLISH",
-                                "session established",
-                            )
-                            .with_subject(speaker.clone())
-                            .with_certs(certs.to_vec())
-                            .with_epoch(ctx.revocation_epoch())
-                        });
-                        HttpResponse::ok("application/sexp", reply)
-                    }
-                    Err(e) => {
-                        self.surface.audit(|| {
-                            DecisionEvent::new(
-                                now,
-                                "http-mac",
-                                Decision::Deny,
-                                &req.path,
-                                "ESTABLISH",
-                                &e,
-                            )
-                            .with_subject(speaker.clone())
-                            .with_certs(certs.to_vec())
-                            .with_epoch(ctx.revocation_epoch())
-                        });
-                        HttpResponse::forbidden(&e)
-                    }
-                }
-            }
+        let certs = match d
+            .verify_ctx()
+            .authorize(&proof, &speaker, &conclusion.issuer, &conclusion.tag)
+        {
+            Ok(certs) => certs,
             Err(e) => {
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        now,
-                        "http-mac",
-                        Decision::Deny,
-                        &req.path,
-                        "ESTABLISH",
-                        &format!("authorization failed: {e}"),
-                    )
-                    .with_subject(speaker.clone())
-                    .with_epoch(ctx.revocation_epoch())
-                });
-                HttpResponse::forbidden(&format!("authorization failed: {e}"))
+                let why = format!("authorization failed: {e}");
+                let reply = HttpResponse::forbidden(&why);
+                return (Verdict::deny(why).subject(speaker), reply);
+            }
+        };
+        self.stats.proof_verifications.fetch_add(1, Ordering::Relaxed);
+        let established = {
+            let mut rng = self.rng.plock();
+            self.macs
+                .establish(token, &req.body, conclusion, proof, now, &mut **rng)
+        };
+        match established {
+            Ok(reply) => (
+                Verdict::grant("session established")
+                    .subject(speaker)
+                    .certs(certs),
+                HttpResponse::ok("application/sexp", reply),
+            ),
+            Err(e) => {
+                let reply = HttpResponse::forbidden(&e);
+                (Verdict::deny(e).subject(speaker).certs(certs), reply)
             }
         }
     }
@@ -798,20 +696,21 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
 impl<S: SnowflakeService> Handler for ProtectedServlet<S> {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         let _timer = self.surface.latency().start_timer();
-        // MAC-authenticated fast path.
-        if let Some(result) = self.try_mac(req) {
-            return match result {
-                Ok(speaker) => self.service.serve(req, &speaker),
-                Err(resp) => resp,
-            };
-        }
-        // MAC establishment is issuer-agnostic (see
-        // `authorize_and_establish`); everything else takes the
-        // signed-request path (possibly challenging first).
-        if req.path == MAC_SESSION_PATH {
-            return self.authorize_and_establish(req);
-        }
-        match self.authorize_signed(req) {
+        // MAC-authenticated fast path.  MAC establishment is
+        // issuer-agnostic (see `authorize_and_establish`); everything else
+        // takes the signed-request path (possibly challenging first).
+        let authorized = match self.try_mac(req) {
+            Some(authorized) => authorized,
+            None if req.path == MAC_SESSION_PATH => {
+                return self.http_mac.decide(&req.path, "ESTABLISH", |d| {
+                    self.authorize_and_establish(req, d)
+                });
+            }
+            None => self
+                .http
+                .decide(&req.path, &req.method, |d| self.authorize_signed(req, d)),
+        };
+        match authorized {
             Ok(speaker) => self.service.serve(req, &speaker),
             Err(resp) => resp,
         }

@@ -9,13 +9,13 @@
 //! exactly the entries a revoked certificate poisoned — no flush, no
 //! restart.
 
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::Time;
 use snowflake_crypto::HashVal;
 use snowflake_http::{MacSessionStore, ProtectedServlet, SnowflakeService};
 use snowflake_prover::Prover;
 use snowflake_rmi::RmiServer;
-use snowflake_runtime::Surface;
+use snowflake_runtime::{Surface, Verdict};
 use std::sync::Arc;
 
 /// A warm cache that can evict everything built from one certificate.
@@ -80,14 +80,15 @@ impl RevocationBus for FanoutBus {
 }
 
 /// A bus that makes revocations first-class audit events: every push it
-/// forwards is recorded as a [`Decision::Revoke`] naming the dead
-/// certificate and how many warm-cache entries died with it, *after* the
-/// inner bus has evicted them (the audit record describes completed
-/// invalidation, not intent).
+/// forwards is recorded as a
+/// [`Decision::Revoke`](snowflake_core::audit::Decision::Revoke) naming
+/// the dead certificate and how many warm-cache entries died with it,
+/// *after* the inner bus has evicted them (the audit record describes
+/// completed invalidation, not intent).
 pub struct AuditedBus {
     inner: Arc<dyn RevocationBus>,
-    emitter: Arc<dyn AuditEmitter>,
-    clock: fn() -> Time,
+    /// The `revocation` surface the records go through.
+    surface: Surface,
 }
 
 impl AuditedBus {
@@ -102,27 +103,20 @@ impl AuditedBus {
         emitter: Arc<dyn AuditEmitter>,
         clock: fn() -> Time,
     ) -> AuditedBus {
-        AuditedBus {
-            inner,
-            emitter,
-            clock,
-        }
+        let surface = Surface::new("revocation").with_clock(clock);
+        surface.set_audit_emitter(emitter);
+        AuditedBus { inner, surface }
     }
 }
 
 impl RevocationBus for AuditedBus {
     fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
         let evicted = self.inner.certificate_revoked(cert_hash);
-        self.emitter.emit(
-            DecisionEvent::new(
-                (self.clock)(),
-                "revocation",
-                Decision::Revoke,
-                &format!("cert:{}", cert_hash.short_hex()),
-                "invalidate",
-                &format!("evicted {evicted} warm-cache entries"),
-            )
-            .with_certs(vec![cert_hash.clone()]),
+        self.surface.record(
+            &format!("cert:{}", cert_hash.short_hex()),
+            "invalidate",
+            Verdict::revoke(format!("evicted {evicted} warm-cache entries"))
+                .certs(vec![cert_hash.clone()]),
         );
         evicted
     }

@@ -301,48 +301,79 @@ impl FreshnessAgent {
         };
         let mut refreshed = 0;
         for (validator, client) in due {
-            match client.fetch_crl() {
-                Ok(crl) => {
-                    if self.admit_crl(&validator, crl, now) {
-                        refreshed += 1;
-                        self.stats.plock().refreshes += 1;
-                    } else {
-                        self.stats.plock().refresh_errors += 1;
-                    }
+            let admitted = client
+                .fetch_crl()
+                .ok()
+                .and_then(|crl| self.admit_crl(&validator, crl, now));
+            match admitted {
+                Some(newly_revoked) => {
+                    refreshed += 1;
+                    self.stats.plock().refreshes += 1;
+                    // A pulled list tells the warm caches what a push
+                    // would have: pushes are best effort, so a verifier
+                    // that missed one learns here.
+                    let invalidated = self.revoked(&newly_revoked);
+                    self.stats.plock().bus_invalidations += invalidated as u64;
                 }
-                Err(_) => self.stats.plock().refresh_errors += 1,
+                None => self.stats.plock().refresh_errors += 1,
             }
         }
         refreshed
     }
 
     /// Installs a CRL after checking signature, signer identity, currency,
-    /// and serial monotonicity.  Returns whether it was accepted.
-    fn admit_crl(&self, validator: &HashVal, crl: Crl, now: Time) -> bool {
-        if crl.check(validator, now).is_err() {
-            return false;
-        }
+    /// and serial monotonicity.  Returns what it newly revokes, or `None`
+    /// when it was refused.
+    fn admit_crl(&self, validator: &HashVal, crl: Crl, now: Time) -> Option<Vec<HashVal>> {
+        crl.check(validator, now).ok()?;
         self.admit_checked_crl(validator, crl)
     }
 
     /// Installs a CRL whose signature has already been verified; still
-    /// enforces serial monotonicity.
-    fn admit_checked_crl(&self, validator: &HashVal, crl: Crl) -> bool {
+    /// enforces serial monotonicity.  Returns the hashes it revokes that
+    /// the list it replaces did not, or `None` when it was refused.
+    fn admit_checked_crl(&self, validator: &HashVal, crl: Crl) -> Option<Vec<HashVal>> {
         let mut state = self.state.plock();
-        let Some(entry) = state.validators.get_mut(validator) else {
-            return false;
-        };
-        if let Some(old) = &entry.crl {
+        let entry = state.validators.get_mut(validator)?;
+        let newly_revoked = match &entry.crl {
             // Never roll knowledge backwards: the serial is signed.
-            if crl.serial < old.serial {
-                return false;
-            }
-        }
+            Some(old) if crl.serial < old.serial => return None,
+            Some(old) => crl
+                .revoked
+                .iter()
+                .filter(|h| !old.revokes(h))
+                .cloned()
+                .collect(),
+            None => crl.revoked.clone(),
+        };
         // Raised under the state lock: a reader that sees the new epoch
         // and then asks for the list waits for the lock and finds it.
         self.epoch.fetch_max(crl.serial, Ordering::SeqCst);
         entry.crl = Some(Arc::new(crl));
-        true
+        Some(newly_revoked)
+    }
+
+    /// Drops the cached revalidations of `certs`, now revoked, and fans
+    /// them into every bus — outside every agent lock.  Returns the
+    /// number of warm-cache entries invalidated.
+    fn revoked(&self, certs: &[HashVal]) -> usize {
+        if certs.is_empty() {
+            return 0;
+        }
+        {
+            let mut state = self.state.plock();
+            for cert in certs {
+                state.revalidations.remove(cert);
+            }
+        }
+        let buses: Vec<Arc<dyn RevocationBus>> = self.buses.plock().clone();
+        let mut invalidated = 0;
+        for cert in certs {
+            for bus in &buses {
+                invalidated += bus.certificate_revoked(cert);
+            }
+        }
+        invalidated
     }
 
     /// Fetches and caches a one-time revalidation for `cert_hash` from the
@@ -398,94 +429,11 @@ impl FreshnessAgent {
             return Err(e);
         }
         self.admit_checked_crl(&validator, delta.crl.clone());
-        // A revoked certificate's cached revalidations must die with it.
-        {
-            let mut state = self.state.plock();
-            for cert in &delta.newly_revoked {
-                state.revalidations.remove(cert);
-            }
-        }
-        // Fan out to the warm caches — outside every agent lock.
-        let buses: Vec<Arc<dyn RevocationBus>> = self.buses.plock().clone();
-        let mut invalidated = 0;
-        for cert in &delta.newly_revoked {
-            for bus in &buses {
-                invalidated += bus.certificate_revoked(cert);
-            }
-        }
+        let invalidated = self.revoked(&delta.newly_revoked);
         let mut stats = self.stats.plock();
         stats.deltas_applied += 1;
         stats.bus_invalidations += invalidated as u64;
         Ok(invalidated)
-    }
-
-    /// Drives this agent's refreshes from a
-    /// [`ServerRuntime`](snowflake_runtime::ServerRuntime), so
-    /// deployments no longer poll `refresh_due`/`next_refresh` by hand —
-    /// the background refresh driver.
-    ///
-    /// Each scheduler tick is non-blocking: it hands the actual
-    /// [`FreshnessAgent::refresh_due`] pass (which performs validator
-    /// I/O) to the runtime's worker pool, so a hung validator can stall
-    /// at most one pool worker — never the timer thread every scheduled
-    /// job shares, and never a shutdown joining it.  At most one refresh
-    /// pass is in flight at a time; while one runs (or the pool refuses
-    /// one), the driver re-checks at `min_interval`.
-    ///
-    /// The driver is *self-pacing*: each tick sleeps until
-    /// [`FreshnessAgent::next_refresh`] (interpreted as seconds on the
-    /// agent's clock), clamped to `[min_interval, max_interval]`.  The
-    /// clamp floor keeps a validator outage (refresh perpetually due)
-    /// from busy-looping; the ceiling bounds how stale the schedule can
-    /// get when a new validator is registered between ticks.
-    ///
-    /// The driver holds only a [`Weak`] reference: dropping the agent
-    /// retires the task on its next tick.  Cancel explicitly via the
-    /// returned [`snowflake_runtime::TaskHandle`] to stop it sooner.
-    pub fn start_refresh_driver(
-        self: &Arc<Self>,
-        runtime: &snowflake_runtime::ServerRuntime,
-        min_interval: std::time::Duration,
-        max_interval: std::time::Duration,
-    ) -> snowflake_runtime::TaskHandle {
-        let weak = Arc::downgrade(self);
-        let pool = Arc::clone(runtime.pool());
-        let in_flight = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let min = min_interval.max(std::time::Duration::from_millis(1));
-        let max = max_interval.max(min);
-        runtime
-            .scheduler()
-            .schedule_repeating(std::time::Duration::ZERO, move || {
-                let agent = weak.upgrade()?;
-                if !in_flight.swap(true, Ordering::SeqCst) {
-                    let job_agent = Arc::clone(&agent);
-                    let job_flag = Arc::clone(&in_flight);
-                    let submitted = pool.submit(move || {
-                        // Clear the flag even if the refresh panics, or
-                        // the driver would never refresh again.
-                        struct Reset(Arc<std::sync::atomic::AtomicBool>);
-                        impl Drop for Reset {
-                            fn drop(&mut self) {
-                                self.0.store(false, Ordering::SeqCst);
-                            }
-                        }
-                        let _reset = Reset(job_flag);
-                        job_agent.refresh_due();
-                    });
-                    if submitted.is_err() {
-                        // Saturated or shutting down: retry at the floor.
-                        in_flight.store(false, Ordering::SeqCst);
-                        return Some(min);
-                    }
-                }
-                let now = (agent.clock)();
-                let delay = match agent.next_refresh() {
-                    Some(t) => std::time::Duration::from_secs(t.0.saturating_sub(now.0)),
-                    // Nothing registered yet: idle at the ceiling.
-                    None => max,
-                };
-                Some(delay.clamp(min, max))
-            })
     }
 }
 

@@ -101,6 +101,38 @@ fn signed_get(
     req
 }
 
+/// Establishes a MAC session on `servlet` through `prover`'s chain to
+/// `issuer` for `tag`.
+fn establish(
+    servlet: &ProtectedServlet<ProtectedWebService>,
+    issuer: &Principal,
+    tag: &snowflake_core::Tag,
+    seed: &str,
+    prover: &Prover,
+) -> ClientMacSession {
+    let mut crng = DetRng::new(seed.as_bytes());
+    let (body, dh) = ClientMacSession::request_body(&mut |b| crng.fill(b));
+    let mut req = HttpRequest::post(MAC_SESSION_PATH, body);
+    let subject = auth::request_principal(&req, snowflake_core::HashAlg::Sha256);
+    let now = fixed_clock();
+    let proof = prover
+        .complete_proof(&subject, issuer, tag, Validity::until(now.plus(300)), now)
+        .expect("establishment proof");
+    auth::attach_proof(&mut req, &proof);
+    let resp = servlet.handle(&req);
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    ClientMacSession::from_grant(&resp.body, &dh, Validity::until(now.plus(300))).unwrap()
+}
+
+/// A GET of `path` authenticated on `session`.
+fn mac_get(session: &ClientMacSession, path: &str) -> HttpRequest {
+    let mut req = HttpRequest::get(path);
+    let hash = auth::request_hash(&req, snowflake_core::HashAlg::Sha256);
+    req.set_header(auth::MAC_ID_HEADER, &session.id_header());
+    req.set_header(auth::MAC_HEADER, &session.authenticate(&hash));
+    req
+}
+
 // ======================================================================
 // Boundary 1: the protected web server (VFS-backed), signed requests
 // ======================================================================
@@ -255,28 +287,6 @@ fn mac_session_stops_authorizing_after_push() {
     servlet.surface().set_revocation_source(agent.clone());
     agent.add_bus(servlet.clone());
 
-    let establish = |seed: &str, prover: &Prover| -> ClientMacSession {
-        let mut crng = DetRng::new(seed.as_bytes());
-        let (body, dh) = ClientMacSession::request_body(&mut |b| crng.fill(b));
-        let mut req = HttpRequest::post(MAC_SESSION_PATH, body);
-        let subject = auth::request_principal(&req, snowflake_core::HashAlg::Sha256);
-        let now = fixed_clock();
-        let proof = prover
-            .complete_proof(&subject, &issuer, &subtree, Validity::until(now.plus(300)), now)
-            .expect("establishment proof");
-        auth::attach_proof(&mut req, &proof);
-        let resp = servlet.handle(&req);
-        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        ClientMacSession::from_grant(&resp.body, &dh, Validity::until(now.plus(300))).unwrap()
-    };
-    let mac_get = |session: &ClientMacSession, path: &str| {
-        let mut req = HttpRequest::get(path);
-        let hash = auth::request_hash(&req, snowflake_core::HashAlg::Sha256);
-        req.set_header(auth::MAC_ID_HEADER, &session.id_header());
-        req.set_header(auth::MAC_HEADER, &session.authenticate(&hash));
-        req
-    };
-
     let (alice_cert, alice_prover) = revocable_grant(
         &owner,
         &kp("mac-alice"),
@@ -295,8 +305,8 @@ fn mac_session_stops_authorizing_after_push() {
     );
 
     // Two sessions established through two revocable chains.
-    let alice_session = establish("mac-est-alice", &alice_prover);
-    let bob_session = establish("mac-est-bob", &bob_prover);
+    let alice_session = establish(&servlet, &issuer, &subtree, "mac-est-alice", &alice_prover);
+    let bob_session = establish(&servlet, &issuer, &subtree, "mac-est-bob", &bob_prover);
     assert_eq!(servlet.mac_store().len(), 2);
     assert_eq!(servlet.handle(&mac_get(&alice_session, "/docs/a.html")).status, 200);
     assert_eq!(servlet.handle(&mac_get(&bob_session, "/docs/a.html")).status, 200);
@@ -313,6 +323,96 @@ fn mac_session_stops_authorizing_after_push() {
 
     // Bob's session keeps working: targeted eviction, not a flush.
     assert_eq!(servlet.handle(&mac_get(&bob_session, "/docs/a.html")).status, 200);
+}
+
+// ======================================================================
+// Pull: a revocation that reaches the agent only by refresh
+// ======================================================================
+
+/// A validator the agent pulls from but never hears a push from (a
+/// subscriber the validator shed).  A lead longer than any list's window
+/// makes every `refresh_due` fetch; the first one installs the list the
+/// grants below are verified against.
+fn pull_only(seed: &str) -> (Arc<ValidatorService>, Arc<FreshnessAgent>) {
+    let validator = ValidatorService::with_clock(kp(seed), fixed_clock, det("validator-rng"));
+    let agent = FreshnessAgent::with_pacing(fixed_clock, u64::MAX, 0, 0);
+    agent.register_validator(
+        validator.validator_hash(),
+        Arc::new(InProcessValidator(Arc::clone(&validator))),
+    );
+    assert_eq!(agent.refresh_due(), 1);
+    (validator, agent)
+}
+
+/// A pulled list that revokes a warm request's chain evicts it: the
+/// identical retransmit the cache answered a moment ago is denied.
+#[test]
+fn pulled_revocation_denies_an_identical_retransmit() {
+    let owner = kp("pull-web-owner");
+    let issuer = Principal::key(&owner.public);
+    let (validator, agent) = pull_only("pull-web-validator");
+    let vfs = Arc::new(Vfs::new());
+    vfs.write("/docs/a.html", b"<p>a</p>".to_vec());
+    let service = ProtectedWebService::new(issuer.clone(), "files", vfs);
+    let subtree = service.subtree_tag("/docs/");
+    let servlet = ProtectedServlet::with_clock(service, fixed_clock, det("pull-web-servlet"));
+    servlet.surface().set_revocation_source(agent.clone());
+    agent.add_bus(servlet.clone());
+
+    let (alice_cert, alice_prover) = revocable_grant(
+        &owner,
+        &kp("alice"),
+        subtree,
+        Validity::always(),
+        &validator,
+        "pull-web-alice",
+    );
+    let min_tag = auth::web_tag("GET", "files", "/docs/a.html");
+    let req = signed_get("/docs/a.html", "alice", &alice_prover, &issuer, &min_tag);
+    assert_eq!(servlet.handle(&req).status, 200);
+    assert_eq!(servlet.handle(&req).status, 200);
+    assert_eq!(servlet.stats().ident_hits, 1, "the retransmit is warm");
+
+    validator.revoke(alice_cert);
+    assert_eq!(agent.refresh_due(), 1);
+
+    let denied = servlet.handle(&req);
+    assert_eq!(denied.status, 403, "{}", String::from_utf8_lossy(&denied.body));
+    assert!(String::from_utf8_lossy(&denied.body).contains("CRL"));
+}
+
+/// A pulled list that revokes a MAC session's establishment chain evicts
+/// the session: its next request is denied.
+#[test]
+fn pulled_revocation_denies_a_mac_session() {
+    let owner = kp("pull-mac-owner");
+    let issuer = Principal::key(&owner.public);
+    let (validator, agent) = pull_only("pull-mac-validator");
+    let vfs = Arc::new(Vfs::new());
+    vfs.write("/docs/a.html", b"<p>a</p>".to_vec());
+    let service = ProtectedWebService::new(issuer.clone(), "files", vfs);
+    let subtree = service.subtree_tag("/docs/");
+    let servlet = ProtectedServlet::with_clock(service, fixed_clock, det("pull-mac-servlet"));
+    servlet.surface().set_revocation_source(agent.clone());
+    agent.add_bus(servlet.clone());
+
+    let (alice_cert, alice_prover) = revocable_grant(
+        &owner,
+        &kp("pull-mac-alice"),
+        subtree.clone(),
+        Validity::until(fixed_clock().plus(3_000)),
+        &validator,
+        "pull-mac-alice",
+    );
+    let session = establish(&servlet, &issuer, &subtree, "pull-mac-est", &alice_prover);
+    assert_eq!(servlet.handle(&mac_get(&session, "/docs/a.html")).status, 200);
+
+    validator.revoke(alice_cert);
+    assert_eq!(agent.refresh_due(), 1);
+
+    let denied = servlet.handle(&mac_get(&session, "/docs/a.html"));
+    assert_eq!(denied.status, 403, "{}", String::from_utf8_lossy(&denied.body));
+    assert!(String::from_utf8_lossy(&denied.body).contains("unknown MAC session"));
 }
 
 // ======================================================================

@@ -5,12 +5,12 @@ use crate::proto::{Invocation, RmiFault, RmiReply, PROOF_RECIPIENT};
 use std::sync::Mutex;
 use snowflake_channel::transport::{length_prefixed, scan_frame};
 use snowflake_channel::{AuthChannel, ServerHandshake, Session};
-use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
+use snowflake_core::audit::AuditEmitter;
 use snowflake_core::{
     ChannelId, Delegation, HashVal, Principal, Proof, ProvenanceMap, Tag, Time, Validity,
 };
 use snowflake_crypto::PublicKey;
-use snowflake_runtime::Surface;
+use snowflake_runtime::{Deciding, Surface, Verdict};
 use snowflake_sexpr::Sexp;
 use std::collections::HashMap;
 use std::io;
@@ -84,6 +84,10 @@ struct CachedProof {
     /// an allocation inside the cache lock.
     certs: Arc<[HashVal]>,
 }
+
+/// An invocation's authorization: the object and the caller to invoke
+/// it as, or the fault to reply.
+type Authorized = Result<(Arc<dyn RemoteObject>, CallerInfo), RmiReply>;
 
 /// Subjects the proof cache remembers (oldest forgotten first), and
 /// proofs kept per subject (a client can mint itself endless valid ones).
@@ -268,17 +272,19 @@ impl RmiServer {
     }
 
     /// Handles a single raw frame (exposed for benchmarks that drive the
-    /// server without threads).
+    /// server without threads).  A frame that does not parse or decode is
+    /// denied, and audited, as a malformed request.
     pub fn handle_frame(self: &Arc<Self>, frame: &[u8], channel: &dyn AuthChannel) -> RmiReply {
-        let sexp = match Sexp::parse(frame) {
-            Ok(s) => s,
-            Err(e) => return RmiReply::Fault(RmiFault::Application(format!("parse: {e}"))),
-        };
-        let invocation = match Invocation::from_sexp(&sexp) {
-            Ok(i) => i,
-            Err(e) => return RmiReply::Fault(RmiFault::Application(format!("decode: {e}"))),
-        };
-        self.dispatch(&invocation, channel)
+        let invocation = Sexp::parse(frame)
+            .map_err(|e| format!("parse: {e}"))
+            .and_then(|sexp| Invocation::from_sexp(&sexp).map_err(|e| format!("decode: {e}")));
+        match invocation {
+            Ok(invocation) => self.dispatch(&invocation, channel),
+            Err(why) => self.surface.decide("malformed-request", "invoke", |_| {
+                let reply = RmiReply::Fault(RmiFault::Application(why.clone()));
+                (Verdict::deny(why), reply)
+            }),
+        }
     }
 
     /// Dispatches a decoded invocation.
@@ -289,7 +295,9 @@ impl RmiServer {
     ) -> RmiReply {
         let _timer = self.surface.latency().start_timer();
         if invocation.object == PROOF_RECIPIENT {
-            return self.receive_proof(invocation, channel);
+            return self.surface.decide(PROOF_RECIPIENT, "receive-proof", |d| {
+                self.receive_proof(invocation, channel, d)
+            });
         }
         // Unprotected baseline objects bypass check_auth entirely.
         if let Some(object) = self.open_objects.plock().get(&invocation.object).cloned() {
@@ -302,28 +310,45 @@ impl RmiServer {
                 Err(f) => RmiReply::Fault(f),
             };
         }
-        let Some(object) = self.objects.plock().get(&invocation.object).cloned() else {
-            return RmiReply::Fault(RmiFault::NoSuchObject(invocation.object.clone()));
-        };
+        let authorized = self
+            .surface
+            .decide(&invocation.object, &invocation.method, |d| {
+                self.authorize(invocation, channel, d.now)
+            });
+        match authorized.and_then(|(object, caller)| {
+            object.invoke(invocation, &caller).map_err(RmiReply::Fault)
+        }) {
+            Ok(v) => RmiReply::Return(v),
+            Err(reply) => reply,
+        }
+    }
 
-        // The speaker: K₂ from the channel, wrapped in a Quoting principal
-        // when the caller claims to quote someone (paper §4.2).
-        let Some(peer) = channel.peer_key() else {
-            self.surface.audit(|| {
-                DecisionEvent::new(
-                    self.surface.now(),
-                    "rmi",
-                    Decision::Deny,
-                    &invocation.object,
-                    &invocation.method,
-                    "need-authorization: unauthenticated channel",
-                )
-                .with_epoch(self.surface.revocation_epoch())
-            });
-            return RmiReply::Fault(RmiFault::NeedAuthorization {
+    /// The invocation decision: the object, then the caller's channel key
+    /// (wrapped in a Quoting principal when the caller claims to quote
+    /// someone, paper §4.2), then a cached proof covering the request.
+    fn authorize(
+        &self,
+        invocation: &Invocation,
+        channel: &dyn AuthChannel,
+        now: Time,
+    ) -> (Verdict, Authorized) {
+        let Some(object) = self.objects.plock().get(&invocation.object).cloned() else {
+            return (
+                Verdict::deny("no such object"),
+                Err(RmiReply::Fault(RmiFault::NoSuchObject(invocation.object.clone()))),
+            );
+        };
+        let need_authorization = |tag| {
+            Err(RmiReply::Fault(RmiFault::NeedAuthorization {
                 issuer: object.issuer(),
-                tag: object.restriction(invocation),
-            });
+                tag,
+            }))
+        };
+        let Some(peer) = channel.peer_key() else {
+            return (
+                Verdict::deny("need-authorization: unauthenticated channel"),
+                need_authorization(object.restriction(invocation)),
+            );
         };
         let speaker = match &invocation.quoting {
             None => Principal::key(peer),
@@ -334,49 +359,22 @@ impl RmiServer {
         // subject whose conclusion covers the request — the fast path
         // measured in Figure 6.
         let tag = object.restriction(invocation);
-        let now = self.surface.now();
         let Some(certs) = self.check_auth(&speaker, &object.issuer(), &tag, now) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.surface.audit(|| {
-                DecisionEvent::new(
-                    now,
-                    "rmi",
-                    Decision::Deny,
-                    &invocation.object,
-                    &invocation.method,
-                    "need-authorization: no covering proof",
-                )
-                .with_subject(speaker.clone())
-                .with_epoch(self.surface.revocation_epoch())
-            });
-            return RmiReply::Fault(RmiFault::NeedAuthorization {
-                issuer: object.issuer(),
-                tag,
-            });
+            return (
+                Verdict::deny("need-authorization: no covering proof").subject(speaker),
+                need_authorization(tag),
+            );
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.surface.audit(|| {
-            DecisionEvent::new(
-                now,
-                "rmi",
-                Decision::Grant,
-                &invocation.object,
-                &invocation.method,
-                "proof-cache",
-            )
-            .with_subject(speaker.clone())
-            .with_certs(certs.to_vec())
-            .with_epoch(self.surface.revocation_epoch())
-        });
-
+        let verdict = Verdict::grant("proof-cache")
+            .subject(speaker.clone())
+            .certs(certs);
         let caller = CallerInfo {
             speaker,
             channel: channel.channel_id(),
         };
-        match object.invoke(invocation, &caller) {
-            Ok(v) => RmiReply::Return(v),
-            Err(f) => RmiReply::Fault(f),
-        }
+        (verdict, Ok((object, caller)))
     }
 
     /// Finds a cached, verified proof covering the request; the returned
@@ -406,16 +404,21 @@ impl RmiServer {
     /// The proof-recipient object: verifies a submitted proof against this
     /// connection's channel bindings and caches it by subject.
     fn receive_proof(
-        self: &Arc<Self>,
+        &self,
         invocation: &Invocation,
         channel: &dyn AuthChannel,
-    ) -> RmiReply {
+        d: &Deciding<'_>,
+    ) -> (Verdict, RmiReply) {
+        let refuse = |why: String| {
+            let reply = RmiReply::Fault(RmiFault::Application(why.clone()));
+            (Verdict::deny(why), reply)
+        };
         let Some(proof_sexp) = invocation.args.first() else {
-            return RmiReply::Fault(RmiFault::Application("missing proof argument".into()));
+            return refuse("missing proof argument".into());
         };
         let proof = match Proof::from_sexp(proof_sexp) {
             Ok(p) => p,
-            Err(e) => return RmiReply::Fault(RmiFault::Application(format!("bad proof: {e}"))),
+            Err(e) => return refuse(format!("bad proof: {e}")),
         };
 
         // Read before verifying: a revocation push landing mid-verification
@@ -423,7 +426,7 @@ impl RmiServer {
         let token = self.cache.epoch();
         // Build this connection's verification context: base (revocation
         // data) + the channel binding this endpoint itself witnessed.
-        let mut ctx = self.surface.verify_ctx(self.surface.now());
+        let mut ctx = d.verify_ctx();
         if let Some(binding) = channel.peer_binding() {
             ctx.assume(&binding);
         }
@@ -431,40 +434,22 @@ impl RmiServer {
         let certs = match ctx.verify_cached(&proof) {
             Ok(certs) => certs,
             Err(e) => {
-                self.surface.audit(|| {
-                    DecisionEvent::new(
-                        ctx.now,
-                        "rmi",
-                        Decision::Deny,
-                        PROOF_RECIPIENT,
-                        "receive-proof",
-                        &format!("proof rejected: {e}"),
-                    )
-                    .with_subject(proof.conclusion().subject)
-                    .with_certs(proof.cert_hashes())
-                    .with_epoch(ctx.revocation_epoch())
-                });
-                return RmiReply::Fault(RmiFault::NotAuthorized(format!("proof rejected: {e}")));
+                let why = format!("proof rejected: {e}");
+                let reply = RmiReply::Fault(RmiFault::NotAuthorized(why.clone()));
+                let verdict = Verdict::deny(why)
+                    .subject(proof.conclusion().subject)
+                    .certs(proof.cert_hashes());
+                return (verdict, reply);
             }
         };
         let conclusion = proof.conclusion();
-        self.surface.audit(|| {
-            DecisionEvent::new(
-                ctx.now,
-                "rmi",
-                Decision::Grant,
-                PROOF_RECIPIENT,
-                "receive-proof",
-                "proof verified and digested",
-            )
-            .with_subject(conclusion.subject.clone())
-            .with_certs(certs.to_vec())
-            .with_epoch(ctx.revocation_epoch())
-        });
+        let verdict = Verdict::grant("proof verified and digested")
+            .subject(conclusion.subject.clone())
+            .certs(Arc::clone(&certs));
         // A refused insert (a push landed during verification: the verdict
         // used pre-revocation state) means the next `check_auth` faults and
         // the client must re-prove against the fresh CRL.
-        let now = ctx.now;
+        let now = d.now;
         let fresh = CachedProof {
             hash: proof.hash(),
             conclusion,
@@ -496,7 +481,7 @@ impl RmiServer {
                 .try_fold(Time(0), |latest, t| t.map(|t| latest.max(t)));
             (list.into(), union.into(), not_after)
         });
-        RmiReply::Return(Sexp::from("ok"))
+        (verdict, RmiReply::Return(Sexp::from("ok")))
     }
 }
 

@@ -71,6 +71,31 @@ fn wait_for(mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// Waits until the pool is idle: every submitted job completed, none
+/// queued, none running.
+fn wait_idle(runtime: &ServerRuntime) {
+    wait_for(|| {
+        let s = runtime.stats();
+        s.completed == s.submitted && s.queue_depth == 0 && s.in_flight == 0
+    });
+}
+
+/// Connects a client whose session the server has finished setting up,
+/// leaving the pool idle.
+///
+/// `SecureChannel::client` returns once it has sent its last handshake
+/// frame, while the server's auth step may still be a queued or running
+/// pool job: on a one-slot pool, the next client's handshake frame could
+/// meet it and be shed.  A ping's reply orders the handshake's jobs
+/// before it, and the pool counts the ping's own job complete only after
+/// the reply is out, so the client waits for the idle pool, not the reply.
+fn settled_client(runtime: &ServerRuntime, addr: std::net::SocketAddr, seed: &str) -> RmiClient {
+    let mut client = client_for(secure_connect(addr, seed, None), seed);
+    assert_eq!(client.invoke("gated", "ping", vec![]).unwrap(), Sexp::from("pong"));
+    wait_idle(runtime);
+    client
+}
+
 /// `wait` parks on the gate; `ping` returns immediately.  Registered
 /// open so the tests exercise connection mechanics, not proof search.
 struct GatedObject(Arc<Gate>);
@@ -99,7 +124,13 @@ fn secure_connect(
     seed: &str,
     resume: Option<(&SessionCache, &str)>,
 ) -> SecureChannel {
-    let transport = TcpTransport::new(TcpStream::connect(addr).unwrap());
+    let stream = TcpStream::connect(addr).unwrap();
+    // Every blocking call in these tests gets a deadline: a mis-ordered
+    // run fails with a timeout error instead of hanging.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let transport = TcpTransport::new(stream);
     let key = keypair(seed);
     let mut rng = DetRng::new(format!("{seed}-rng").as_bytes());
     SecureChannel::client(Box::new(transport), Some(&key), resume, &mut |b| {
@@ -185,11 +216,11 @@ fn saturated_pool_seals_busy_at_invocation_time() {
         .serve_reactor(listener, &runtime, keypair("server"), None)
         .unwrap();
 
-    // Handshake all three sessions while the pool is still free (the
-    // handshake's frames are pool jobs).
-    let mut a = client_for(secure_connect(addr, "busy-a", None), "busy-a");
-    let mut b = client_for(secure_connect(addr, "busy-b", None), "busy-b");
-    let mut c = client_for(secure_connect(addr, "busy-c", None), "busy-c");
+    // Handshake all three sessions one at a time while the pool is still
+    // free (the handshake's frames are pool jobs).
+    let mut a = settled_client(&runtime, addr, "busy-a");
+    let mut b = settled_client(&runtime, addr, "busy-b");
+    let mut c = settled_client(&runtime, addr, "busy-c");
     let handshakes = runtime.stats().submitted;
 
     // A occupies the only worker; B fills the one queue slot.
@@ -230,8 +261,8 @@ fn shutdown_drains_admitted_invocations() {
         .serve_reactor(listener, &runtime, keypair("server"), None)
         .unwrap();
 
-    let mut a = client_for(secure_connect(addr, "drain-a", None), "drain-a");
-    let mut b = client_for(secure_connect(addr, "drain-b", None), "drain-b");
+    let mut a = settled_client(&runtime, addr, "drain-a");
+    let mut b = settled_client(&runtime, addr, "drain-b");
     let handshakes = runtime.stats().submitted;
 
     // A: in flight (parked on the gate).  B: admitted, still queued.

@@ -12,14 +12,12 @@
 //! * [`WorkerPool`] — a fixed number of worker threads over one bounded
 //!   queue.  Saturation is *shed* (503/BUSY at the protocol layer), never
 //!   silently queued; shutdown drains accepted work and joins.
-//! * [`Scheduler`] — a monotonic-clock timer for background jobs
-//!   (pre-expiry CRL refresh, cache sweeps); repeating jobs pace
-//!   themselves by returning their next delay.
 //! * [`ServerRuntime`] — the bundle servers actually take: one pool, one
-//!   scheduler, one shutdown.
+//!   reactor, one shutdown.
 //! * [`Surface`] — the one value a decision point holds: name, clock,
 //!   audit emitter, latency histogram, memoized verification context,
-//!   and shed reply.
+//!   and shed reply — and its one decision call, [`Surface::decide`],
+//!   which emits each verdict's one audit record.
 //!
 //! The policy this crate enforces workspace-wide: **no server accept path
 //! outside this crate calls `thread::spawn` or accepts a socket, and every
@@ -35,7 +33,6 @@
 pub mod pool;
 pub mod queue;
 pub mod reactor;
-pub mod scheduler;
 pub mod shed;
 pub mod surface;
 
@@ -46,16 +43,15 @@ pub use reactor::{
     AcceptFn, CloseFn, ConnDriver, FrameScan, ListenerHandle, Reactor, ReactorConfig, ReactorStats,
     ReadyOutcome, SinkHandle, SINK_BUFFER_CAP,
 };
-pub use scheduler::{Scheduler, TaskHandle};
 pub use shed::ShedLedger;
-pub use surface::{Surface, CHAIN_MEMO_CAPACITY};
+pub use surface::{Deciding, Surface, Verdict, CHAIN_MEMO_CAPACITY};
 
 use std::sync::{Arc, OnceLock};
 
 /// Spawns a named dedicated thread for a long-lived *blocking* loop (a
 /// transport reader parked in `recv()`) that would otherwise pin a pool
 /// worker forever.  This is the only sanctioned thread spawn outside the
-/// pool and scheduler internals; request handling belongs on a
+/// pool and reactor internals; request handling belongs on a
 /// [`WorkerPool`].
 #[allow(clippy::disallowed_methods, reason = "the one sanctioned dedicated-thread spawn")]
 pub fn spawn_thread<T: Send + 'static>(
@@ -69,11 +65,10 @@ pub fn spawn_thread<T: Send + 'static>(
 }
 
 /// The bundle a server takes: one worker pool for connection/request
-/// handling, one scheduler for background jobs, one connection reactor
-/// (started lazily on first use), and a single graceful shutdown.
+/// handling, one connection reactor (started lazily on first use), and a
+/// single graceful shutdown.
 pub struct ServerRuntime {
     pool: Arc<WorkerPool>,
-    scheduler: Scheduler,
     ledger: Arc<ShedLedger>,
     reactor_config: ReactorConfig,
     reactor: OnceLock<Arc<Reactor>>,
@@ -94,7 +89,6 @@ impl ServerRuntime {
     ) -> Arc<ServerRuntime> {
         Arc::new(ServerRuntime {
             pool: WorkerPool::new(config),
-            scheduler: Scheduler::new(),
             ledger: Arc::new(ShedLedger::new()),
             reactor_config,
             reactor: OnceLock::new(),
@@ -104,11 +98,6 @@ impl ServerRuntime {
     /// The connection/request worker pool.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// The background-job scheduler.
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
     }
 
     /// The connection reactor, started on first use.  Every server
@@ -219,13 +208,12 @@ impl ServerRuntime {
 
     /// Graceful shutdown: drain the reactor first (parked connections
     /// close, dispatched frames complete and flush while the pool still
-    /// runs), then drain and join the pool, then stop the scheduler.
+    /// runs), then drain and join the pool.
     pub fn shutdown(&self) {
         if let Some(reactor) = self.reactor.get() {
             reactor.shutdown();
         }
         self.pool.shutdown();
-        self.scheduler.shutdown();
     }
 }
 
@@ -241,35 +229,6 @@ impl Drop for ServerRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::time::Duration;
-
-    #[test]
-    fn runtime_bundles_pool_and_scheduler() {
-        let rt = ServerRuntime::new(PoolConfig::new("bundle", 2, 4));
-        let ran = Arc::new(AtomicU32::new(0));
-        let r = Arc::clone(&ran);
-        rt.pool().submit(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap();
-        let r = Arc::clone(&ran);
-        rt.scheduler().schedule_once(Duration::ZERO, move || {
-            r.fetch_add(1, Ordering::SeqCst);
-        });
-        let start = std::time::Instant::now();
-        while ran.load(Ordering::SeqCst) < 2 {
-            assert!(start.elapsed().as_secs() < 5);
-            std::thread::yield_now();
-        }
-        rt.shutdown();
-        assert!(rt.is_shutting_down());
-        assert_eq!(rt.stats().completed, 1);
-        assert!(matches!(
-            rt.pool().submit(|| {}),
-            Err(SubmitError::ShuttingDown)
-        ));
-    }
 
     #[test]
     fn spawn_thread_names_and_joins() {

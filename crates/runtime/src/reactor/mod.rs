@@ -1290,7 +1290,18 @@ mod tests {
             assert!(start.elapsed() < Duration::from_secs(5), "{:?}", reactor.stats());
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(pool.stats().completed, 1, "the pool survived the panic");
+        // The job's drop guard closes the connection during the unwind;
+        // the pool counts the job only once `catch_unwind` returns, so
+        // EOF and the closed count can be seen before `completed` moves.
+        let start = Instant::now();
+        while pool.stats().completed != 1 {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "the pool survived the panic: {:?}",
+                pool.stats()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
 
         assert!(shutdown_returns_within(&reactor, Duration::from_secs(10)));
         pool.shutdown();

@@ -7,10 +7,15 @@
 //! regarding this tag?) and needs the same plumbing around it.  A
 //! [`Surface`] is that plumbing, defined once:
 //!
-//! * its **name**, the label its latency, memo and shed-ledger rows carry;
-//! * its **clock**, which timestamps its audit events and verifications;
+//! * its **name**, the label its latency, memo, shed-ledger and audit
+//!   rows carry;
+//! * its **clock**, which timestamps its audit records and verifications;
 //! * its **audit emitter**, late-bound, so un-audited deployments pay one
 //!   read lock per decision and nothing else;
+//! * its **decision call**, [`Surface::decide`]: one clock reading, the
+//!   verdict, and exactly one audit record stamped with the surface's
+//!   name, that reading and the revocation epoch the verdict was reached
+//!   against — no server builds a record itself;
 //! * its **latency histogram**, `request_histogram(name)`, created on
 //!   first use so a surface that never serves adds no empty series;
 //! * its base **verification context**: a [`ChainMemo`] of
@@ -24,12 +29,18 @@
 //!
 //! The reactor audits every shed itself through the surface (one `Shed`
 //! event under the surface's name, next to the ledger count), so no
-//! server wires its own shed hook.
+//! server wires its own shed hook.  Events no request triggers (a push
+//! sink found dead, a stream cut by revocation, a bus eviction) go
+//! through the same stamp, [`Surface::record`].
 
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
 use snowflake_core::sync::LockExt;
-use snowflake_core::{ChainMemo, Delegation, RevocationSource, Time, VerifyCtx};
+use snowflake_core::{
+    ChainMemo, Delegation, HashVal, Principal, RevocationSource, Time, VerifyCtx,
+};
 use snowflake_metrics::{LatencyHistogram, Registry};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -116,17 +127,70 @@ impl Surface {
         self.audit.set(emitter);
     }
 
-    /// Emits `build()`'s event iff an emitter is attached.  The event
-    /// names its own surface string, so one service may audit several
-    /// (the servlet decides under `http` and `http-mac`).
-    pub fn audit(&self, build: impl FnOnce() -> DecisionEvent) {
-        self.audit.emit_with(build);
+    /// Decides one request about `object`/`action`: reads the clock once,
+    /// runs `f` at that instant, and emits exactly one audit record of
+    /// the [`Verdict`] it returns before handing back its reply.
+    ///
+    /// The record carries this surface's name, the instant `f` saw, and
+    /// the revocation epoch the verdict was reached against: that of the
+    /// context `f` verified in ([`Deciding::verify_ctx`]), or this
+    /// surface's when `f` verified nothing.  A service deciding under
+    /// several names holds one [`sibling`](Self::sibling) per name.
+    /// Starts no latency timer: the caller times its whole request once.
+    pub fn decide<R>(
+        &self,
+        object: &str,
+        action: &str,
+        f: impl FnOnce(&Deciding<'_>) -> (Verdict, R),
+    ) -> R {
+        let deciding = Deciding {
+            now: self.now(),
+            surface: self,
+            source: OnceCell::new(),
+        };
+        let (verdict, reply) = f(&deciding);
+        let Deciding { now, source, .. } = deciding;
+        self.stamp(now, source.into_inner(), object, action, verdict);
+        reply
     }
 
-    /// Audits one shed: a `Shed` event under this surface's name.
+    /// Records an event no request triggered (a push sink found dead, a
+    /// stream cut by revocation, a cache eviction): one record at the
+    /// current time and this surface's revocation epoch.
+    pub fn record(&self, object: &str, action: &str, verdict: Verdict) {
+        self.stamp(self.now(), None, object, action, verdict);
+    }
+
+    /// Audits one shed: a `Shed` record under this surface's name.
     pub fn audit_shed(&self, resource: &str, action: &str, detail: &str) {
-        self.audit(|| {
-            DecisionEvent::new(self.now(), &self.name, Decision::Shed, resource, action, detail)
+        self.record(resource, action, Verdict::shed(detail.to_owned()));
+    }
+
+    /// The one place an audit record is built: lazily, only when an
+    /// emitter is attached.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one stamping site every decision and event goes through"
+    )]
+    fn stamp(
+        &self,
+        now: Time,
+        verified_against: Option<Arc<dyn RevocationSource>>,
+        object: &str,
+        action: &str,
+        verdict: Verdict,
+    ) {
+        self.audit.emit_with(|| {
+            let epoch = match verified_against {
+                Some(source) => source.epoch(),
+                None => self.revocation_epoch(),
+            };
+            let mut event =
+                DecisionEvent::new(now, &self.name, verdict.decision, object, action, &verdict.detail)
+                    .with_certs(verdict.certs.map_or_else(Vec::new, |c| c.to_vec()))
+                    .with_epoch(epoch);
+            event.subject = verdict.subject;
+            event
         });
     }
 
@@ -184,6 +248,80 @@ impl Surface {
     /// `sf_chain_memo_*{surface=name}`.
     pub fn register_metrics(&self, registry: &Registry) {
         self.memo.register_metrics(registry, &self.name);
+    }
+}
+
+/// One decision in progress, as [`Surface::decide`] hands it to its
+/// closure: the instant it is decided at, and the verification context
+/// for that instant.
+pub struct Deciding<'s> {
+    /// The decision's one clock reading.
+    pub now: Time,
+    surface: &'s Surface,
+    source: OnceCell<Arc<dyn RevocationSource>>,
+}
+
+impl Deciding<'_> {
+    /// The surface's verification context at [`now`](Self::now); the
+    /// decision's record carries this context's revocation epoch.
+    pub fn verify_ctx(&self) -> VerifyCtx {
+        let ctx = self.surface.verify_ctx(self.now);
+        let _ = self.source.set(Arc::clone(ctx.revocation_source()));
+        ctx
+    }
+}
+
+/// What a decision (or an event no request triggered) concluded: the
+/// verdict, its detail, and the provenance its record carries.  The
+/// surface adds its name, the time and the revocation epoch.
+pub struct Verdict {
+    decision: Decision,
+    detail: Cow<'static, str>,
+    subject: Option<Principal>,
+    certs: Option<Arc<[HashVal]>>,
+}
+
+impl Verdict {
+    /// A verdict with no subject and no certificates.
+    fn new(decision: Decision, detail: impl Into<Cow<'static, str>>) -> Verdict {
+        Verdict {
+            decision,
+            detail: detail.into(),
+            subject: None,
+            certs: None,
+        }
+    }
+
+    /// The request was authorized.
+    pub fn grant(detail: impl Into<Cow<'static, str>>) -> Verdict {
+        Verdict::new(Decision::Grant, detail)
+    }
+
+    /// The request was refused.
+    pub fn deny(detail: impl Into<Cow<'static, str>>) -> Verdict {
+        Verdict::new(Decision::Deny, detail)
+    }
+
+    /// The request (or a stream) was shed before or instead of service.
+    pub fn shed(detail: impl Into<Cow<'static, str>>) -> Verdict {
+        Verdict::new(Decision::Shed, detail)
+    }
+
+    /// State built on a revoked certificate was cut.
+    pub fn revoke(detail: impl Into<Cow<'static, str>>) -> Verdict {
+        Verdict::new(Decision::Revoke, detail)
+    }
+
+    /// The principal the verdict was about.
+    pub fn subject(mut self, subject: Principal) -> Verdict {
+        self.subject = Some(subject);
+        self
+    }
+
+    /// The certificates the verdict rested on.
+    pub fn certs(mut self, certs: impl Into<Arc<[HashVal]>>) -> Verdict {
+        self.certs = Some(certs.into());
+        self
     }
 }
 

@@ -108,6 +108,12 @@ cargo test -q --offline -p snowflake-core --lib -- --exact \
 cargo test -q --offline -p snowflake-revocation --test freshness_props
 cargo test -q --offline -p snowflake-revocation --test revoke_mid_session
 cargo test -q --offline -p snowflake-core --test proof_rules
+# A pulled list reaches the warm caches as a push does: a revocation
+# that arrives only by refresh denies the identical retransmit and the
+# MAC session built on the revoked chain.
+cargo test -q --offline -p snowflake-revocation --test revoke_mid_session -- --exact \
+    pulled_revocation_denies_an_identical_retransmit \
+    pulled_revocation_denies_a_mac_session
 
 echo "==> broker suites (authz facade, subscribe-as-action, revocation-push cuts)"
 # The broker's claims — authz answers fail closed on malformed bodies,
@@ -137,17 +143,40 @@ echo "==> surface suites (one Surface per decision point; every decision and she
 # each decision surface's grant, deny and shed events end to end.
 cargo test -q --offline -p snowflake-runtime --lib surface
 cargo test -q --offline -p snowflake-audit --test end_to_end
+# One record per decision: every outcome of every decision surface
+# (grant, each deny path, challenge, malformed input, warm hit) emits
+# exactly one record, stamped with the surface's name, the decision's
+# instant and its revocation epoch.
+cargo test -q --offline -p snowflake --test one_record -- --exact \
+    servlet_records_one_decision_per_request \
+    rmi_records_one_decision_per_frame \
+    authz_records_one_decision_per_question \
+    broker_subscribe_records_one_decision_per_subscribe \
+    metrics_records_one_decision_per_scrape \
+    emaildb_records_one_decision_per_operation \
+    gateway_records_one_decision_per_request
 
-echo "==> clippy deny-list: no raw spawn, no accept outside the reactor, no dup fd, no verify outside a surface's memo"
+echo "==> race repeats (the two tests that once raced, 10 runs each)"
+# Each waits for the ordering it depends on instead of assuming it; a
+# regression shows as a failure here, not as a rerun that happens to pass.
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    cargo test -q --offline -p snowflake-runtime --lib -- --exact \
+        reactor::tests::panicking_driver_closes_its_connection_and_shutdown_returns
+    cargo test -q --offline -p snowflake-rmi --test reactor_serving -- --exact \
+        saturated_pool_seals_busy_at_invocation_time
+done
+
+echo "==> clippy deny-list: no raw spawn, no accept outside the reactor, no dup fd, no verify outside a surface's memo, no hand-built audit record"
 # clippy.toml disallows std::thread::{spawn, Builder::spawn},
-# TcpListener::{accept, incoming}, TcpStream::try_clone and
-# Proof::{verify, authorizes} in every library crate: a server regrowing
-# its own thread, accept loop, blocking side door around the reactor, or
-# memo-bypassing verification fails here.  The sites that implement the
-# rule (the runtime's pool, scheduler, spawn_thread and reactor accept;
-# core's memo cold path) carry a reasoned #[allow].  Audit emits and
-# latency timers are asserted by the suites above (audit end_to_end,
-# broker, broker_e2e, metrics_e2e), not grepped for.
+# TcpListener::{accept, incoming}, TcpStream::try_clone,
+# Proof::{verify, authorizes} and DecisionEvent::new in every library
+# crate: a server regrowing its own thread, accept loop, blocking side
+# door around the reactor, memo-bypassing verification or audit record
+# built outside a surface fails here.  The sites that implement the rule
+# (the runtime's pool, spawn_thread and reactor accept; core's memo cold
+# path; the surface's one stamp) carry a reasoned #[allow].  Latency
+# timers are asserted by the suites above (broker, broker_e2e,
+# metrics_e2e), not grepped for.
 cargo clippy --offline --workspace --lib -- -A clippy::all -D clippy::disallowed_methods
 
 echo "==> all green"

@@ -6,7 +6,7 @@
 //! [`snowflake_channel`], [`snowflake_rmi`], [`snowflake_http`],
 //! [`snowflake_revocation`] (live revocation: validator service,
 //! freshness agent, push invalidation), [`snowflake_runtime`] (the
-//! bounded worker-pool/scheduler runtime every server serves from),
+//! bounded worker-pool/reactor runtime every server serves from),
 //! [`snowflake_audit`] (the tamper-evident decision log: hash-chained,
 //! periodically signed records of every grant/deny/shed/revocation),
 //! [`snowflake_broker`] (the authz-endpoint facade answering
